@@ -460,6 +460,16 @@ class SessionRegistry:
     def export_state(self) -> dict[str, Any]:
         """JSON-serializable snapshot of the registry (active + departed).
 
+        Active sessions are stored column-wise: ``names`` plus one
+        ``columns`` list per field the vectors do not carry
+        (``joined_at``, ``renegotiations``, ``ebb``, ``target``), in
+        vector order.  Their ``phi``/``arrived``/``served``/``residual``
+        are not repeated: after :meth:`sync_totals` they equal the
+        ``phis``/``arrived``/``served``/``backlog`` vector entries bit
+        for bit, and :meth:`from_state` reads them from there.  Departed
+        sessions keep one record each, because their final totals are
+        in no vector.
+
         The backing vectors are trimmed to the active prefix; the
         restored registry reallocates them, and since JSON round-trips
         finite floats exactly the restored vectors are element-for-
@@ -468,9 +478,9 @@ class SessionRegistry:
         from repro.online.events import _ebb_record, _target_record
 
         self.sync_totals()
-
-        def info_state(info: SessionInfo) -> dict[str, Any]:
-            return {
+        active = [self._info[name] for name in self._names]
+        departed = [
+            {
                 "name": info.name,
                 "phi": info.phi,
                 "ebb": _ebb_record(info.ebb),
@@ -482,11 +492,17 @@ class SessionRegistry:
                 "residual": info.residual,
                 "renegotiations": info.renegotiations,
             }
-
+            for info in self._departed
+        ]
         return {
             "names": list(self._names),
-            "active": [info_state(self._info[n]) for n in self._names],
-            "departed": [info_state(info) for info in self._departed],
+            "columns": {
+                "joined_at": [info.joined_at for info in active],
+                "renegotiations": [info.renegotiations for info in active],
+                "ebb": [_ebb_record(info.ebb) for info in active],
+                "target": [_target_record(info.target) for info in active],
+            },
+            "departed": departed,
             "peak_active": self._peak_active,
             "vectors": {
                 "phis": self.phis.tolist(),
@@ -507,7 +523,11 @@ class SessionRegistry:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "SessionRegistry":
-        """Rebuild a registry from an :meth:`export_state` snapshot."""
+        """Rebuild a registry from an :meth:`export_state` snapshot.
+
+        Also reads the older per-session layout, which stored every
+        active session as a full record in an ``"active"`` list.
+        """
         from repro.online.events import _ebb_from, _target_from
 
         def info_from(record: dict[str, Any]) -> SessionInfo:
@@ -533,26 +553,59 @@ class SessionRegistry:
         out._ensure_capacity(len(names))
         out._names = names
         out._index = {name: k for k, name in enumerate(names)}
-        out._info = {
-            record["name"]: info_from(record)
-            for record in state["active"]
-        }
-        out._departed = [info_from(r) for r in state["departed"]]
-        vectors = state["vectors"]
-        for attr, key in (
-            ("_phis", "phis"),
-            ("_backlog", "backlog"),
-            ("_pending", "pending"),
-            ("_arrived", "arrived"),
-            ("_served", "served"),
-        ):
-            values = [float(v) for v in vectors[key]]
+
+        def column(block: dict[str, Any], key: str, kind: str) -> list:
+            values = block[key]
             if len(values) != len(names):
                 raise ValidationError(
-                    f"registry state vector {key!r} has {len(values)} "
+                    f"registry state {kind} {key!r} has {len(values)} "
                     f"entries for {len(names)} active sessions"
                 )
-            getattr(out, attr)[: len(values)] = values
+            return values
+
+        vectors = {
+            key: [float(v) for v in column(state["vectors"], key, "vector")]
+            for key in ("phis", "backlog", "pending", "arrived", "served")
+        }
+        for key, values in vectors.items():
+            getattr(out, f"_{key}")[: len(values)] = values
+        if "active" in state:
+            out._info = {
+                record["name"]: info_from(record)
+                for record in state["active"]
+            }
+        else:
+            columns = {
+                key: column(state["columns"], key, "column")
+                for key in ("joined_at", "renegotiations", "ebb", "target")
+            }
+            rows = zip(
+                names,
+                vectors["phis"],
+                vectors["arrived"],
+                vectors["served"],
+                vectors["backlog"],
+                columns["joined_at"],
+                columns["renegotiations"],
+                columns["ebb"],
+                columns["target"],
+            )
+            out._info = {
+                name: SessionInfo(
+                    name=name,
+                    phi=phi,
+                    ebb=_ebb_from(ebb),
+                    target=_target_from(target),
+                    joined_at=int(joined_at),
+                    arrived=arrived,
+                    served=served,
+                    residual=residual,
+                    renegotiations=int(renegotiations),
+                )
+                for name, phi, arrived, served, residual, joined_at,
+                renegotiations, ebb, target in rows
+            }
+        out._departed = [info_from(r) for r in state["departed"]]
         out._peak_active = int(state["peak_active"])
         if "busy" in state:
             busy = [int(k) for k in state["busy"]]

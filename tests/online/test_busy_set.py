@@ -9,7 +9,10 @@ arrival/capacity sequences.  A dense reference engine is maintained
 here, in the test, so the property does not lean on the code under
 test.  The crash-recovery tests check that the busy index, epoch and
 cached totals rebuild identically from snapshots and WAL replay —
-including pre-busy-set snapshots that lack the explicit fields.
+including pre-busy-set snapshots that lack the explicit fields.  The
+round-trip tests check that the columnar registry state restores every
+field, re-exports to the same bytes, and drops nothing the older
+per-session layout stored.
 """
 
 import json
@@ -19,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.admission import QoSTarget
+from repro.core.ebb import EBB
 from repro.errors import ValidationError
 from repro.online import (
     DurableOnlineService,
@@ -32,6 +37,7 @@ from repro.online.events import (
     SessionJoin,
     SessionLeave,
 )
+from repro.online.session import SessionRegistry
 from repro.sim.fluid import gps_slot_allocation
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -113,11 +119,33 @@ def _phi():
 
 def _op():
     idx = st.integers(min_value=0, max_value=len(NAMES) - 1)
+    # QoS declarations ride along (no admission gate here), so the
+    # registry's exported state carries them.
+    ebb = st.sampled_from(
+        (
+            None,
+            EBB(rho=0.4, prefactor=2.0, decay_rate=0.5),
+            EBB(rho=0.25, prefactor=1.5, decay_rate=0.75),
+        )
+    )
+    target = st.sampled_from(
+        (
+            None,
+            QoSTarget(d_max=30.0, epsilon=1e-4),
+            QoSTarget(d_max=12.5, epsilon=1e-2),
+        )
+    )
     return st.one_of(
         st.tuples(st.just("advance"), st.integers(1, 3)),
-        st.tuples(st.just("join"), idx, _phi()),
+        st.tuples(st.just("join"), idx, _phi(), ebb, target),
         st.tuples(st.just("leave"), idx),
-        st.tuples(st.just("renegotiate"), idx, _phi()),
+        st.tuples(
+            st.just("renegotiate"),
+            idx,
+            st.one_of(st.none(), _phi()),
+            ebb,
+            target,
+        ),
         st.tuples(
             st.just("arrival"),
             idx,
@@ -145,7 +173,11 @@ def _run_pair(ops, rate=1.5):
             name = NAMES[op[1]]
             if name in server.active_sessions:
                 continue
-            server.process(SessionJoin(time=time, name=name, phi=op[2]))
+            server.process(
+                SessionJoin(
+                    time=time, name=name, phi=op[2], ebb=op[3], target=op[4]
+                )
+            )
             ref.advance_to(t)
             ref.join(name, op[2])
         elif kind == "leave":
@@ -157,13 +189,16 @@ def _run_pair(ops, rate=1.5):
             ref.leave(name)
         elif kind == "renegotiate":
             name = NAMES[op[1]]
-            if name not in server.active_sessions:
+            if name not in server.active_sessions or not any(op[2:]):
                 continue
             server.process(
-                Renegotiate(time=time, name=name, phi=op[2])
+                Renegotiate(
+                    time=time, name=name, phi=op[2], ebb=op[3], target=op[4]
+                )
             )
             ref.advance_to(t)
-            ref.renegotiate(name, op[2])
+            if op[2] is not None:
+                ref.renegotiate(name, op[2])
         elif kind == "arrival":
             name = NAMES[op[1]]
             if name not in server.active_sessions or op[2] <= 0.0:
@@ -245,6 +280,97 @@ class TestBusySetBitIdentity:
         assert server._registry.num_busy == 1
         # full capacity, not 2.0 * (1/50)
         assert server.session_backlog("s7") == 8.0
+
+
+def _registry_after(ops):
+    """The registry after ``ops``, with one arrival left pending in the
+    open slot (export keeps it apart from the backlog)."""
+    server, _ = _run_pair(ops)
+    for name in server.active_sessions[:1]:
+        server.process(
+            ArrivalEvent(time=float(server.clock), session=name, amount=0.5)
+        )
+    return server._registry
+
+
+def _vectors(registry):
+    return (
+        registry.phis,
+        registry.backlog,
+        registry.pending,
+        registry.arrived,
+        registry.served,
+    )
+
+
+class TestRegistryStateRoundTrip:
+    """The columnar registry snapshot loses nothing and re-exports to
+    the same bytes, for arbitrary churn with QoS declarations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_op(), min_size=1, max_size=60))
+    def test_round_trip_restores_every_field(self, ops):
+        registry = _registry_after(ops)
+        encoded = json.dumps(registry.export_state(), sort_keys=True)
+        restored = SessionRegistry.from_state(json.loads(encoded))
+        for got, want in zip(_vectors(restored), _vectors(registry)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            restored.busy_indices(), registry.busy_indices()
+        )
+        assert restored.epoch == registry.epoch
+        assert restored.total_backlog() == registry.total_backlog()
+        assert restored.total_pending() == registry.total_pending()
+        assert restored.stats() == registry.stats()
+        assert restored.admitted_declarations() == (
+            registry.admitted_declarations()
+        )
+        assert (
+            json.dumps(restored.export_state(), sort_keys=True) == encoded
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_op(), min_size=1, max_size=60))
+    def test_columns_drop_nothing_of_the_per_session_layout(self, ops):
+        """An active session's old per-session record repeated its
+        vector entries exactly, so the per-session layout restores to
+        the same registry as the columnar one."""
+        registry = _registry_after(ops)
+        state = json.loads(json.dumps(registry.export_state()))
+        phis, backlog, _, arrived, served = _vectors(registry)
+        stats = registry.stats()
+        legacy_active = []
+        for k, name in enumerate(registry.names):
+            record = stats[name]
+            # json.dumps tells -0.0 from 0.0 and compares the exact
+            # repr, so this is a bit-for-bit comparison.
+            assert json.dumps(
+                [
+                    record["phi"],
+                    record["arrived"],
+                    record["served"],
+                    record["residual"],
+                ]
+            ) == json.dumps(
+                [
+                    float(phis[k]),
+                    float(arrived[k]),
+                    float(served[k]),
+                    float(backlog[k]),
+                ]
+            )
+            legacy_active.append(
+                {
+                    **record,
+                    "ebb": state["columns"]["ebb"][k],
+                    "target": state["columns"]["target"][k],
+                }
+            )
+        legacy = {key: v for key, v in state.items() if key != "columns"}
+        legacy["active"] = legacy_active
+        from_legacy = SessionRegistry.from_state(legacy)
+        assert from_legacy.export_state() == registry.export_state()
+        assert from_legacy.stats() == registry.stats()
 
 
 class TestBusySetRecovery:

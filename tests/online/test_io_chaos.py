@@ -199,36 +199,64 @@ class TestDiskPressure:
         recovered, report = _recover(tmp_path, FaultyFS())
         assert recovered.applied_seq == applied
 
-    def test_disk_pressure_resume_record_after_pruning(self, tmp_path):
-        """When snapshots free segments, the service recovers from
-        pressure and says so with a ``resumed`` record."""
+    def test_disk_pressure_resume_record_after_freeing_space(
+        self, tmp_path
+    ):
+        """Bytes freed mid-stream end a pressure episode: the next
+        append that fits is logged, and the service says so with one
+        ``resumed`` record.
+
+        The bytes are freed by deleting an unrelated file on the same
+        disk.  Snapshot-covered pruning cannot end an episode: no line
+        is applied under pressure, so no snapshot is taken and the
+        prune horizon stays where the first drop's prune left it.
+        """
         lines = _stream()
+        half = len(lines) // 2
         sink = _ListSink()
-        # Tight budget, aggressive snapshots: covered segments get
-        # pruned, crediting bytes back, so pressure is transient.
-        io = FaultyFS(byte_budget=4500)
+        ballast = tmp_path / "ballast.bin"
+        ballast_bytes = 1 << 16
+        io = FaultyFS(byte_budget=ballast_bytes + 2000)
+        with io.open(ballast, "wb") as handle:
+            handle.write(b"\0" * ballast_bytes)
+        state = tmp_path / "state"
         svc = _create(
-            tmp_path,
+            state,
             io,
             fsync="always",
             sink=sink,
-            snapshot_every=10,
-            segment_events=5,
+            snapshot_every=10**9,
+            segment_events=10**9,
         )
-        svc.ingest(iter(lines))
-        pressure = [
+        svc.ingest(iter(lines[:half]))
+        dropped = [
             r for r in sink.records if r.get("kind") == "disk-pressure"
         ]
-        assert pressure, "the byte budget must have been exhausted"
-        resumed = [r for r in pressure if r["resumed"]]
-        assert resumed, (
-            "snapshot-covered pruning must have credited bytes back "
-            "and ended at least one pressure episode"
-        )
-        dropped = [r for r in pressure if not r["resumed"]]
+        assert dropped, "the byte budget must have been exhausted"
+        assert not any(r["resumed"] for r in dropped)
+        assert svc.disk_pressure
+        assert svc.disk_dropped == len(dropped)
+        applied = svc.applied_seq
+
+        io.unlink(ballast)
+        first_after = len(sink.records)
+        svc.ingest(iter(lines[half:]))
+        pressure = [
+            r
+            for r in sink.records[first_after:]
+            if r.get("kind") == "disk-pressure"
+        ]
+        assert len(pressure) == 1
+        assert pressure[0]["resumed"] is True
+        # The resumed line takes the sequence number after the last
+        # applied one: dropped lines never consumed one.
+        assert pressure[0]["line"] == applied + 1
+        assert pressure[0]["dropped"] == len(dropped)
+        assert not svc.disk_pressure
         assert svc.disk_dropped == len(dropped)
         assert svc.applied_seq + svc.disk_dropped == len(lines)
-        recovered, report = _recover(tmp_path, FaultyFS())
+        svc.wal.close()
+        recovered, report = _recover(state, FaultyFS())
         assert recovered.applied_seq == svc.applied_seq
 
 
