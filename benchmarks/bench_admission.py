@@ -12,7 +12,13 @@ gate modes:
   against cached per-session critical rates;
 * **full recompute** (``incremental=False``) — the reference path: a
   from-scratch stability + Theorem 10/15 scan over every admitted
-  session per decision.
+  session per decision;
+* **diagnostics** — the incremental gate plus the feasible-ordering,
+  feasible-partition and Theorem 11 details an
+  ``AdmissionController(diagnostics=True)`` (the serving default)
+  attaches to every decision, run for as many events as the full
+  recompute.  ``diagnostics_ratio`` is its throughput over the
+  gate-only incremental throughput.
 
 The event mix is the controller's worst realistic churn: leave + join
 pairs (the joining declaration jittered ±5% in rate, so admission
@@ -76,11 +82,15 @@ def _build(num_sessions: int, incremental: bool) -> AnalysisContext:
 
 
 def churn(
-    context: AnalysisContext, num_events: int, seed: int = 0
+    context: AnalysisContext,
+    num_events: int,
+    seed: int = 0,
+    *,
+    diagnostics: bool = False,
 ) -> tuple[int, float]:
     """Drive leave+join pairs and weight renegotiations; returns
     ``(events, seconds)``.  Every decision must accept — the population
-    is sized so churn never tips a target — keeping the two modes on
+    is sized so churn never tips a target — keeping the modes on
     identical state trajectories.
     """
     rng = np.random.default_rng(seed)
@@ -96,7 +106,7 @@ def churn(
         if k % 3 == 0:
             # weight-only renegotiation: hits the Lemma 9 reorder path
             decision = context.decide_update(
-                names[picks[k]], phi=float(phis[k])
+                names[picks[k]], phi=float(phis[k]), diagnostics=diagnostics
             )
             events += 1
         else:
@@ -112,7 +122,7 @@ def churn(
                 decay_rate=ebb.decay_rate,
             )
             decision = context.decide_join(
-                name, jittered, 1.0, target
+                name, jittered, 1.0, target, diagnostics=diagnostics
             )
             events += 1
             names[picks[k]] = name
@@ -123,7 +133,8 @@ def churn(
 def bench_population(
     num_sessions: int, num_events: int, scratch_events: int
 ) -> dict:
-    """Churn throughput at one population size, both gate modes."""
+    """Churn throughput at one population size: both gate modes, and
+    the incremental gate with diagnostics."""
     fast = _build(num_sessions, incremental=True)
     events, seconds = churn(fast, num_events)
     incremental_eps = events / seconds
@@ -132,13 +143,19 @@ def bench_population(
     events, seconds = churn(slow, scratch_events)
     full_eps = events / seconds
 
+    diagnosed = _build(num_sessions, incremental=True)
+    events, seconds = churn(diagnosed, scratch_events, diagnostics=True)
+    diagnostics_eps = events / seconds
+
     return {
         "num_sessions": num_sessions,
         "num_churn_events": num_events,
         "num_full_recompute_events": scratch_events,
         "incremental_events_per_sec": incremental_eps,
         "full_recompute_events_per_sec": full_eps,
+        "diagnostics_events_per_sec": diagnostics_eps,
         "speedup": incremental_eps / full_eps,
+        "diagnostics_ratio": diagnostics_eps / incremental_eps,
     }
 
 
@@ -164,8 +181,8 @@ def main() -> int:
 
     rows = []
     for num_sessions in args.session_counts:
-        # the full-recompute mode is O(N) per event; cap its share of
-        # the run so the sweep stays fast at 10k sessions
+        # the full-recompute and diagnostics modes are O(N) per event;
+        # cap their share of the run so the sweep stays fast at 10k
         scratch = max(30, min(args.events, 300_000 // num_sessions))
         row = bench_population(num_sessions, args.events, scratch)
         rows.append(row)
@@ -174,7 +191,9 @@ def main() -> int:
             f"{row['incremental_events_per_sec']:,.0f} events/s "
             f"incremental, "
             f"{row['full_recompute_events_per_sec']:,.0f} events/s "
-            f"full recompute ({row['speedup']:.1f}x)"
+            f"full recompute ({row['speedup']:.1f}x), "
+            f"{row['diagnostics_events_per_sec']:,.0f} events/s with "
+            f"diagnostics ({row['diagnostics_ratio']:.3f}x gate-only)"
         )
 
     payload = {

@@ -27,10 +27,13 @@ is the single stateful entry point to the paper's analytic machinery:
   :meth:`AnalysisContext.theorem12_family` memoize the feasible
   partition and per-session bound families keyed on the population
   version, so repeated bound evaluations between membership changes
-  are free.  The partition cache is keyed on the *geometry* version,
-  which only advances when some ``rho_i`` or ``phi_i`` actually
-  changes — renegotiating a QoS target, or re-declaring an identical
-  contract, keeps every structural cache warm.
+  are free.  Incrementally, the partition and the eq. (4) feasibility
+  scan are read off the maintained ratio order instead of re-sorting
+  and re-validating the population.  The partition cache is keyed on
+  the *geometry* version, which only advances when some ``rho_i`` or
+  ``phi_i`` actually changes — renegotiating a QoS target, or
+  re-declaring an identical contract, keeps every structural cache
+  warm.
 
 The context is deliberately decision-procedure-shaped rather than
 simulation-shaped: :meth:`AnalysisContext.decide_join` and
@@ -44,7 +47,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 from repro.analysis.admission import (
@@ -102,9 +107,17 @@ class SessionDeclaration:
 
 
 class _SessionState:
-    """Mutable per-session record (internal)."""
+    """Mutable per-session record (internal).
 
-    __slots__ = ("name", "seq", "ebb", "phi", "target", "ratio", "threshold", "scale")
+    ``session`` is the validated :class:`repro.core.gps.Session` view of
+    ``(name, ebb, phi)``, rebuilt only when ``ebb`` or ``phi`` changes,
+    so :meth:`AnalysisContext.gps_config` re-validates nothing.
+    """
+
+    __slots__ = (
+        "name", "seq", "ebb", "phi", "target", "ratio", "threshold", "scale",
+        "session",
+    )
 
     def __init__(
         self,
@@ -123,11 +136,26 @@ class _SessionState:
         self.ratio = ebb.rho / phi
         self.threshold = threshold
         self.scale = 0.0 if threshold == 0.0 else threshold / ebb.rho
+        self.session = Session(name, ebb, phi)
 
     def declaration(self) -> SessionDeclaration:
         return SessionDeclaration(
             name=self.name, ebb=self.ebb, phi=self.phi, target=self.target
         )
+
+
+def _strict_scan(ordered: list[_SessionState], rate: float) -> bool:
+    """The strict eq. (4) check of
+    :func:`repro.analysis.feasible.is_feasible_ordering` over sessions
+    already in candidate order, with its float evaluation order."""
+    remaining_phi = sum([s.phi for s in ordered])
+    consumed = 0.0
+    for s in ordered:
+        if (s.phi / remaining_phi) * (rate - consumed) - s.ebb.rho <= 0.0:
+            return False
+        consumed += s.ebb.rho
+        remaining_phi -= s.phi
+    return True
 
 
 class AnalysisContext:
@@ -313,7 +341,9 @@ class AnalysisContext:
         """Renegotiate a session's contract; ``None`` keeps a field.
 
         Returns the *previous* contract (so callers can roll back a
-        rejected renegotiation with :meth:`restore`).
+        rejected renegotiation with :meth:`restore`).  A non-positive
+        ``phi`` raises :class:`repro.errors.ValidationError` and leaves
+        the contract and :attr:`version` unchanged.
         """
         state = self._sessions.get(name)
         if state is None:
@@ -351,6 +381,7 @@ class AnalysisContext:
         each hop's input E.B.B. per session and only occasionally
         changes it.
         """
+        check_positive("phi", phi)
         if ebb == state.ebb and phi == state.phi and target == state.target:
             return
         geometry_changed = ebb.rho != state.ebb.rho or phi != state.phi
@@ -366,6 +397,8 @@ class AnalysisContext:
                 state.threshold = threshold
                 state.scale = 0.0 if threshold == 0.0 else threshold / ebb.rho
                 heapq.heappush(self._heap, (-state.scale, state.seq))
+        if ebb != state.ebb or phi != state.phi:
+            state.session = Session(state.name, ebb, phi)
         state.ebb = ebb
         state.phi = phi
         state.target = target
@@ -493,8 +526,9 @@ class AnalysisContext:
         """Feasible-ordering diagnostics, cached on the geometry version.
 
         In incremental mode the maintained ratio order *is* the
-        canonical candidate ordering, so only the eq. (4) feasibility
-        scan is paid; the output (including the failure message) is
+        canonical candidate ordering, so only the strict eq. (4) scan
+        is paid, over contracts validated when they entered the
+        context; the output (including the failure message) is
         bit-identical to
         :func:`repro.analysis.feasible.find_feasible_ordering`.
         """
@@ -503,29 +537,30 @@ class AnalysisContext:
             and self._ordering_cache[0] == self._geometry
         ):
             return dict(self._ordering_cache[1])
-        states = list(self._sessions.values())
-        names = [s.name for s in states]
-        rhos = [s.ebb.rho for s in states]
-        phis = [s.phi for s in states]
         if self._incremental:
-            # insertion order is seq order, so the maintained (ratio,
-            # seq) entries map straight to insertion indices
-            rank_of_seq = {s.seq: k for k, s in enumerate(states)}
-            order = [rank_of_seq[seq] for seq in self._order.seqs()]
+            seq_state = self._seq_state
+            ordered = [seq_state[seq] for seq in self._order.seqs()]
+            feasible = _strict_scan(ordered, self._rate)
         else:
+            states = list(self._sessions.values())
+            rhos = [s.ebb.rho for s in states]
+            phis = [s.phi for s in states]
             order = sorted(
                 range(len(states)), key=lambda i: rhos[i] / phis[i]
             )
+            ordered = [states[i] for i in order]
+            feasible = is_feasible_ordering(
+                order, rhos, phis, server_rate=self._rate, strict=True
+            )
         out: dict[str, Any]
-        if is_feasible_ordering(
-            order, rhos, phis, server_rate=self._rate, strict=True
-        ):
-            out = {"feasible_ordering": [names[i] for i in order]}
+        if feasible:
+            out = {"feasible_ordering": [s.name for s in ordered]}
         else:
             error = FeasibleOrderingError(
                 "no feasible ordering exists: the ratio-sorted ordering "
                 f"violates eq. (4); total rate "
-                f"{sum(rhos)} vs server rate {self._rate}"
+                f"{sum(s.ebb.rho for s in self._sessions.values())} "
+                f"vs server rate {self._rate}"
             )
             out = {
                 "feasible_ordering": None,
@@ -544,9 +579,10 @@ class AnalysisContext:
         if out.get("feasible_ordering") is None:
             return out
         partition = self.partition()
-        names = [s.name for s in self._sessions.values()]
+        names = list(self._sessions)
         out["feasible_partition"] = [
-            [names[i] for i in members] for members in partition.classes
+            list(map(names.__getitem__, members))
+            for members in partition.classes
         ]
         out["partition_level"] = partition.level(names.index(request_name))
         out["theorem11_probability"] = self._theorem11_probability(state)
@@ -568,31 +604,85 @@ class AnalysisContext:
     # cached theorem computations
     # ------------------------------------------------------------------
     def partition(self) -> FeasiblePartition:
-        """The feasible partition of eqs. (37)-(39), cached per geometry."""
+        """The feasible partition of eqs. (37)-(39), cached per geometry.
+
+        In incremental mode it is read off the maintained ratio order:
+        every class is a contiguous run of that order (the sessions of
+        the remaining suffix whose ratio is below the class threshold),
+        listed by insertion index.  The float sums are evaluated in the
+        same order as :func:`repro.analysis.feasible.feasible_partition`
+        (the remaining weights by ascending insertion index, each
+        class's rates over its sorted members), so the result is equal
+        to it field for field.
+        """
         if (
             self._partition_cache is not None
             and self._partition_cache[0] == self._geometry
         ):
             return self._partition_cache[1]
         states = list(self._sessions.values())
-        partition = feasible_partition(
-            [s.ebb.rho for s in states],
-            [s.phi for s in states],
-            server_rate=self._rate,
-        )
+        rhos = [s.ebb.rho for s in states]
+        phis = [s.phi for s in states]
+        if self._incremental:
+            partition = self._ratio_order_partition(states, rhos, phis)
+        else:
+            partition = feasible_partition(rhos, phis, server_rate=self._rate)
         self._partition_cache = (self._geometry, partition)
         return partition
+
+    def _ratio_order_partition(
+        self,
+        states: list[_SessionState],
+        rhos: list[float],
+        phis: list[float],
+    ) -> FeasiblePartition:
+        """The feasible partition derived from the ratio order."""
+        if not states:
+            raise ValidationError("need at least one session")
+        rate = self._rate
+        total_rho = sum(rhos)
+        if total_rho >= rate:
+            raise FeasibleOrderingError(
+                f"stability requires sum(rho) < server rate; got {total_rho} "
+                f">= {rate}"
+            )
+        # the insertion index of each entry, in ratio order
+        index_of = dict(zip([s.seq for s in states], range(len(states))))
+        entries = self._order.as_tuples()
+        ranked = [index_of[seq] for _, seq in entries]
+        alive = [True] * len(states)
+        consumed_rho = 0.0
+        classes: list[tuple[int, ...]] = []
+        start = 0
+        while start < len(entries):
+            # the remaining weights, by ascending insertion index
+            threshold = (rate - consumed_rho) / sum(compress(phis, alive))
+            # first entry at or above the threshold; seqs are >= 0
+            end = bisect_left(entries, (threshold, -1), start)
+            if end == start:
+                raise FeasibleOrderingError(
+                    "feasible partition construction stalled; this cannot "
+                    "happen when sum(rho) < server rate"
+                )
+            members = tuple(sorted(ranked[start:end]))
+            classes.append(members)
+            consumed_rho += sum(map(rhos.__getitem__, members))
+            for i in members:
+                alive[i] = False
+            start = end
+        return FeasiblePartition(
+            classes=tuple(classes),
+            rhos=tuple(map(float, rhos)),
+            phis=tuple(map(float, phis)),
+            server_rate=rate,
+        )
 
     def gps_config(self) -> GPSConfig:
         """The population as a :class:`GPSConfig`, cached per version."""
         if self._config_cache is not None and self._config_cache[0] == self._version:
             return self._config_cache[1]
         config = GPSConfig(
-            self._rate,
-            [
-                Session(s.name, s.ebb, s.phi)
-                for s in self._sessions.values()
-            ],
+            self._rate, [s.session for s in self._sessions.values()]
         )
         self._config_cache = (self._version, config)
         return config

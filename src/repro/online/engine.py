@@ -35,6 +35,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.analysis.admission import AdmissionDecision
 from repro.errors import AdmissionError, ValidationError
 from repro.online.admission import AdmissionController
 from repro.online.events import (
@@ -52,6 +53,21 @@ from repro.utils.validation import check_positive
 __all__ = ["StreamingGPSServer", "OnlineResult"]
 
 _EPS = 1e-12
+
+#: Decision details as long as the admitted population: emitted with
+#: every decision record, never kept in the engine's decision log.
+_EMITTED_ONLY = ("feasible_ordering", "feasible_partition")
+
+
+def _retained(decision: dict[str, Any]) -> dict[str, Any]:
+    """A decision record as the decision log keeps it: verdict, reason,
+    violated check and every scalar detail, without the
+    :data:`_EMITTED_ONLY` lists."""
+    out = dict(decision)
+    out["details"] = {
+        k: v for k, v in decision["details"].items() if k not in _EMITTED_ONLY
+    }
+    return out
 
 
 @dataclass(frozen=True)
@@ -420,15 +436,7 @@ class StreamingGPSServer:
                 phi=event.phi,
                 target=event.target,
             )
-            decision_record = decision.to_record()
-            decision_record["slot"] = slot
-            self._decisions.append(decision_record)
-            out["accepted"] = decision.accepted
-            out["decision"] = decision_record
-            if decision.accepted:
-                self._accepted += 1
-            else:
-                self._rejected += 1
+            if not self._log_decision(decision, slot, out):
                 return out
         else:
             out["accepted"] = True
@@ -452,15 +460,7 @@ class StreamingGPSServer:
                 ebb=event.ebb,
                 target=event.target,
             )
-            decision_record = decision.to_record()
-            decision_record["slot"] = self._clock
-            self._decisions.append(decision_record)
-            out["accepted"] = decision.accepted
-            out["decision"] = decision_record
-            if decision.accepted:
-                self._accepted += 1
-            else:
-                self._rejected += 1
+            if not self._log_decision(decision, self._clock, out):
                 return out
         else:
             out["accepted"] = True
@@ -469,6 +469,26 @@ class StreamingGPSServer:
             event.name, phi=event.phi, ebb=event.ebb, target=event.target
         )
         return out
+
+    def _log_decision(
+        self, decision: AdmissionDecision, slot: int, out: dict[str, Any]
+    ) -> bool:
+        """Count and log one admission decision; returns its verdict.
+
+        The outcome record carries the full decision; the retained log
+        keeps it without the population-sized diagnostics
+        (:func:`_retained`).
+        """
+        record = decision.to_record()
+        record["slot"] = slot
+        self._decisions.append(_retained(record))
+        out["accepted"] = decision.accepted
+        out["decision"] = record
+        if decision.accepted:
+            self._accepted += 1
+        else:
+            self._rejected += 1
+        return decision.accepted
 
     def _process_leave(
         self, event: SessionLeave, slot: int
@@ -550,7 +570,7 @@ class StreamingGPSServer:
         out._event_counts = {
             str(k): int(v) for k, v in state["event_counts"].items()
         }
-        out._decisions = [dict(d) for d in state["decisions"]]
+        out._decisions = [_retained(d) for d in state["decisions"]]
         out._accepted = int(state["accepted"])
         out._rejected = int(state["rejected"])
         out._total_backlog_trace = [

@@ -36,21 +36,35 @@ class SimResult(Protocol):
         ...
 
 
+#: Leaf types ``json.dumps`` writes unchanged.  The check is on the
+#: exact type: ``np.float64`` subclasses ``float`` but still goes
+#: through ``.item()``.
+_JSON_LEAVES = frozenset({str, float, int, bool, type(None)})
+
+
 def to_jsonable(value: Any) -> Any:
     """Convert numpy containers/scalars to plain JSON types.
 
     Dicts and sequences are converted recursively; non-string dict keys
     are stringified (tuple keys become ``"a/b"``) so the result always
-    survives ``json.dumps``.
+    survives ``json.dumps``.  Plain JSON leaves are returned without a
+    recursive call.
     """
+    if type(value) in _JSON_LEAVES:
+        return value
     if isinstance(value, np.ndarray):
         return [to_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, dict):
-        return {_key(k): to_jsonable(v) for k, v in value.items()}
+        return {
+            _key(k): v if type(v) in _JSON_LEAVES else to_jsonable(v)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+        return [
+            v if type(v) in _JSON_LEAVES else to_jsonable(v) for v in value
+        ]
     return value
 
 

@@ -121,6 +121,34 @@ class TestMembership:
             "a", _voice(), 1.0, _lax_target()
         )
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    @pytest.mark.parametrize("phi", [0.0, -1.0])
+    def test_nonpositive_phi_update_rejected(
+        self, incremental, diagnostics, phi
+    ):
+        """Renegotiating to a non-positive weight fails at the
+        membership boundary; nothing downstream sees it."""
+        context = _populated(incremental=incremental)
+        context.diagnose("a")  # warm the caches
+        before = context.declarations()
+        version = context.version
+        with pytest.raises(ValidationError, match="phi"):
+            context.update("a", phi=phi)
+        with pytest.raises(ValidationError, match="phi"):
+            context.decide_update("a", phi=phi, diagnostics=diagnostics)
+        with pytest.raises(ValidationError, match="phi"):
+            context.update("a", ebb=_video(), phi=phi)
+        assert context.declarations() == before
+        assert context.version == version
+        assert context.total_rho == pytest.approx(0.7)
+        decision = context.decide_update(
+            "a", phi=3.0, diagnostics=diagnostics
+        )
+        assert decision.accepted
+        if diagnostics:
+            assert decision.details["feasible_partition"]
+
     def test_declarations_in_insertion_order(self):
         context = _populated()
         assert [d.name for d in context.declarations()] == ["a", "b", "c"]
@@ -223,6 +251,42 @@ class TestCaches:
             [d.phi for d in states],
             server_rate=1.0,
         )
+        assert context.partition() == direct
+
+    @pytest.mark.parametrize(
+        "contracts, classes",
+        [
+            # the two tiny weights vanish when added after 1.0 (insertion
+            # order) but not before it (ratio order): s0 sits one ulp
+            # below the first threshold only in insertion order
+            (
+                [(1 - 2.0**-53, 1.0), (2.0**-56, 2.0**-53),
+                 (2.0**-56, 2.0**-53)],
+                ((0, 1, 2),),
+            ),
+            # likewise for the rates of H_1 (0.5 first, or the two tiny
+            # rates first): s3 sits one ulp below the second threshold
+            (
+                [(0.5, 100.0), (2.0**-54, 1.0), (2.0**-54, 1.0),
+                 (0.25 - 2.0**-55, 1.0), (0.2, 1.0)],
+                ((0, 1, 2), (3, 4)),
+            ),
+        ],
+    )
+    def test_partition_sums_in_reference_order(self, contracts, classes):
+        """Class thresholds depend on float summation order; the
+        ratio-order derivation must sum as ``feasible_partition`` does
+        (ascending insertion index), not in ratio order."""
+        context = AnalysisContext(1.0)
+        for k, (rho, phi) in enumerate(contracts):
+            context.add(f"s{k}", EBB(rho, 1.0, 1.0), phi)
+        assert context.ratio_ordering()[0] != "s0"
+        direct = feasible_partition(
+            [rho for rho, _ in contracts],
+            [phi for _, phi in contracts],
+            server_rate=1.0,
+        )
+        assert direct.classes == classes
         assert context.partition() == direct
 
     def test_target_only_update_keeps_partition_cache(self):

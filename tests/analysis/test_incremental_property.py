@@ -10,7 +10,10 @@ recompute —
   of the surviving rates,
 * :meth:`AnalysisContext.partition` equals
   :func:`repro.analysis.feasible.feasible_partition` recomputed from
-  the surviving declarations,
+  the surviving declarations — also near saturation, where ratio ties
+  and three or more classes are common, together with
+  :meth:`AnalysisContext.diagnose` matching the ``incremental=False``
+  context's,
 
 plus the same exactness properties for the two underlying containers
 (:class:`ExactSum`, :class:`SortedRatioOrder`) in isolation.
@@ -22,11 +25,18 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    event,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from repro.analysis import (  # noqa: E402
     AnalysisContext,
     ExactSum,
+    QoSTarget,
     SortedRatioOrder,
     feasible_partition,
 )
@@ -92,6 +102,103 @@ class TestIncrementalMatchesScratch:
             assert context.partition() == feasible_partition(
                 rhos, phis, server_rate=_SERVER_RATE
             )
+
+
+# few distinct rates and weights, so ratios tie across sessions
+_tied_rhos = st.sampled_from([0.01, 0.02, 0.03, 0.05, 0.08])
+_tied_phis = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _saturated_sequences(draw):
+    """Add/remove/update events over tied contracts, and an offered
+    load near 1 for the survivors (many partition classes)."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    events = [
+        (
+            draw(st.integers(min_value=0, max_value=2)),
+            draw(_tied_rhos),
+            draw(_tied_phis),
+            draw(st.integers(0, 10**6)),
+        )
+        for _ in range(n)
+    ]
+    load = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+    return events, load
+
+
+def _drive(context, events):
+    """Apply an event stream; returns the surviving ``name -> (rho,
+    phi)`` map in insertion order."""
+    target = QoSTarget(d_max=50.0, epsilon=1e-3)
+    mirror: dict[str, tuple[float, float]] = {}
+    next_id = 0
+    for kind, rho, phi, pick in events:
+        live = sorted(mirror)
+        if kind == 0 or not live:
+            name = f"s{next_id}"
+            next_id += 1
+            context.add(name, EBB(rho, 1.0, 1.0), phi, target)
+            mirror[name] = (rho, phi)
+        elif kind == 1:
+            name = live[pick % len(live)]
+            context.remove(name)
+            del mirror[name]
+        else:
+            name = live[pick % len(live)]
+            context.update(name, ebb=EBB(rho, 1.0, 1.0), phi=phi)
+            mirror[name] = (rho, phi)
+    return mirror
+
+
+#: two ties in ratio, three partition classes at 99.9% load
+_THREE_TIED_CLASSES = [
+    (0, 0.01, 1.0, 0),
+    (0, 0.01, 1.0, 0),
+    (0, 0.05, 1.0, 0),
+    (0, 0.08, 1.0, 0),
+    (0, 0.08, 1.0, 0),
+    (2, 0.03, 3.0, 1),
+]
+
+
+class TestPartitionFromRatioOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(_saturated_sequences())
+    @example((_THREE_TIED_CLASSES, 0.999))
+    def test_partition_and_diagnostics_match_reference(self, case):
+        events, load = case
+        survivors = _drive(AnalysisContext(1.0), events)
+        if not survivors:
+            return
+        rate = math.fsum(rho for rho, _ in survivors.values()) / load
+        fast = AnalysisContext(rate)
+        slow = AnalysisContext(rate, incremental=False)
+        _drive(fast, events)
+        _drive(slow, events)
+        rhos = [rho for rho, _ in survivors.values()]
+        phis = [phi for _, phi in survivors.values()]
+        reference = feasible_partition(rhos, phis, server_rate=rate)
+        partition = fast.partition()
+        event(f"classes={partition.num_classes}")
+        assert partition.classes == reference.classes
+        assert partition.rhos == reference.rhos
+        assert partition.phis == reference.phis
+        assert partition == reference
+        assert [partition.level(i) for i in range(len(rhos))] == [
+            reference.level(i) for i in range(len(rhos))
+        ]
+        for name in survivors:
+            assert fast.diagnose(name) == slow.diagnose(name)
+
+    def test_example_reaches_three_classes_with_ties(self):
+        survivors = _drive(AnalysisContext(1.0), _THREE_TIED_CLASSES)
+        rate = math.fsum(rho for rho, _ in survivors.values()) / 0.999
+        context = AnalysisContext(rate)
+        _drive(context, _THREE_TIED_CLASSES)
+        ratios = [rho / phi for rho, phi in survivors.values()]
+        assert len(set(ratios)) < len(ratios)
+        assert context.partition().num_classes >= 3
 
 
 class TestExactSum:

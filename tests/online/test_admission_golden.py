@@ -1,0 +1,134 @@
+"""Admission decision records stay byte-identical.
+
+``data/admission_churn/lines.jsonl`` is a seeded admission churn served
+at ``rate=1.0`` with full diagnostics: 60 E.B.B.-declared joins in
+three upper-rate groups (a quarter of them at their group's nominal
+rate, so the ratio order has ties), then 24 slots, each with a weight
+renegotiation, a leave, a join and three arrivals; some slots add a
+join with an infeasible delay target or a renegotiation to one, both
+refused.  The feasible partition reaches three and four classes.
+
+``records.jsonl`` is the record stream ``OnlineService`` +
+``JsonlSink`` wrote for it when the context rebuilt the feasible
+ordering and partition from scratch for every decision.  Deriving them
+from the maintained ratio order must not change a byte.
+
+The same stream checks the engine's retained decision log: it keeps
+every decision without the two population-sized lists
+(``feasible_ordering``, ``feasible_partition``), which only the emitted
+records carry, and a snapshot whose log still holds them loads to the
+same state as an uninterrupted run.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.online import OnlineService, StreamingGPSServer
+from repro.online.admission import AdmissionController
+from repro.online.records import JsonlSink
+
+FIXTURE = Path(__file__).parent / "data" / "admission_churn"
+RATE = 1.0
+LISTS = ("feasible_ordering", "feasible_partition")
+
+
+def _lines():
+    return (FIXTURE / "lines.jsonl").read_text().splitlines()
+
+
+def _records():
+    return [json.loads(line) for line in (FIXTURE / "records.jsonl").open()]
+
+
+def _service(out):
+    engine = StreamingGPSServer(
+        rate=RATE, admission=AdmissionController(rate=RATE)
+    )
+    return OnlineService(engine, sink=JsonlSink(out))
+
+
+@pytest.fixture(scope="module")
+def served():
+    out = io.StringIO()
+    service = _service(out)
+    service.serve(iter(_lines()))
+    return service.engine, out.getvalue()
+
+
+def test_record_stream_is_byte_identical(served):
+    _, stream = served
+    assert stream == (FIXTURE / "records.jsonl").read_text()
+
+
+def test_fixture_covers_the_churn():
+    decisions = [r for r in _records() if "decision" in r]
+    verdicts = {
+        (r["kind"], r["decision"]["violated"]) for r in decisions
+    }
+    assert {
+        ("join", None),
+        ("join", "delay_bound"),
+        ("renegotiate", None),
+        ("renegotiate", "delay_bound"),
+    } <= verdicts
+    assert any(r["kind"] == "leave" for r in _records())
+    classes = [
+        len(r["decision"]["details"]["feasible_partition"])
+        for r in decisions
+        if "feasible_partition" in r["decision"]["details"]
+    ]
+    assert max(classes) >= 3
+    levels = {
+        r["decision"]["details"]["partition_level"]
+        for r in decisions
+        if "partition_level" in r["decision"]["details"]
+    }
+    assert max(levels) >= 1
+
+
+def _without_lists(decision):
+    out = dict(decision)
+    out["details"] = {
+        k: v for k, v in decision["details"].items() if k not in LISTS
+    }
+    return out
+
+
+def test_retained_log_drops_only_the_lists(served):
+    engine, _ = served
+    emitted = [r["decision"] for r in _records() if "decision" in r]
+    retained = list(engine.result().decisions)
+    assert retained == [_without_lists(d) for d in emitted]
+    for decision in retained:
+        assert not set(LISTS) & set(decision["details"])
+    assert all(
+        "partition_level" in d["details"]
+        and "theorem11_probability" in d["details"]
+        for d in retained
+    )
+    assert engine.export_state()["decisions"] == retained
+
+
+@pytest.mark.parametrize("cut", [30, 75, 140])
+def test_snapshot_with_full_decisions_loads_to_retained_form(served, cut):
+    """A state exported while the log kept whole decision records (as
+    the emitted records show them) recovers to the uninterrupted run."""
+    uninterrupted, _ = served
+    lines = _lines()
+    head = _service(io.StringIO())
+    head.ingest(iter(lines[:cut]))
+    state = head.engine.export_state()
+    state["decisions"] = [
+        r["decision"] for r in _records()[:cut] if "decision" in r
+    ]
+    assert any(LISTS[0] in d["details"] for d in state["decisions"])
+    state = json.loads(json.dumps(state))
+    engine = StreamingGPSServer.from_state(state)
+    rest = OnlineService(engine, sink=JsonlSink(io.StringIO()))
+    rest.serve(iter(lines[cut:]))
+    assert json.dumps(engine.export_state()) == json.dumps(
+        uninterrupted.export_state()
+    )

@@ -113,6 +113,64 @@ class TestToJsonable:
         }
         json.dumps(payload)
 
+    def test_matches_reference_conversion(self):
+        """The exact-type leaf fast path serializes like the plain
+        recursive conversion it replaced."""
+
+        def reference(value):
+            if isinstance(value, np.ndarray):
+                return [reference(v) for v in value.tolist()]
+            if isinstance(value, (np.floating, np.integer, np.bool_)):
+                return value.item()
+            if isinstance(value, dict):
+                return {key(k): reference(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [reference(v) for v in value]
+            return value
+
+        def key(k):
+            if isinstance(k, str):
+                return k
+            if isinstance(k, tuple):
+                return "/".join(str(part) for part in k)
+            return str(k)
+
+        class Label(str):
+            pass
+
+        values = [
+            np.float64(0.1),
+            np.float32(2.5),
+            np.int64(-3),
+            np.bool_(False),
+            np.array([[0.1, 2.0], [3.0, np.inf]]),
+            np.array([True, False]),
+            np.arange(4, dtype=np.int32),
+            Label("tagged"),
+            None,
+            True,
+            7,
+            1e-300,
+            "plain",
+            {
+                ("s1", "n0"): [np.float64(1.5), (np.int64(2), None)],
+                True: {False: np.bool_(True)},
+                3: 1.0,
+                2.5: ("a", ["b", (np.float64(-0.0),)]),
+                Label("k"): Label("v"),
+                None: [[], (), {}],
+            },
+            [[1, (2.0, [np.float64(3.0), {"x": (True, None)}])]],
+            ((np.array([1.0]),),),
+        ]
+        for value in values:
+            assert json.dumps(to_jsonable(value)) == json.dumps(
+                reference(value)
+            ), value
+        converted = to_jsonable({"x": np.float64(0.1), "y": [np.float64(2.0)]})
+        assert type(converted["x"]) is float
+        assert type(converted["y"][0]) is float
+
 
 class TestFluidServerShim:
     def test_positional_warns_but_works(self):
