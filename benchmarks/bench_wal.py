@@ -11,12 +11,10 @@ service over one JSONL arrival stream under every durability policy:
 * **batch** — fsync every ``--batch-events`` appends and on
   rotation/close (bounded buffering; at most one batch exposed to
   power loss);
-* **group** — group commit: coalesce appends within a time window
-  into one fsync (exposure bounded in *time*, not just count);
-* **budget:5ms** — latency budget: no acked frame sits unsynced past
-  the budget;
-* **async** — a background thread fsyncs behind the appends
-  (``wait_durable`` gives the power-loss ack);
+* **group** — group commit: fsync after ``--batch-events`` appends or
+  once a 2 ms window has passed, whichever comes first;
+* **budget:5ms** — latency budget: fsync once the oldest unsynced
+  append is 5 ms old, with no count bound;
 * **always** — fsync per append (classic power-loss-safe WAL
   semantics; the upper bound on the tax).
 
@@ -158,7 +156,6 @@ def main() -> int:
         "batch",
         "group",
         "budget:5ms",
-        "async",
         "always",
     ):
         row = bench_config(lines, fsync, args.batch_events)

@@ -313,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="batch",
         help=(
             "with --wal: fsync policy — 'always' syncs every append "
-            "(power-loss safe), 'batch' syncs periodically, 'never' "
-            "leaves syncing to the OS (process-crash safe only), "
-            "'group[:Nms]' coalesces appends in a window into one "
-            "fdatasync, 'budget[:Nms]' bounds unsynced-append age "
-            "(default 5ms), 'async' fsyncs on a background thread "
-            "with bounded backpressure"
+            "(power-loss safe), 'batch' syncs every 256 appends, "
+            "'never' leaves syncing to the OS (process-crash safe "
+            "only), 'group[:Nms]' syncs after 256 appends or an Nms "
+            "window (default 2ms), 'budget[:Nms]' syncs once the "
+            "oldest unsynced append is Nms old (default 5ms)"
         ),
     )
     recover = sub.add_parser(

@@ -26,7 +26,6 @@ from repro.online.cluster.process import (
 from repro.online.cluster.routing import ShardRouter, shard_for
 from repro.online.cluster.shard import (
     ShardHandle,
-    ShardRecordSink,
     shard_directory,
 )
 from repro.online.cluster.supervisor import ShardSupervisor
@@ -37,7 +36,6 @@ __all__ = [
     "ShardedOnlineCluster",
     "ShardHandle",
     "ShardProcess",
-    "ShardRecordSink",
     "ShardRouter",
     "ShardSupervisor",
     "create_cluster",

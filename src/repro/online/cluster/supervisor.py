@@ -136,8 +136,8 @@ class ShardSupervisor:
         crash count exhausts the retry budget.
         """
         # Capture the fsync watermark before the dead service is
-        # dropped: under the group/budget/async WAL policies it tells
-        # the failover record how much of the acknowledged window was
+        # dropped: under every WAL policy but ``always`` it tells the
+        # failover record how much of the acknowledged window was
         # already power-loss durable at the moment of the crash.
         durable = None
         if handle.service is not None:

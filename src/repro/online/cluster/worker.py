@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         "--fsync",
         default=None,
         help="WAL fsync policy override for fresh directories "
-        "(always/batch/never/group[:Nms]/budget[:Nms]/async); "
+        "(always/batch/never/group[:Nms]/budget[:Nms]); "
         "recovery always follows the directory's recorded policy",
     )
     parser.add_argument(

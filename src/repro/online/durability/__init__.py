@@ -34,19 +34,10 @@ from repro.online.durability.service import (
     recover_durable_service,
 )
 from repro.online.durability.snapshot import SNAPSHOT_FORMAT, SnapshotStore
-from repro.online.durability.wal import (
-    FSYNC_POLICIES,
-    WalEntry,
-    WriteAheadLog,
-)
+from repro.online.durability.wal import WalEntry, WriteAheadLog
 from repro.online.durability.writers import (
     FSYNC_POLICY_BASES,
-    AsyncWalWriter,
-    GroupCommitWalWriter,
-    LatencyBudgetWalWriter,
     SyncWalWriter,
-    WalWriter,
-    make_wal_writer,
     parse_fsync_policy,
 )
 
@@ -60,14 +51,8 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "WriteAheadLog",
     "WalEntry",
-    "FSYNC_POLICIES",
     "FSYNC_POLICY_BASES",
-    "WalWriter",
     "SyncWalWriter",
-    "GroupCommitWalWriter",
-    "LatencyBudgetWalWriter",
-    "AsyncWalWriter",
-    "make_wal_writer",
     "parse_fsync_policy",
     "ScrubReport",
     "scrub_directory",

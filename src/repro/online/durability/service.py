@@ -216,15 +216,15 @@ class DurableOnlineService(OnlineService):
         """Highest ingest sequence number covered by a completed fsync.
 
         Every applied line is OS-flushed (process-crash safe); this is
-        the stronger power-loss-safe watermark, relevant under the
-        ``group``/``budget``/``async`` fsync policies where the fsync
-        trails the append.
+        the stronger power-loss-safe watermark.  It trails the append
+        under every policy but ``always``: up to one open window of
+        appends waits for the next count-or-age fsync.
         """
         return self._wal.durable_seq
 
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        """Block until ingest sequence ``seq`` is fsync-covered."""
-        return self._wal.wait_durable(seq, timeout)
+    def wait_durable(self, seq: int) -> bool:
+        """Make ingest sequence ``seq`` fsync-covered; return whether it is."""
+        return self._wal.wait_durable(seq)
 
     @property
     def disk_pressure(self) -> bool:

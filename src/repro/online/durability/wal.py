@@ -24,24 +24,32 @@ never acknowledged.  The on-disk format is deliberately boring:
   dropped.
 
 The fsync policy trades durability for throughput.  *When* the flushed
-bytes are forced to stable storage is delegated to a pluggable
-:class:`~repro.online.durability.writers.WalWriter`; the accepted
-policy specs are:
+bytes are forced to stable storage is decided by
+:class:`~repro.online.durability.writers.SyncWalWriter`, one rule for
+every policy spec: fsync once the unsynced appends reach a count
+bound, or once the oldest of them reaches an age bound.
 
 * ``"always"`` — fsync after every append: an acknowledged event
   survives power loss (classic WAL semantics);
 * ``"batch"`` — fsync every ``batch_events`` appends and on segment
-  rotation/close: bounded ingest buffering, at most one batch of
-  acknowledged events is exposed to power loss;
+  rotation/close: at most one batch of acknowledged events is exposed
+  to power loss;
 * ``"never"`` — leave syncing to the OS: crash-of-the-*process* safe
   (the bytes are in the page cache) but not power-loss safe;
-* ``"group"`` / ``"group:<window>ms"`` — group commit: appends within
-  a short window share one ``fdatasync``;
-* ``"budget"`` / ``"budget:<budget>ms"`` — latency budget: the oldest
-  unsynced append is never older than the budget;
-* ``"async"`` — a background thread fsyncs behind appends with a
-  bounded unsynced window; durability acks via :attr:`durable_seq` /
-  :meth:`WriteAheadLog.wait_durable`.
+* ``"group"`` / ``"group:<window>ms"`` — group commit: fsync after
+  ``batch_events`` appends or once the window (default 2 ms) has
+  passed, whichever comes first;
+* ``"budget"`` / ``"budget:<budget>ms"`` — latency budget: fsync once
+  the oldest unsynced append is older than the budget (default 5 ms),
+  with no count bound;
+* ``"async"`` — accepted so older directories still open; runs the
+  ``group`` rule with its defaults.
+
+The age bounds are checked only when an append arrives: after the
+last append of a burst, the open window stays unsynced until the next
+append, an explicit :meth:`WriteAheadLog.sync`, a segment rotation or
+:meth:`WriteAheadLog.close`.  :attr:`WriteAheadLog.durable_seq` reports
+how far the fsyncs have reached.
 
 All policies write and flush each frame to the operating system
 immediately, so an in-process crash (the :class:`SimulatedCrash` of
@@ -87,23 +95,13 @@ from repro.errors import (
     ValidationError,
     WalSyncError,
 )
-from repro.online.durability.writers import (
-    WalWriter,
-    make_wal_writer,
-    parse_fsync_policy,
-)
+from repro.online.durability.writers import SyncWalWriter
 
 __all__ = [
     "WalEntry",
     "WriteAheadLog",
-    "FSYNC_POLICIES",
     "SEGMENT_PREFIX",
 ]
-
-#: The classic fsync policies (kept for compatibility); the full spec
-#: grammar — including ``group``/``budget``/``async`` — lives in
-#: :mod:`repro.online.durability.writers`.
-FSYNC_POLICIES: tuple[str, ...] = ("always", "batch", "never")
 
 _log = logging.getLogger("repro.online.durability")
 
@@ -227,7 +225,7 @@ class WriteAheadLog:
         directory: str | Path,
         *,
         segment_events: int = 10_000,
-        fsync: str | WalWriter = "batch",
+        fsync: str | SyncWalWriter = "batch",
         batch_events: int = 256,
         io: Any | None = None,
     ) -> None:
@@ -235,20 +233,12 @@ class WriteAheadLog:
             raise ValidationError(
                 f"segment_events must be >= 1, got {segment_events}"
             )
-        if batch_events < 1:
-            raise ValidationError(
-                f"batch_events must be >= 1, got {batch_events}"
-            )
-        if isinstance(fsync, WalWriter):
-            self._writer: WalWriter = fsync
-            self._fsync = fsync.policy
+        if isinstance(fsync, SyncWalWriter):
+            self._writer = fsync
         else:
-            parse_fsync_policy(fsync)  # eager spec validation
-            self._writer = make_wal_writer(fsync, batch_events=batch_events)
-            self._fsync = str(fsync)
+            self._writer = SyncWalWriter(fsync, batch_events=batch_events)
         self._dir = Path(directory)
         self._segment_events = int(segment_events)
-        self._batch_events = int(batch_events)
         self._io = io  # fault-injection filesystem (FaultyFS) or None
         self._handle: IO[bytes] | None = None
         self._segment_path: Path | None = None
@@ -295,11 +285,11 @@ class WriteAheadLog:
     @property
     def fsync_policy(self) -> str:
         """The configured fsync policy spec (e.g. ``"budget:5ms"``)."""
-        return self._fsync
+        return self._writer.spec
 
     @property
-    def writer(self) -> WalWriter:
-        """The :class:`WalWriter` scheduling this log's fsyncs."""
+    def writer(self) -> SyncWalWriter:
+        """The :class:`SyncWalWriter` scheduling this log's fsyncs."""
         return self._writer
 
     @property
@@ -322,14 +312,13 @@ class WriteAheadLog:
         """Appended frames not yet known fsync-covered (repair buffer)."""
         return len(self._pending)
 
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        """Block until ``seq`` is fsync-covered; return whether it is.
+    def wait_durable(self, seq: int) -> bool:
+        """Make ``seq`` fsync-covered if it is not; return whether it is.
 
-        Synchronous policies force the covering sync inline; the
-        ``async`` policy waits on its background thread.  ``"never"``
-        returns ``False`` for any appended-but-unsynced sequence.
+        The covering sync runs inline; ``"never"`` returns ``False``
+        for any appended-but-unsynced sequence.
         """
-        return self._writer.wait_durable(seq, timeout)
+        return self._writer.wait_durable(seq)
 
     def _segments(self) -> list[Path]:
         if not self._dir.is_dir():
@@ -674,8 +663,7 @@ class WriteAheadLog:
         """Flush and (policy permitting) fsync the open segment.
 
         A durability barrier for every policy except ``"never"``: on
-        return, all appended frames are fsync-covered (the ``async``
-        writer blocks here until its thread catches up).
+        return, all appended frames are fsync-covered.
         """
         if self._handle is None:
             return
@@ -687,7 +675,7 @@ class WriteAheadLog:
         self._drop_durable_pending()
 
     def close(self) -> None:
-        """Sync and close the open segment; tear down the writer."""
+        """Sync and close the open segment."""
         if self._handle is not None:
             try:
                 self._handle.flush()
@@ -706,7 +694,6 @@ class WriteAheadLog:
                 self._handle = None
         self._segment_path = None
         self._pending.clear()
-        self._writer.close()
 
     # ------------------------------------------------------------------
     # pruning

@@ -1,32 +1,13 @@
-"""Pluggable fsync scheduling for the write-ahead log.
+"""The fsync rule of the write-ahead log.
 
 :class:`~repro.online.durability.wal.WriteAheadLog` owns the on-disk
 format — framing, segments, recovery, rotation — and writes + flushes
 every frame to the operating system before ``append`` returns (so an
 in-process crash never loses an appended frame, regardless of policy).
-*When the bytes are forced to stable storage* is delegated to a
-:class:`WalWriter`:
-
-* :class:`SyncWalWriter` — the reference implementation: the exact
-  ``always`` / ``batch`` / ``never`` syscall sequence the log shipped
-  with, kept bit-identical (same fsync points, same counters);
-* :class:`GroupCommitWalWriter` (``fsync="group"`` /
-  ``"group:<window>ms"``) — coalesces appends arriving within a short
-  window into one ``fdatasync``, amortizing the syscall across
-  high-rate ingest and cluster shards;
-* :class:`LatencyBudgetWalWriter` (``fsync="budget"`` /
-  ``"budget:<budget>ms"``) — bounds how *stale* the oldest unsynced
-  append may get: an append finding unsynced work older than the
-  budget forces the fsync that covers it.  Sits between ``batch``
-  (count-bounded exposure) and ``always`` (zero exposure);
-* :class:`AsyncWalWriter` (``fsync="async"``) — a double-buffered
-  writer thread: appends flush to the OS inline and return immediately
-  while a daemon thread runs ``fdatasync`` on a duplicated file
-  descriptor behind them, publishing :attr:`WalWriter.durable_seq` as
-  each sync completes.  The unsynced window is bounded
-  (``max_unsynced``); an append that would exceed it blocks until the
-  sync thread catches up (backpressure), so memory and the power-loss
-  exposure window stay bounded.
+*When the bytes are forced to stable storage* is decided by one
+:class:`SyncWalWriter`, which turns every policy spec into the same
+rule: fsync once the unsynced appends reach a count bound, or once the
+oldest of them reaches an age bound.
 
 Two acknowledgement levels fall out of this split, and both are
 observable:
@@ -35,9 +16,8 @@ observable:
   process-crash safe (the chaos harness's ``SimulatedCrash``, an OOM
   kill) under **every** policy;
 * *fsync-covered* — ``durable_seq`` has reached the frame's sequence
-  number: power-loss safe.  :meth:`WalWriter.wait_durable` blocks until
-  a given sequence number is covered, which is how a caller releases
-  durability-acks under the async writer.
+  number: power-loss safe.  :meth:`SyncWalWriter.wait_durable` forces
+  the covering fsync when it has not happened yet.
 
 Recovery never consults the writer — the policy only schedules
 syscalls, it never changes the bytes — so a directory written under
@@ -47,20 +27,14 @@ any policy recovers identically (policy-agnostic recovery).
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import IO, Callable
 
-from repro.errors import ValidationError, WalSyncError
+from repro.errors import ValidationError
 
 __all__ = [
-    "WalWriter",
     "SyncWalWriter",
-    "GroupCommitWalWriter",
-    "LatencyBudgetWalWriter",
-    "AsyncWalWriter",
     "parse_fsync_policy",
-    "make_wal_writer",
     "FSYNC_POLICY_BASES",
 ]
 
@@ -76,17 +50,10 @@ FSYNC_POLICY_BASES: tuple[str, ...] = (
     "async",
 )
 
-#: Default group-commit coalescing window (seconds).
+#: Default group-commit window (seconds) — ``"group"`` == ``"group:2ms"``.
 DEFAULT_GROUP_WINDOW = 0.002
 #: Default latency budget (seconds) — ``fsync="budget"`` == ``"budget:5ms"``.
 DEFAULT_LATENCY_BUDGET = 0.005
-#: Default bound on the async writer's unsynced append window.
-DEFAULT_MAX_UNSYNCED = 1024
-
-# fdatasync skips flushing file metadata (size changes excepted) and is
-# the right call for append-only segments; fall back to fsync where the
-# platform does not expose it.
-_fdatasync: Callable[[int], None] = getattr(os, "fdatasync", os.fsync)
 
 
 def parse_fsync_policy(spec: str) -> tuple[str, float | None]:
@@ -138,44 +105,125 @@ def parse_fsync_policy(spec: str) -> tuple[str, float | None]:
     return base, value * scale
 
 
-class WalWriter:
-    """Durability scheduler for one :class:`WriteAheadLog`.
+class SyncWalWriter:
+    """Fsync on the caller's thread by one count-or-age rule.
 
-    The log calls :meth:`attach` with the open segment handle,
-    :meth:`on_append` after each frame is written + flushed,
-    :meth:`sync` for an explicit durability barrier, :meth:`detach`
-    before rotating/closing a segment, and :meth:`close` when the log
-    closes.  Implementations decide when ``fsync``/``fdatasync``
-    actually runs and publish :attr:`durable_seq` accordingly.
+    The spec sets two bounds on the unsynced appends (``None`` = no
+    bound):
+
+    ================  ================  ====================  ==========
+    spec              ``max_count``     ``max_age``           ``sync()``
+    ================  ================  ====================  ==========
+    ``always``        1                 –                     fsync
+    ``batch``         ``batch_events``  –                     fsync
+    ``group[:w]``     ``batch_events``  ``w`` (default 2 ms)  fsync
+    ``budget[:b]``    –                 ``b`` (default 5 ms)  fsync
+    ``never``         –                 –                     flush only
+    ``async``         as ``group``      as ``group``          fsync
+    ================  ================  ====================  ==========
+
+    :meth:`on_append` counts the append and fsyncs when the count
+    reaches ``max_count``.  Otherwise, and only when ``max_age`` is
+    set, it reads the clock: the first unsynced append opens the
+    window, and the append that finds the window at least ``max_age``
+    old runs the fsync covering everything up to and including itself.
+    ``async`` is kept so directories whose ``meta.json`` records it
+    still open; it runs the ``group`` rule.
+
+    Exposure to power loss: when an append returns, fewer than
+    ``max_count`` frames are unsynced and the oldest of them is younger
+    than ``max_age``.  Both bounds are checked only inside
+    :meth:`on_append`, so after the last append of a burst the open
+    window stays unsynced — however long the idle time — until the
+    next append, an explicit :meth:`sync`, a segment rotation or
+    :meth:`detach`.  Under ``budget`` that window can hold any number
+    of frames.
+
+    A handle that exposes its own ``fsync`` method (the fault harness's
+    ``FaultyFile``) is synced through it, so injected failures and
+    durability tracking are observed; plain file objects get
+    :attr:`_sync_fn`.
     """
 
-    #: The policy base name (``"batch"``, ``"group"``, ...).
-    policy: str = ""
+    #: The syscall forcing bytes to disk (tests substitute it).
+    _sync_fn: Callable[[int], None] = staticmethod(os.fsync)
+
+    def __init__(
+        self,
+        spec: str = "batch",
+        *,
+        batch_events: int = 256,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        base, param = parse_fsync_policy(spec)
+        if batch_events < 1:
+            raise ValidationError(
+                f"batch_events must be >= 1, got {batch_events}"
+            )
+        #: The policy spec as given (``"group:4ms"``) and its base name.
+        self.spec = spec
+        self.policy = base
+        #: Unsynced appends that force an fsync (``None``: no count bound).
+        self.max_count: int | None = None
+        #: Window age (seconds) that forces an fsync (``None``: no bound).
+        self.max_age: float | None = None
+        if base == "always":
+            self.max_count = 1
+        elif base in ("batch", "group", "async"):
+            self.max_count = int(batch_events)
+        if base in ("group", "async"):
+            self.max_age = param or DEFAULT_GROUP_WINDOW
+        elif base == "budget":
+            self.max_age = param or DEFAULT_LATENCY_BUDGET
+        self._clock = clock
+        self._handle: IO[bytes] | None = None
+        self._tail_seq = 0
+        self._durable_seq = 0
+        self._unsynced = 0
+        self._window_opened: float | None = None
 
     def attach(self, handle: IO[bytes]) -> None:
         """Adopt a freshly opened segment handle."""
-        raise NotImplementedError
+        self._handle = handle
 
     def on_append(self, seq: int) -> None:
         """One frame for ``seq`` has been written and flushed to the OS."""
-        raise NotImplementedError
+        self._tail_seq = seq
+        self._unsynced += 1
+        if self.max_count is not None and self._unsynced >= self.max_count:
+            self.sync()
+        elif self.max_age is not None:
+            now = self._clock()
+            if self._window_opened is None:
+                self._window_opened = now
+            elif now - self._window_opened >= self.max_age:
+                self.sync()
 
     def sync(self) -> None:
         """Durability barrier: force everything appended so far to disk.
 
-        ``"never"`` is exempt (it flushes but does not fsync); every
-        other policy returns only once all appended frames are covered.
+        ``"never"`` only flushes; every other policy returns once all
+        appended frames are fsync-covered, and closes the open window.
         """
-        raise NotImplementedError
+        if self._handle is None:
+            return
+        if self.policy == "never":
+            self._handle.flush()
+        else:
+            handle_fsync = getattr(self._handle, "fsync", None)
+            if handle_fsync is not None:
+                handle_fsync()
+            else:
+                self._handle.flush()
+                self._sync_fn(self._handle.fileno())
+            self._durable_seq = self._tail_seq
+        self._unsynced = 0
+        self._window_opened = None
 
     def detach(self) -> None:
-        """Release the current handle (segment rotation / close).
-
-        Must barrier first: after ``detach`` returns, every append made
-        through the detached handle is as durable as :meth:`sync`
-        makes it.
-        """
-        raise NotImplementedError
+        """Barrier, then release the handle (segment rotation / close)."""
+        self.sync()
+        self._handle = None
 
     def abandon(self) -> None:
         """Drop the current handle WITHOUT a durability barrier.
@@ -183,483 +231,30 @@ class WalWriter:
         The log's fsync-failure repair path calls this: after a failed
         sync the descriptor is poisoned (retrying the fsync on it can
         falsely succeed — the kernel may already have dropped the dirty
-        pages), so the writer must forget the handle and any
-        pending-sync bookkeeping while the log seals the segment and
-        rewrites the in-doubt frames through a fresh descriptor.
-        ``durable_seq`` is left untouched: nothing became durable.
+        pages), so the writer forgets the handle while the log seals
+        the segment and rewrites the in-doubt frames through a fresh
+        descriptor.  ``durable_seq`` is left untouched: nothing became
+        durable.
         """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Tear down (stop threads, close duplicated descriptors)."""
-        raise NotImplementedError
-
-    @property
-    def durable_seq(self) -> int:
-        """Highest sequence number known covered by a completed fsync.
-
-        Conservative by construction: under ``"never"`` it stays 0; the
-        synchronous policies advance it at each policy-triggered fsync.
-        """
-        raise NotImplementedError
-
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        """Block until ``durable_seq >= seq``; return whether it did.
-
-        Synchronous writers are already there or get there on the next
-        :meth:`sync`; the async writer genuinely waits on its sync
-        thread.  ``timeout=None`` waits indefinitely.
-        """
-        raise NotImplementedError
-
-
-class _SingleThreadedWriter(WalWriter):
-    """Shared plumbing for the writers that fsync on the caller's thread."""
-
-    #: The syscall forcing bytes to disk; the reference writer pins
-    #: ``os.fsync`` to stay bit-identical to the pre-protocol code.
-    _sync_fn: Callable[[int], None] = staticmethod(_fdatasync)
-
-    def __init__(self) -> None:
-        self._handle: IO[bytes] | None = None
-        self._tail_seq = 0
-        self._durable_seq = 0
-
-    def attach(self, handle: IO[bytes]) -> None:
-        self._handle = handle
-
-    def _fsync_handle(self) -> None:
-        """Flush + sync the attached handle; publish durability.
-
-        A handle that exposes its own ``fsync`` method (the fault
-        harness's ``FaultyFile``) is synced through it so injected
-        failures and durability tracking are observed; plain file
-        objects get the writer's pinned syscall.
-        """
-        if self._handle is None:
-            return
-        handle_fsync = getattr(self._handle, "fsync", None)
-        if handle_fsync is not None:
-            handle_fsync()
-        else:
-            self._handle.flush()
-            self._sync_fn(self._handle.fileno())
-        self._durable_seq = self._tail_seq
-
-    def detach(self) -> None:
-        self.sync()
-        self._handle = None
-
-    def abandon(self) -> None:
-        self._handle = None
-
-    def close(self) -> None:
         self._handle = None
 
     @property
     def durable_seq(self) -> int:
+        """Highest sequence number covered by a completed fsync.
+
+        Conservative by construction: under ``"never"`` it stays 0;
+        every other policy advances it at each fsync.
+        """
         return self._durable_seq
 
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
+    def wait_durable(self, seq: int) -> bool:
+        """Make ``seq`` fsync-covered if it is not; return whether it is.
+
+        Runs the covering :meth:`sync` when needed, so it returns
+        ``False`` only under ``"never"`` (or before any handle is
+        attached).
+        """
         if self._durable_seq >= seq:
             return True
         self.sync()
         return self._durable_seq >= seq
-
-
-class SyncWalWriter(_SingleThreadedWriter):
-    """The reference writer: classic ``always`` / ``batch`` / ``never``.
-
-    Reproduces the pre-protocol syscall sequence bit-identically:
-    ``always`` fsyncs after every append, ``batch`` after every
-    ``batch_events`` appends and on every explicit sync/rotation,
-    ``never`` only flushes — same syscall (``os.fsync``), same trigger
-    points, same counters as the original inline code.
-    """
-
-    _sync_fn = staticmethod(os.fsync)
-
-    def __init__(self, mode: str, *, batch_events: int = 256) -> None:
-        if mode not in ("always", "batch", "never"):
-            raise ValidationError(
-                f"SyncWalWriter mode must be always/batch/never, "
-                f"got {mode!r}"
-            )
-        if batch_events < 1:
-            raise ValidationError(
-                f"batch_events must be >= 1, got {batch_events}"
-            )
-        super().__init__()
-        self.policy = mode
-        self._batch_events = int(batch_events)
-        self._unsynced = 0
-
-    def on_append(self, seq: int) -> None:
-        self._tail_seq = seq
-        self._unsynced += 1
-        if self.policy == "always" or (
-            self.policy == "batch" and self._unsynced >= self._batch_events
-        ):
-            self.sync()
-
-    def sync(self) -> None:
-        if self._handle is None:
-            return
-        if self.policy == "never":
-            self._handle.flush()
-        else:
-            self._fsync_handle()
-        self._unsynced = 0
-
-
-class GroupCommitWalWriter(_SingleThreadedWriter):
-    """Coalesce appends within a time window into one ``fdatasync``.
-
-    The first unsynced append opens a commit window; the append that
-    finds the window expired (or the pending count at ``max_pending``)
-    runs the group's single fsync.  Exposure to power loss is at most
-    one window of acknowledged appends — like ``batch``, but bounded in
-    *time* instead of only in count, so a rate burst cannot stretch the
-    window and an idle trickle cannot hold frames unsynced forever.
-    """
-
-    def __init__(
-        self,
-        *,
-        window: float = DEFAULT_GROUP_WINDOW,
-        max_pending: int = 256,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if window <= 0:
-            raise ValidationError(
-                f"group-commit window must be positive, got {window}"
-            )
-        if max_pending < 1:
-            raise ValidationError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
-        super().__init__()
-        self.policy = "group"
-        self._window = float(window)
-        self._max_pending = int(max_pending)
-        self._clock = clock
-        self._pending = 0
-        self._window_opened: float | None = None
-
-    @property
-    def window(self) -> float:
-        """The coalescing window in seconds."""
-        return self._window
-
-    @property
-    def pending(self) -> int:
-        """Appends accumulated in the currently open commit window."""
-        return self._pending
-
-    def on_append(self, seq: int) -> None:
-        self._tail_seq = seq
-        self._pending += 1
-        now = self._clock()
-        if self._window_opened is None:
-            self._window_opened = now
-        if (
-            self._pending >= self._max_pending
-            or now - self._window_opened >= self._window
-        ):
-            self.sync()
-
-    def sync(self) -> None:
-        if self._handle is None:
-            return
-        self._fsync_handle()
-        self._pending = 0
-        self._window_opened = None
-
-
-class LatencyBudgetWalWriter(_SingleThreadedWriter):
-    """Bound the age of the oldest unsynced append to a latency budget.
-
-    ``fsync="budget:5ms"`` guarantees that when an append returns, no
-    *previously appended* frame has been sitting unsynced for more than
-    ~5ms: the append that finds the oldest pending frame past its
-    budget performs the fsync covering everything up to and including
-    itself.  At high rates this behaves like group commit with the
-    budget as the window; at low rates each append's predecessor is
-    already old, so it degrades gracefully toward ``always``.
-    """
-
-    def __init__(
-        self,
-        *,
-        budget: float = DEFAULT_LATENCY_BUDGET,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if budget <= 0:
-            raise ValidationError(
-                f"latency budget must be positive, got {budget}"
-            )
-        super().__init__()
-        self.policy = "budget"
-        self._budget = float(budget)
-        self._clock = clock
-        self._oldest_pending: float | None = None
-
-    @property
-    def budget(self) -> float:
-        """The latency budget in seconds."""
-        return self._budget
-
-    def on_append(self, seq: int) -> None:
-        self._tail_seq = seq
-        now = self._clock()
-        if self._oldest_pending is None:
-            self._oldest_pending = now
-        if now - self._oldest_pending >= self._budget:
-            self.sync()
-
-    def sync(self) -> None:
-        if self._handle is None:
-            return
-        self._fsync_handle()
-        self._oldest_pending = None
-
-
-class AsyncWalWriter(WalWriter):
-    """Double-buffered async fsync: a daemon thread syncs behind appends.
-
-    ``on_append`` records the new tail and returns immediately; the
-    sync thread runs ``fdatasync`` on a *duplicated* file descriptor
-    (syncing a dup forces the same file's data, so the ingest thread's
-    handle is never touched concurrently) and publishes
-    :attr:`durable_seq` when each sync completes.  The two "buffers"
-    are the sequence window ``(durable_seq, tail_seq]`` being filled by
-    the ingest thread and the window the sync thread is flushing; an
-    append that would grow the unsynced window past ``max_unsynced``
-    blocks until the thread catches up (bounded queue + backpressure).
-
-    Crash semantics: an append's *return* still only promises OS-flush
-    (process-crash safe, like every policy); a durability ack must wait
-    for :meth:`wait_durable` / ``durable_seq`` — acks are released only
-    after the covering fsync.  :meth:`sync` and :meth:`detach` are full
-    barriers.  A sync failure (ENOSPC, EIO) is captured and re-raised
-    on the ingest thread at the next call, so errors are not lost to
-    the daemon thread.
-    """
-
-    def __init__(self, *, max_unsynced: int = DEFAULT_MAX_UNSYNCED) -> None:
-        if max_unsynced < 1:
-            raise ValidationError(
-                f"max_unsynced must be >= 1, got {max_unsynced}"
-            )
-        self.policy = "async"
-        self._max_unsynced = int(max_unsynced)
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)   # signals the thread
-        self._advanced = threading.Condition(self._lock)  # signals waiters
-        self._fd: int | None = None
-        self._handle_fsync: Callable[[], None] | None = None
-        self._tail_seq = 0
-        self._durable = 0
-        self._stop = False
-        self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle -----------------------------------------------------
-    def attach(self, handle: IO[bytes]) -> None:
-        with self._lock:
-            self._raise_pending_locked()
-            if self._fd is not None:
-                raise ValidationError(
-                    "AsyncWalWriter.attach with a handle already attached; "
-                    "detach the previous segment first"
-                )
-            self._fd = os.dup(handle.fileno())
-            # A fault-injecting handle exposes its own fsync; route the
-            # sync thread through it so injected failures and durable
-            # tracking are observed.  Python buffered handles serialize
-            # flush/write internally, so this is thread-safe.
-            self._handle_fsync = getattr(handle, "fsync", None)
-            self._wake.notify_all()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="wal-async-fsync", daemon=True
-            )
-            self._thread.start()
-
-    def detach(self) -> None:
-        self.sync()
-        with self._lock:
-            fd, self._fd = self._fd, None
-            self._handle_fsync = None
-            self._wake.notify_all()
-        if fd is not None:
-            os.close(fd)
-
-    def close(self) -> None:
-        thread = self._thread
-        with self._lock:
-            self._stop = True
-            self._wake.notify_all()
-            self._advanced.notify_all()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-        with self._lock:
-            fd, self._fd = self._fd, None
-            self._handle_fsync = None
-        if fd is not None:
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already-closed race
-                pass
-        self._thread = None
-
-    def abandon(self) -> None:
-        # The sync thread either died raising the error being repaired
-        # or must be stopped before its descriptor goes away; join it,
-        # drop the poisoned window's error (the caller holds it), and
-        # reset so a subsequent attach() restarts cleanly.
-        thread = self._thread
-        with self._lock:
-            self._stop = True
-            self._error = None
-            self._wake.notify_all()
-            self._advanced.notify_all()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
-        with self._lock:
-            fd, self._fd = self._fd, None
-            self._handle_fsync = None
-            self._thread = None
-            self._stop = False
-        if fd is not None:
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already-closed race
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - gc-timing dependent
-        # A crash-path teardown (SimulatedCrash unwound past close())
-        # must not leak the thread or the dup'd descriptor.
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- ingest side ---------------------------------------------------
-    def on_append(self, seq: int) -> None:
-        with self._lock:
-            self._raise_pending_locked()
-            self._tail_seq = seq
-            self._wake.notify_all()
-            # Backpressure: bound the unsynced window.
-            while (
-                self._tail_seq - self._durable > self._max_unsynced
-                and self._error is None
-                and not self._stop
-            ):
-                self._advanced.wait(timeout=1.0)
-            self._raise_pending_locked()
-
-    def sync(self) -> None:
-        """Barrier: block until every appended frame is fsync-covered."""
-        with self._lock:
-            self._raise_pending_locked()
-            target = self._tail_seq
-            self._wake.notify_all()
-            while (
-                self._durable < target
-                and self._fd is not None
-                and self._error is None
-                and not self._stop
-            ):
-                self._advanced.wait(timeout=1.0)
-            self._raise_pending_locked()
-
-    @property
-    def durable_seq(self) -> int:
-        with self._lock:
-            return self._durable
-
-    @property
-    def unsynced(self) -> int:
-        """Size of the in-flight window ``tail_seq - durable_seq``."""
-        with self._lock:
-            return self._tail_seq - self._durable
-
-    def wait_durable(self, seq: int, timeout: float | None = None) -> bool:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while self._durable < seq:
-                self._raise_pending_locked()
-                if self._stop or self._fd is None:
-                    return False
-                remaining = 1.0
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._advanced.wait(timeout=min(remaining, 1.0))
-            return True
-
-    def _raise_pending_locked(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise WalSyncError(
-                f"async WAL fsync thread failed: {error}",
-                first_seq=self._durable + 1,
-                last_seq=self._tail_seq,
-            ) from error
-
-    # -- sync thread ---------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                while not self._stop and (
-                    self._fd is None or self._tail_seq <= self._durable
-                ):
-                    self._wake.wait(timeout=0.1)
-                if self._stop:
-                    return
-                target = self._tail_seq
-                fd = self._fd
-                handle_fsync = self._handle_fsync
-            try:
-                if handle_fsync is not None:
-                    handle_fsync()
-                else:
-                    _fdatasync(fd)
-            except OSError as exc:
-                with self._lock:
-                    self._error = exc
-                    self._advanced.notify_all()
-                return
-            with self._lock:
-                # The fsync covered at least every byte flushed before
-                # we sampled `target`.
-                if target > self._durable:
-                    self._durable = target
-                self._advanced.notify_all()
-
-
-def make_wal_writer(
-    spec: str, *, batch_events: int = 256
-) -> WalWriter:
-    """Build the :class:`WalWriter` for an fsync policy spec.
-
-    ``batch_events`` parameterizes the count bound shared by ``batch``
-    (its sync period) and ``group`` (the ``max_pending`` cap on one
-    commit window).
-    """
-    base, param = parse_fsync_policy(spec)
-    if base in ("always", "batch", "never"):
-        return SyncWalWriter(base, batch_events=batch_events)
-    if base == "group":
-        return GroupCommitWalWriter(
-            window=param if param is not None else DEFAULT_GROUP_WINDOW,
-            max_pending=batch_events,
-        )
-    if base == "budget":
-        return LatencyBudgetWalWriter(
-            budget=param if param is not None else DEFAULT_LATENCY_BUDGET
-        )
-    return AsyncWalWriter()

@@ -106,8 +106,8 @@ class TaggedSink:
 
     The cluster funnels all shards into one output stream; each
     shard's sink is ``TaggedSink(shared, shard=i)``, so every record a
-    shard emits carries its origin without the serialize/re-parse
-    round-trip the old ``ShardRecordSink`` paid.  The incoming record
+    shard emits carries its origin without a serialize/re-parse
+    round-trip.  The incoming record
     is copied, never mutated; tags do not overwrite keys the record
     already carries (a record's own ``kind`` always wins).
     """

@@ -16,7 +16,7 @@ from repro.online import (
     StreamingGPSServer,
     TaggedSink,
 )
-from repro.online.cluster.shard import ShardHandle, ShardRecordSink
+from repro.online.cluster.shard import ShardHandle
 
 RATE = 4.0
 NAMES = ("a", "b", "c", "d", "e", "f")
@@ -339,25 +339,6 @@ class TestDegradedMode:
 
 
 class TestShardRecordSink:
-    def test_tags_complete_records(self):
-        out = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="TaggedSink"):
-            sink = ShardRecordSink(out, 3)
-        sink.write('{"kind": "arrival"')
-        sink.write(', "line": 1}\n')
-        assert json.loads(out.getvalue()) == {
-            "kind": "arrival",
-            "line": 1,
-            "shard": 3,
-        }
-
-    def test_passes_malformed_lines_through(self):
-        out = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="TaggedSink"):
-            sink = ShardRecordSink(out, 1)
-        sink.write("not json\n")
-        assert out.getvalue() == "not json\n"
-
     def test_tagged_sink_is_the_replacement(self):
         out = io.StringIO()
         sink = TaggedSink(JsonlSink(out), shard=3)

@@ -1,26 +1,23 @@
-"""Unit and chaos tests for the pluggable WAL writer pipeline.
+"""Unit and chaos tests for the WAL's one fsync writer.
 
 Two layers of coverage:
 
 * writer-level unit tests with an injectable clock and a counting
-  fsync, pinning the commit points of every policy (group window /
-  count boundary, latency budget, async drain, ack semantics);
-* the chaos harness from ``test_recovery_chaos`` re-run over the new
-  writer paths — kills at group-commit window boundaries and during
-  the async writer's queue drain — asserting ``np.array_equal``
+  fsync, pinning the count-or-age commit points of every policy spec
+  (``always``/``batch``/``group``/``budget``/``never``/``async``) and
+  the exposure left open between appends;
+* the chaos harness from ``test_recovery_chaos`` re-run over the
+  windowed policies — kills at group-commit window boundaries, and a
+  directory recorded as ``async`` — asserting ``np.array_equal``
   recovery equivalence and that no acknowledged append is ever lost.
 """
 
 import json
 import logging
-import os
-import threading
-import time
 
-import numpy as np
 import pytest
 
-from repro.errors import RecoveryError, ValidationError
+from repro.errors import ValidationError
 from repro.faults import (
     CrashFault,
     CrashInjector,
@@ -28,14 +25,10 @@ from repro.faults import (
     SimulatedCrash,
 )
 from repro.online.durability import wal as wal_module
-from repro.online.durability import writers as writers_module
 from repro.online.durability.wal import WriteAheadLog
 from repro.online.durability.writers import (
-    AsyncWalWriter,
-    GroupCommitWalWriter,
-    LatencyBudgetWalWriter,
+    DEFAULT_GROUP_WINDOW,
     SyncWalWriter,
-    make_wal_writer,
     parse_fsync_policy,
 )
 from tests.online.test_recovery_chaos import (
@@ -53,8 +46,10 @@ class FakeClock:
 
     def __init__(self):
         self.now = 100.0
+        self.reads = 0
 
     def __call__(self):
+        self.reads += 1
         return self.now
 
     def advance(self, dt):
@@ -86,7 +81,7 @@ def counting(tmp_path):
 def _counted(writer, counting, monkeypatch):
     """Attach ``writer`` to the counting handle with fsync intercepted."""
     monkeypatch.setattr(
-        type(writer), "_sync_fn", staticmethod(counting.sync_fn)
+        SyncWalWriter, "_sync_fn", staticmethod(counting.sync_fn)
     )
     writer.attach(counting.handle)
     return writer
@@ -144,15 +139,63 @@ class TestPolicyGrammar:
             parse_fsync_policy(spec)
 
     def test_factory_policies(self):
-        assert make_wal_writer("always").policy == "always"
-        assert make_wal_writer("group:7ms").window == pytest.approx(0.007)
-        assert make_wal_writer("budget:3ms").budget == pytest.approx(0.003)
-        assert isinstance(make_wal_writer("async"), AsyncWalWriter)
+        """The writer parses its own spec; a bad one never builds."""
+        assert SyncWalWriter().spec == "batch"
+        assert SyncWalWriter("always").policy == "always"
+        assert SyncWalWriter("group:7ms").max_age == pytest.approx(0.007)
+        assert SyncWalWriter("budget:3ms").max_age == pytest.approx(0.003)
+        assert SyncWalWriter("async").policy == "async"
         with pytest.raises(ValidationError):
-            make_wal_writer("bogus")
+            SyncWalWriter("bogus")
+
+
+#: ``(spec, max_count, max_age, fsync points)`` with ``batch_events=4``
+#: and ten appends 1.5 ms apart: the seqs whose append ran the fsync.
+COMMIT_TABLE = [
+    ("always", 1, None, list(range(1, 11))),
+    ("batch", 4, None, [4, 8]),
+    ("group", 4, DEFAULT_GROUP_WINDOW, [3, 6, 9]),  # age bound
+    ("group:7ms", 4, 0.007, [4, 8]),  # count bound inside the window
+    ("budget", None, 0.005, [5, 10]),
+    ("budget:4ms", None, 0.004, [4, 8]),
+    ("never", None, None, []),
+    ("async", 4, DEFAULT_GROUP_WINDOW, [3, 6, 9]),  # the group rule
+]
 
 
 class TestSyncWalWriter:
+    @pytest.mark.parametrize(
+        "spec,max_count,max_age,fsync_points",
+        COMMIT_TABLE,
+        ids=[row[0] for row in COMMIT_TABLE],
+    )
+    def test_bounds_and_commit_points(
+        self, counting, monkeypatch, spec, max_count, max_age, fsync_points
+    ):
+        clock = FakeClock()
+        w = _counted(
+            SyncWalWriter(spec, batch_events=4, clock=clock),
+            counting,
+            monkeypatch,
+        )
+        assert w.max_count == max_count
+        if max_age is None:
+            assert w.max_age is None
+        else:
+            assert w.max_age == pytest.approx(max_age)
+        synced_at = []
+        for seq in range(1, 11):
+            before = counting.syncs
+            w.on_append(seq)
+            if counting.syncs > before:
+                synced_at.append(seq)
+                assert w.durable_seq == seq, "an fsync covers its append"
+            clock.advance(0.0015)
+        assert synced_at == fsync_points
+        assert w.durable_seq == (fsync_points[-1] if fsync_points else 0)
+        if max_age is None:
+            assert clock.reads == 0, "a count-only rule reads no clock"
+
     def test_always_syncs_every_append(self, counting, monkeypatch):
         w = _counted(SyncWalWriter("always"), counting, monkeypatch)
         for seq in range(1, 6):
@@ -181,14 +224,40 @@ class TestSyncWalWriter:
         assert w.durable_seq == 0
         assert not w.wait_durable(1)
 
+    @pytest.mark.parametrize("spec", ["group:2ms", "budget:5ms"])
+    def test_idle_window_stays_unsynced_until_next_append(
+        self, counting, monkeypatch, spec
+    ):
+        """The age bound is checked on append, not by a timer.
+
+        After a burst, the open window outlives ``max_age`` for as long
+        as no append arrives: ``durable_seq`` lags every acked frame.
+        The next append finds the window expired and one fsync covers
+        the whole burst plus itself.
+        """
+        clock = FakeClock()
+        w = _counted(
+            SyncWalWriter(spec, clock=clock), counting, monkeypatch
+        )
+        for seq in range(1, 4):
+            w.on_append(seq)
+        clock.advance(3600.0)  # an hour idle, far past max_age
+        assert counting.syncs == 0
+        assert w.durable_seq == 0
+        w.on_append(4)
+        assert counting.syncs == 1
+        assert w.durable_seq == 4
+
 
 class TestGroupCommitWriter:
+    """The ``group`` rule: count bound plus window age bound."""
+
     def test_window_expiry_triggers_single_fsync(
         self, counting, monkeypatch
     ):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(window=0.002, clock=clock),
+            SyncWalWriter("group:2ms", clock=clock),
             counting,
             monkeypatch,
         )
@@ -196,19 +265,15 @@ class TestGroupCommitWriter:
         clock.advance(0.001)
         w.on_append(2)
         assert counting.syncs == 0, "inside the window: no fsync yet"
-        assert w.pending == 2
         clock.advance(0.0015)  # 2.5ms since the window opened
         w.on_append(3)
         assert counting.syncs == 1, "window expiry commits the group"
         assert w.durable_seq == 3
-        assert w.pending == 0
 
     def test_count_boundary_triggers_fsync(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(
-                window=10.0, max_pending=3, clock=clock
-            ),
+            SyncWalWriter("group:10s", batch_events=3, clock=clock),
             counting,
             monkeypatch,
         )
@@ -222,7 +287,7 @@ class TestGroupCommitWriter:
     def test_explicit_sync_closes_window(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            GroupCommitWalWriter(window=10.0, clock=clock),
+            SyncWalWriter("group:10s", clock=clock),
             counting,
             monkeypatch,
         )
@@ -230,27 +295,33 @@ class TestGroupCommitWriter:
         w.sync()
         assert counting.syncs == 1
         assert w.durable_seq == 1
-        assert w.pending == 0
+        # The next append opens a fresh window rather than finding the
+        # closed one expired.
+        clock.advance(20.0)
+        w.on_append(2)
+        assert counting.syncs == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
-            GroupCommitWalWriter(window=0.0)
+            SyncWalWriter("group:0ms")
         with pytest.raises(ValidationError):
-            GroupCommitWalWriter(max_pending=0)
+            SyncWalWriter("group", batch_events=0)
 
 
 class TestLatencyBudgetWriter:
+    """The ``budget`` rule: age bound only, no count cap."""
+
     def test_oldest_pending_age_bounds_fsync(self, counting, monkeypatch):
         clock = FakeClock()
         w = _counted(
-            LatencyBudgetWalWriter(budget=0.005, clock=clock),
+            SyncWalWriter("budget:5ms", batch_events=1, clock=clock),
             counting,
             monkeypatch,
         )
         w.on_append(1)  # opens the budget window
         clock.advance(0.004)
         w.on_append(2)  # oldest pending is 4ms old: inside budget
-        assert counting.syncs == 0
+        assert counting.syncs == 0, "batch_events caps no budget window"
         clock.advance(0.0015)
         w.on_append(3)  # oldest pending is 5.5ms old: commit
         assert counting.syncs == 1
@@ -261,140 +332,11 @@ class TestLatencyBudgetWriter:
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValidationError):
-            LatencyBudgetWalWriter(budget=0.0)
-
-
-class TestAsyncWriter:
-    def test_durable_seq_catches_up(self, counting):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            for seq in range(1, 51):
-                w.on_append(seq)
-            assert w.wait_durable(50, timeout=5.0)
-            assert w.durable_seq == 50
-        finally:
-            w.close()
-
-    def test_sync_is_a_full_barrier(self, counting):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            for seq in range(1, 11):
-                w.on_append(seq)
-            w.sync()
-            assert w.durable_seq == 10
-            assert w.unsynced == 0
-        finally:
-            w.close()
-
-    def test_backpressure_bounds_unsynced(self, counting, monkeypatch):
-        gate = threading.Event()
-
-        def slow_sync(fd):
-            gate.wait(timeout=5.0)
-
-        monkeypatch.setattr(writers_module, "_fdatasync", slow_sync)
-        w = AsyncWalWriter(max_unsynced=4)
-        w.attach(counting.handle)
-        try:
-            appended = []
-
-            def feeder():
-                for seq in range(1, 20):
-                    w.on_append(seq)
-                    appended.append(seq)
-
-            t = threading.Thread(target=feeder)
-            t.start()
-            time.sleep(0.1)
-            # The fsync thread is stalled on the gate, so the feeder
-            # must be blocked with at most max_unsynced + the one
-            # in-flight batch outstanding.
-            assert len(appended) < 19
-            gate.set()
-            t.join(timeout=5.0)
-            assert not t.is_alive()
-            assert len(appended) == 19
-            assert w.wait_durable(19, timeout=5.0)
-        finally:
-            gate.set()
-            w.close()
-
-    def test_fsync_failure_surfaces_on_ingest_thread(
-        self, counting, monkeypatch
-    ):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
-
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        with pytest.raises(RecoveryError, match="injected I/O error"):
-            # The stashed thread error re-raises on a later call.
-            for seq in range(1, 2000):
-                w.on_append(seq)
-                time.sleep(0.001)
-        w.close()
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValidationError):
-            AsyncWalWriter(max_unsynced=0)
-
-    def test_close_after_writer_thread_death(self, counting, monkeypatch):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
-
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        w.on_append(1)
-        # The fsync thread dies storing the error; wait for it.
-        assert w._thread is not None
-        w._thread.join(timeout=5.0)
-        assert not w._thread.is_alive()
-        # close() must neither hang nor raise: the stashed error
-        # belongs to on_append/sync callers, teardown just releases
-        # the dup'd descriptor and the dead thread.
-        w.close()
-        assert w._thread is None
-
-    def test_abandon_after_thread_death_allows_reattach(
-        self, counting, monkeypatch, tmp_path
-    ):
-        def broken(fd):
-            raise OSError(5, "injected I/O error")
-
-        monkeypatch.setattr(writers_module, "_fdatasync", broken)
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        w.on_append(1)
-        assert w._thread is not None
-        w._thread.join(timeout=5.0)
-        w.abandon()
-        monkeypatch.setattr(writers_module, "_fdatasync", os.fdatasync)
-        with open(tmp_path / "wal-reborn.log", "ab") as handle:
-            w.attach(handle)
-            try:
-                w.on_append(2)
-                w.sync()
-                assert w.durable_seq == 2
-            finally:
-                w.close()
-
-    def test_attach_twice_rejected(self, counting, tmp_path):
-        w = AsyncWalWriter()
-        w.attach(counting.handle)
-        try:
-            with open(tmp_path / "other.log", "ab") as other:
-                with pytest.raises(ValidationError):
-                    w.attach(other)
-        finally:
-            w.close()
+            SyncWalWriter("budget:0ms")
 
 
 class TestWalIntegration:
-    """WriteAheadLog wired to each writer: rotation, recovery, acks."""
+    """WriteAheadLog wired to each policy: rotation, recovery, acks."""
 
     @pytest.mark.parametrize(
         "fsync", ["always", "batch", "never", "group", "budget:5ms", "async"]
@@ -415,10 +357,11 @@ class TestWalIntegration:
 
     def test_writer_instance_accepted_directly(self, tmp_path):
         clock = FakeClock()
-        writer = GroupCommitWalWriter(window=0.004, clock=clock)
+        writer = SyncWalWriter("group:4ms", clock=clock)
         wal = WriteAheadLog(tmp_path, fsync=writer)
         wal.recover()
         assert wal.writer is writer
+        assert wal.fsync_policy == "group:4ms"
         wal.append(1, "x")
         clock.advance(0.005)
         wal.append(2, "y")
@@ -430,7 +373,7 @@ class TestWalIntegration:
         wal.recover()
         for i in range(1, 11):
             wal.append(i, str(i))
-        assert wal.wait_durable(10, timeout=5.0)
+        assert wal.wait_durable(10)
         assert wal.durable_seq == 10
         wal.close()
 
@@ -461,9 +404,9 @@ class TestWalIntegration:
 
 
 class TestWriterChaos:
-    """The recovery-equivalence chaos harness over the new writers."""
+    """The recovery-equivalence chaos harness over the windowed rules."""
 
-    @pytest.mark.parametrize("fsync", ["group", "budget:5ms", "async"])
+    @pytest.mark.parametrize("fsync", ["group", "budget:5ms"])
     def test_post_append_kills_recover_equivalently(
         self, tmp_path, fsync
     ):
@@ -502,40 +445,6 @@ class TestWriterChaos:
         assert restarts == 2
         _assert_equivalent(base_svc, base, svc, result)
 
-    def test_async_drain_kill_loses_no_acked_append(self, tmp_path):
-        """Kill while the async thread is mid-drain; acked appends
-        must all be on disk (process-crash ack level) and the durable
-        watermark at the crash must be covered after recovery."""
-        lines = _stream()
-        base_svc, base = _baseline(lines)
-        crash = CrashInjector(
-            FaultSchedule((CrashFault(seq=45, point="post-append"),))
-        )
-        service = create_durable_service(
-            tmp_path,
-            rate=RATE,
-            admission=True,
-            snapshot_every=25,
-            crash=crash,
-            fsync="async",
-        )
-        with pytest.raises(SimulatedCrash):
-            service.ingest(iter(lines))
-        # The crash fired after the append (seq 45 acked into the WAL)
-        # but before the in-memory apply.
-        acked = service.wal.last_seq
-        durable_at_crash = service.durable_seq
-        assert acked == 45
-        assert service.applied_seq == 44
-        service, report = recover_durable_service(tmp_path, crash=crash)
-        # Every acknowledged append survived the kill, and the fsync
-        # watermark never ran ahead of what recovery replays.
-        assert report.applied_seq == acked
-        assert report.applied_seq >= durable_at_crash
-        service.ingest(iter(lines[report.applied_seq :]))
-        result = service.shutdown()
-        _assert_equivalent(base_svc, base, service, result)
-
     def test_recovery_is_policy_agnostic(self, tmp_path):
         """meta.json records the policy; recovery follows it without
         the caller restating ``fsync``."""
@@ -552,6 +461,29 @@ class TestWriterChaos:
         service.wal.close()
         service, report = recover_durable_service(tmp_path)
         assert service.wal.fsync_policy == "group:4ms"
+        service.ingest(iter(lines[report.applied_seq :]))
+        result = service.shutdown()
+        _assert_equivalent(base_svc, base, service, result)
+
+    def test_async_directory_recovers_under_group_rule(self, tmp_path):
+        """A directory whose meta.json records ``async`` still opens:
+        the spec is kept verbatim and runs the ``group`` bounds."""
+        lines = _stream()
+        base_svc, base = _baseline(lines)
+        service = create_durable_service(
+            tmp_path,
+            rate=RATE,
+            admission=True,
+            snapshot_every=25,
+            fsync="async",
+        )
+        service.ingest(iter(lines[:50]))
+        service.wal.close()
+        service, report = recover_durable_service(tmp_path)
+        assert service.wal.fsync_policy == "async"
+        writer = service.wal.writer
+        assert writer.max_count == 256
+        assert writer.max_age == DEFAULT_GROUP_WINDOW
         service.ingest(iter(lines[report.applied_seq :]))
         result = service.shutdown()
         _assert_equivalent(base_svc, base, service, result)
