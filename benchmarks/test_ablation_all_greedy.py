@@ -56,7 +56,7 @@ def run_experiment():
         ).shape(raw)
         shaped.append(released)
     result = FluidGPSServer(
-        1.0, [s.phi for s in config.sessions]
+        rate=1.0, phis=[s.phi for s in config.sessions]
     ).run(np.vstack(shaped))
     rows = []
     for i, session in enumerate(config.sessions):

@@ -13,7 +13,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.core.gps import GPSConfig, Session
-from repro.core.single_node import theorem10_bounds
+from repro.analysis.single_node import theorem10_bounds
 from repro.deterministic.parekh_gallager import (
     DeterministicGPSConfig,
     DeterministicSession,
@@ -78,7 +78,7 @@ def run_experiment():
         for i in range(2)
     ]
 
-    result = FluidGPSServer(1.0, list(RHOS)).run(arrivals)
+    result = FluidGPSServer(rate=1.0, phis=list(RHOS)).run(arrivals)
     rows = []
     for i in range(2):
         simulated_max = float(result.backlog[i].max())

@@ -13,7 +13,7 @@ from benchmarks.conftest import report
 from repro.core.decomposition import decompose
 from repro.core.ebb import EBB
 from repro.core.gps import GPSConfig, Session
-from repro.core.single_node import theorem7_family, theorem8_family
+from repro.analysis.single_node import theorem7_family, theorem8_family
 from repro.experiments.tables import format_table
 
 BACKLOGS = (5.0, 10.0, 20.0, 40.0)

@@ -35,7 +35,7 @@ def run_experiment():
     rows = []
     for hops in HOPS:
         network = tandem_network(
-            hops, through, cross, node_rate=NODE_RATE
+            num_hops=hops, through=through, cross=cross, node_rate=NODE_RATE
         )
         bound = rpps_network_bounds(
             network, "through", discrete=True

@@ -36,7 +36,7 @@ def run_experiment():
     arrivals = np.vstack([aggressor, conforming])
     phis = [0.55, 0.45]
     servers = {
-        "GPS": FluidGPSServer(1.0, phis),
+        "GPS": FluidGPSServer(rate=1.0, phis=phis),
         "WRR (q=1.0)": WeightedRoundRobinServer(
             1.0, phis, quantum=1.0
         ),

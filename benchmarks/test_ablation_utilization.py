@@ -13,7 +13,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.core.gps import rpps_config
-from repro.core.single_node import theorem10_bounds
+from repro.analysis.single_node import theorem10_bounds
 from repro.experiments.tables import format_table
 from repro.markov.lnt94 import ebb_characterization
 from repro.markov.onoff import OnOffSource
@@ -43,7 +43,7 @@ def run_experiment():
                 for _ in range(count)
             ]
         )
-        result = FluidGPSServer(1.0, list(config.phis)).run(arrivals)
+        result = FluidGPSServer(rate=1.0, phis=list(config.phis)).run(arrivals)
         simulated = tail_quantile(
             result.backlog[0][1000:], EPSILON
         )

@@ -12,7 +12,7 @@ import math
 
 from benchmarks.conftest import report
 from repro.core.ebb import EBB
-from repro.core.mgf import (
+from repro.analysis.mgf import (
     lemma6_log_mgf_bound,
     lemma6_optimal_xi,
 )

@@ -42,7 +42,7 @@ def run_decomposition_experiment():
     arrivals = np.vstack(
         [OnOffTraffic(m).generate(NUM_SLOTS, rng) for m in models]
     )
-    result = FluidGPSServer(1.0, phis).run(arrivals)
+    result = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
     deltas = np.empty_like(arrivals)
     for i in range(3):
         level = 0.0

@@ -28,10 +28,6 @@ Layout
     :class:`AnalysisContext` — cached, incrementally-updated state.
 :mod:`repro.analysis.grid`
     Vectorized bound evaluation over numpy grids.
-
-The historical ``repro.core.{feasible,mgf,single_node,admission}``
-modules re-export their names from here; new code should import from
-``repro.analysis``.
 """
 
 from repro.analysis.admission import (

@@ -24,9 +24,6 @@ bound theorems into that decision procedure:
 Everything here is *conservative*: a session admitted by these
 procedures provably meets its target (up to the tightness of the
 underlying bound), matching the paper's soft-guarantee semantics.
-This module is the single owner of the admission machinery;
-``repro.core.admission`` re-exports the stateless procedures for
-backward compatibility.
 """
 
 from __future__ import annotations

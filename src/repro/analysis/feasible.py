@@ -17,9 +17,6 @@ the sessions that become "feasible" once the earlier classes' rates are
 subtracted from the server.  A key consequence (used by Theorems 10-12)
 is that the bound for a session in ``H_k`` depends only on the sessions
 in ``H_1, ..., H_{k-1}``.
-
-This module is the single owner of these constructions;
-``repro.core.feasible`` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations

@@ -16,9 +16,6 @@ Both come from discretizing the supremum with step ``xi`` and summing a
 geometric series.  The module implements the paper's default ``xi = 1``,
 the optimal ``xi`` of Remark (1) after Lemma 6, and the discrete-time
 variants used in the Section 6.3 numerical example (eqs. 66-67).
-
-This module is the single owner of these bounds;
-``repro.core.mgf`` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations

@@ -25,9 +25,6 @@ Theorems 11/12 use the partition-aware epsilon split
 ``eps_i = psi_i eps~_l = (g_i - rho_i) / k`` from the proof of
 Theorem 11, which makes every geometric factor in the denominator equal
 to ``1 - e^{-theta (g_i - rho_i)/k}``.
-
-This module is the single owner of these theorems;
-``repro.core.single_node`` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations

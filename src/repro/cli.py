@@ -111,17 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     simulate.add_argument(
-        "--dispatch",
-        choices=("serial", "process"),
-        default=None,
-        help=(
-            "execution backend for the supervised run (default: "
-            "'process' when --workers > 1, else 'serial'); the "
-            "shared-memory batch backend is Scenario-API-only "
-            "(SupervisedRunner(scenario=..., dispatch='shared-memory'))"
-        ),
-    )
-    simulate.add_argument(
         "--json",
         action="store_true",
         help=(
@@ -843,7 +832,6 @@ def _run_simulate(args) -> int:
             checkpoint_path=args.checkpoint,
             fail_fast=args.fail_fast,
             max_workers=args.workers,
-            dispatch=args.dispatch,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

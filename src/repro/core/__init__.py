@@ -3,17 +3,11 @@ and the simulation-facing configuration objects.
 
 The paper-theorem computations themselves (feasible orderings and
 partitions, the Lemma 5/6 MGF machinery, the Theorem 7/8/10/11/12
-bound families and the admission procedures) moved to
-:mod:`repro.analysis`; accessing those names through ``repro.core``
-still works but emits a :class:`DeprecationWarning`.  The
-``repro.core.{feasible,mgf,single_node,admission}`` submodules remain
-as silent re-export shims.
+bound families and the admission procedures) live in
+:mod:`repro.analysis`.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Any
 
 from repro.core.bounds import (
     ExponentialTailBound,
@@ -45,11 +39,6 @@ from repro.core.rpps import (
 )
 
 __all__ = [
-    "QoSTarget",
-    "admissible",
-    "max_admissible_copies",
-    "meets_target",
-    "required_rate_for_delay",
     "PacketizationPenalty",
     "pgps_backlog_bound",
     "pgps_delay_bound",
@@ -68,86 +57,13 @@ __all__ = [
     "uniform_epsilons",
     "rho_proportional_epsilons",
     "phi_proportional_epsilons",
-    "FeasibleOrderingError",
-    "FeasiblePartition",
-    "all_feasible_orderings",
-    "feasible_partition",
-    "find_feasible_ordering",
-    "is_feasible_ordering",
     "GPSConfig",
     "Session",
     "rpps_config",
     "HolderSplit",
     "HolderTerm",
     "optimal_holder_split",
-    "VirtualQueue",
-    "bucket_delta_tail_bound",
-    "discrete_delta_tail_bound",
-    "lemma5_tail_bound",
-    "lemma6_log_mgf_bound",
-    "lemma6_optimal_xi",
     "guaranteed_rate_bounds",
     "rpps_all_bounds",
     "rpps_session_bounds",
-    "SessionBoundFamily",
-    "SessionBounds",
-    "best_partition_family",
-    "theorem7_family",
-    "theorem8_family",
-    "theorem10_bounds",
-    "theorem11_family",
-    "theorem12_family",
 ]
-
-#: Names that moved to ``repro.analysis``: accessing them through
-#: ``repro.core`` is deprecated (module path of the single owner).
-_MOVED_TO_ANALYSIS = {
-    # admission
-    "QoSTarget": "repro.analysis.admission",
-    "meets_target": "repro.analysis.admission",
-    "required_rate_for_delay": "repro.analysis.admission",
-    "admissible": "repro.analysis.admission",
-    "max_admissible_copies": "repro.analysis.admission",
-    # feasible orderings / partition
-    "FeasibleOrderingError": "repro.analysis.feasible",
-    "is_feasible_ordering": "repro.analysis.feasible",
-    "find_feasible_ordering": "repro.analysis.feasible",
-    "all_feasible_orderings": "repro.analysis.feasible",
-    "FeasiblePartition": "repro.analysis.feasible",
-    "feasible_partition": "repro.analysis.feasible",
-    # MGF machinery
-    "VirtualQueue": "repro.analysis.mgf",
-    "bucket_delta_tail_bound": "repro.analysis.mgf",
-    "discrete_delta_tail_bound": "repro.analysis.mgf",
-    "lemma5_tail_bound": "repro.analysis.mgf",
-    "lemma6_log_mgf_bound": "repro.analysis.mgf",
-    "lemma6_optimal_xi": "repro.analysis.mgf",
-    # single-node bound families
-    "SessionBoundFamily": "repro.analysis.single_node",
-    "SessionBounds": "repro.analysis.single_node",
-    "best_partition_family": "repro.analysis.single_node",
-    "theorem7_family": "repro.analysis.single_node",
-    "theorem8_family": "repro.analysis.single_node",
-    "theorem10_bounds": "repro.analysis.single_node",
-    "theorem11_family": "repro.analysis.single_node",
-    "theorem12_family": "repro.analysis.single_node",
-}
-
-
-def __getattr__(name: str) -> Any:
-    home = _MOVED_TO_ANALYSIS.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.core' is deprecated; it moved "
-        f"to {home!r} (also exported from 'repro.analysis')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_MOVED_TO_ANALYSIS))

@@ -4,7 +4,7 @@ A :class:`Session` couples a named traffic source (its E.B.B.
 characterization) with its GPS weight ``phi``; a :class:`GPSConfig`
 collects the sessions sharing one server of rate ``r``.  These are the
 *analysis-side* objects consumed by the bound theorems
-(:mod:`repro.core.single_node`); the *simulation-side* counterparts live
+(:mod:`repro.analysis.single_node`); the *simulation-side* counterparts live
 in :mod:`repro.sim`.
 """
 

@@ -14,7 +14,7 @@ These translate any fluid exponential tail bound into a packetized one
 by an argument shift: ``Pr{D_pgps >= d} <= Pr{D_gps >= d - L_max/r}``.
 This module performs those conversions on
 :class:`repro.core.bounds.ExponentialTailBound` objects and on whole
-:class:`repro.core.single_node.SessionBounds` results.
+:class:`repro.analysis.single_node.SessionBounds` results.
 """
 
 from __future__ import annotations

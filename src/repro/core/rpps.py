@@ -78,7 +78,7 @@ def rpps_session_bounds(
     """Theorem 10 bounds for one session of an RPPS server.
 
     Raises ``ValueError`` if the assignment is not RPPS (use
-    :func:`repro.core.single_node.theorem10_bounds` directly for a
+    :func:`repro.analysis.single_node.theorem10_bounds` directly for a
     non-RPPS session that happens to sit in ``H_1``).
     """
     if not config.is_rpps():

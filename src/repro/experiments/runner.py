@@ -245,7 +245,6 @@ def render_supervised_simulation(
     fail_fast: bool = False,
     timeout: float | None = None,
     max_workers: int | None = None,
-    dispatch: str | None = None,
 ) -> tuple[str, RunManifest]:
     """Supervised multi-trial Monte-Carlo check of the Section 6.3 bounds.
 
@@ -255,10 +254,6 @@ def render_supervised_simulation(
     ``max_workers > 1``), aggregates the per-trial exceedance
     frequencies of the completed trials, and renders them against the
     Figure 3/4 bounds.  Returns ``(report text, manifest)``.
-
-    ``dispatch`` selects the execution backend (``"serial"`` /
-    ``"process"``); the ``"shared-memory"`` backend is scenario-only
-    and cannot serve this network-simulation campaign.
     """
     # functools.partial keeps the trial function picklable, which the
     # max_workers > 1 process pool requires.
@@ -270,7 +265,6 @@ def render_supervised_simulation(
         fail_fast=fail_fast,
         timeout=timeout,
         max_workers=max_workers,
-        dispatch=dispatch,
     )
     manifest = runner.run()
     fig3 = figure3_delay_bounds(1)

@@ -43,7 +43,6 @@ import json
 import os
 import tempfile
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -133,21 +132,13 @@ class RunManifest:
         )
 
 
-# Shared with the unified result protocol; kept under the old private
-# name for callers that imported it from here.
-_to_jsonable = to_jsonable
-
-
 class SupervisedRunner:
     """Run ``num_trials`` Monte-Carlo trials under supervision.
 
-    Preferred construction is keyword-only::
+    Construction is keyword-only::
 
         SupervisedRunner(trial_fn=fn, num_trials=64, ...)
         SupervisedRunner(scenario=s, num_trials=64, ...)
-
-    The historical positional form ``SupervisedRunner(fn, n, ...)``
-    still works but emits a :class:`DeprecationWarning`.
 
     Parameters
     ----------
@@ -206,7 +197,7 @@ class SupervisedRunner:
 
     def __init__(
         self,
-        *args,
+        *,
         trial_fn: Callable[[int, int], Any] | None = None,
         num_trials: int | None = None,
         scenario=None,
@@ -224,25 +215,6 @@ class SupervisedRunner:
         fail_fast: bool = False,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if args:
-            warnings.warn(
-                "positional SupervisedRunner(trial_fn, num_trials) is "
-                "deprecated; use SupervisedRunner(trial_fn=..., "
-                "num_trials=...) or SupervisedRunner(scenario=..., "
-                "num_trials=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2 or trial_fn is not None or (
-                len(args) == 2 and num_trials is not None
-            ):
-                raise TypeError(
-                    "SupervisedRunner takes at most the two legacy "
-                    "positional arguments (trial_fn, num_trials)"
-                )
-            trial_fn = args[0]
-            if len(args) == 2:
-                num_trials = args[1]
         if scenario is not None:
             if trial_fn is not None:
                 raise ValidationError(
@@ -377,7 +349,7 @@ class SupervisedRunner:
             "base_seed": manifest.base_seed,
             "num_trials": manifest.num_trials,
             "completed": {
-                str(k): _to_jsonable(v)
+                str(k): to_jsonable(v)
                 for k, v in manifest.completed.items()
             },
             "failed": {str(k): v for k, v in manifest.failed.items()},

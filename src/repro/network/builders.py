@@ -10,13 +10,11 @@ route-independence bench and property tests.
 Builders are keyword-only and accept either explicit E.B.B.
 characterizations or a :class:`repro.scenario.Scenario` (whose ``ebbs``
 supply the per-session envelopes and whose ``rate`` becomes the node
-rate).  The historical positional call forms still work but emit a
-:class:`DeprecationWarning`.
+rate).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from repro.core.ebb import EBB
@@ -25,27 +23,6 @@ from repro.network.topology import Network, NetworkNode, NetworkSession
 from repro.errors import ValidationError
 
 __all__ = ["tandem_network", "tree_network", "ring_network"]
-
-
-def _positional_shim(name: str, args: tuple, names: tuple[str, ...], kwargs: dict) -> None:
-    """Map legacy positional ``args`` onto keyword ``kwargs`` in place."""
-    if not args:
-        return
-    warnings.warn(
-        f"positional {name}(...) is deprecated; pass "
-        f"{', '.join(f'{n}=' for n in names)} as keywords (or scenario=)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if len(args) > len(names):
-        raise TypeError(
-            f"{name} takes at most {len(names)} legacy positional "
-            f"arguments ({', '.join(names)})"
-        )
-    for value, key in zip(args, names):
-        if kwargs.get(key) is not None:
-            raise TypeError(f"{name}() got duplicate argument {key!r}")
-        kwargs[key] = value
 
 
 def _scenario_ebbs(scenario) -> tuple:
@@ -59,7 +36,7 @@ def _scenario_ebbs(scenario) -> tuple:
 
 
 def tandem_network(
-    *args,
+    *,
     num_hops: int | None = None,
     through: EBB | None = None,
     cross: EBB | None = None,
@@ -79,17 +56,6 @@ def tandem_network(
     (the remaining sessions become the per-hop cross traffic), and the
     node rate defaults to the scenario's server rate.
     """
-    _positional_shim(
-        "tandem_network",
-        args,
-        ("num_hops", "through", "cross"),
-        locals_ := {"num_hops": num_hops, "through": through, "cross": cross},
-    )
-    num_hops, through, cross = (
-        locals_["num_hops"],
-        locals_["through"],
-        locals_["cross"],
-    )
     if scenario is not None:
         if through is not None or cross is not None:
             raise ValidationError(
@@ -136,7 +102,7 @@ def tandem_network(
 
 
 def tree_network(
-    *args,
+    *,
     leaf_sessions: Sequence[Sequence[EBB]] | None = None,
     scenario=None,
     node_rate: float | None = None,
@@ -150,13 +116,6 @@ def tree_network(
     With ``scenario=``: each session becomes its own leaf feeding the
     root, and the node rate defaults to the scenario's server rate.
     """
-    _positional_shim(
-        "tree_network",
-        args,
-        ("leaf_sessions",),
-        locals_ := {"leaf_sessions": leaf_sessions},
-    )
-    leaf_sessions = locals_["leaf_sessions"]
     if scenario is not None:
         if leaf_sessions is not None:
             raise ValidationError(
@@ -189,7 +148,7 @@ def tree_network(
 
 
 def ring_network(
-    *args,
+    *,
     num_nodes: int | None = None,
     arrival: EBB | None = None,
     scenario=None,
@@ -207,13 +166,6 @@ def ring_network(
     built from ``ebbs[0]``, node rate defaulting to the scenario's
     server rate.
     """
-    _positional_shim(
-        "ring_network",
-        args,
-        ("num_nodes", "arrival"),
-        locals_ := {"num_nodes": num_nodes, "arrival": arrival},
-    )
-    num_nodes, arrival = locals_["num_nodes"], locals_["arrival"]
     if scenario is not None:
         if arrival is not None:
             raise ValidationError(

@@ -13,7 +13,7 @@ design procedures the theory directly supports:
   bound (Theorem 10 applied at ``g_i = phi_i/sum phi * r``) meets its
   target.  Since the bound depends on the weights only through ``g_i``,
   the problem reduces to per-session required rates
-  (:func:`repro.core.admission.required_rate_for_delay`) plus a
+  (:func:`repro.analysis.admission.required_rate_for_delay`) plus a
   feasibility check ``sum g_i^req <= r``; the returned weights are the
   required rates themselves, normalized (so the spare capacity is
   shared proportionally).

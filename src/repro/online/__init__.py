@@ -47,9 +47,6 @@ from repro.online.cluster import (
     ShardedOnlineCluster,
     ShardRouter,
     ShardSupervisor,
-    create_cluster,
-    open_cluster,
-    recover_cluster,
     shard_for,
 )
 from repro.online.durability import (
@@ -57,9 +54,6 @@ from repro.online.durability import (
     RecoveryReport,
     SnapshotStore,
     WriteAheadLog,
-    create_durable_service,
-    open_durable_service,
-    recover_durable_service,
 )
 from repro.online.engine import OnlineResult, StreamingGPSServer
 from repro.online.records import (
@@ -113,15 +107,9 @@ __all__ = [
     "RecoveryReport",
     "SnapshotStore",
     "WriteAheadLog",
-    "create_durable_service",
-    "open_durable_service",
-    "recover_durable_service",
     "ClusterResult",
     "ShardedOnlineCluster",
     "ShardRouter",
     "ShardSupervisor",
-    "create_cluster",
-    "open_cluster",
-    "recover_cluster",
     "shard_for",
 ]

@@ -15,9 +15,6 @@ with deadness/hangness health checks
 from repro.online.cluster.cluster import (
     ClusterResult,
     ShardedOnlineCluster,
-    create_cluster,
-    open_cluster,
-    recover_cluster,
 )
 from repro.online.cluster.process import (
     ProcessShardSupervisor,
@@ -38,9 +35,6 @@ __all__ = [
     "ShardProcess",
     "ShardRouter",
     "ShardSupervisor",
-    "create_cluster",
-    "open_cluster",
-    "recover_cluster",
     "shard_directory",
     "shard_for",
 ]

@@ -34,7 +34,6 @@ per-shard summaries plus one final ``cluster-summary`` record.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -50,6 +49,7 @@ from repro.online.cluster.shard import (
 )
 from repro.online.cluster.supervisor import ShardSupervisor
 from repro.online.durability.service import (
+    _FRESH_REPORT,
     DurableOnlineService,
     RecoveryReport,
 )
@@ -60,13 +60,7 @@ from repro.online.factory import check_open_mode, check_recover_overrides
 from repro.online.records import RecordSink, TaggedSink, as_record_sink
 from repro.utils.retry import RetryPolicy
 
-__all__ = [
-    "ClusterResult",
-    "ShardedOnlineCluster",
-    "create_cluster",
-    "recover_cluster",
-    "open_cluster",
-]
+__all__ = ["ClusterResult", "ShardedOnlineCluster"]
 
 _CLUSTER_META = "cluster.json"
 _CLUSTER_FORMAT = 1
@@ -159,9 +153,7 @@ class ShardedOnlineCluster:
     """Route, supervise, and drain a fleet of durable shards.
 
     Construct via :meth:`ShardedOnlineCluster.open`; the constructor
-    wires already-built handles (the old ``create_cluster`` /
-    ``recover_cluster`` / ``open_cluster`` triple remains as
-    deprecated shims).
+    wires already-built handles.
     """
 
     @classmethod
@@ -179,9 +171,7 @@ class ShardedOnlineCluster:
     ) -> tuple["ShardedOnlineCluster", tuple[RecoveryReport, ...]]:
         """Open a cluster root as a running fleet.
 
-        The single entry point replacing the old ``create`` /
-        ``recover`` / ``open`` function triple; every mode returns
-        ``(cluster, reports)`` with one
+        Every mode returns ``(cluster, reports)`` with one
         :class:`~repro.online.durability.service.RecoveryReport` per
         shard.
 
@@ -210,31 +200,43 @@ class ShardedOnlineCluster:
             Create-or-recover, the idempotent path behind
             ``repro serve --shards``.
         """
-        if mode == "create":
-            if num_shards is None or rate is None:
+        check_open_mode(mode)
+        root = Path(root)
+        base = as_record_sink(sink)
+        if mode == "recover":
+            check_recover_overrides(config_overrides)
+        if mode == "recover" or (
+            mode == "attach" and (root / _CLUSTER_META).exists()
+        ):
+            # Attach tolerates creation-time overrides — they apply
+            # only on the creation branch — but still cross-checks the
+            # fleet shape against the recorded configuration.
+            _check_recorded_fleet(root, num_shards, rate)
+            return _recover_cluster(
+                root,
+                sink=base,
+                crash_factory=crash_factory,
+                io_factory=io_factory,
+            )
+        if num_shards is None or rate is None:
+            if mode == "create":
                 raise ValidationError(
                     "mode='create' requires num_shards= and rate="
                 )
-            cluster = _create_cluster(
-                Path(root),
-                num_shards=num_shards,
-                rate=rate,
-                sink=as_record_sink(sink),
-                crash_factory=crash_factory,
-                io_factory=io_factory,
-                **config_overrides,
+            raise RecoveryError(
+                f"{root} holds no cluster and no num_shards=/rate= were "
+                "given to create one"
             )
-            return cluster, _fresh_reports(cluster.num_shards)
-        return _open_cluster(
+        cluster = _create_cluster(
             root,
-            mode=mode,
             num_shards=num_shards,
             rate=rate,
-            sink=sink,
+            sink=base,
             crash_factory=crash_factory,
             io_factory=io_factory,
             **config_overrides,
         )
+        return cluster, (_FRESH_REPORT,) * cluster.num_shards
 
     def __init__(
         self,
@@ -464,19 +466,6 @@ def _build_cluster(
     )
 
 
-def _fresh_reports(count: int) -> tuple[RecoveryReport, ...]:
-    return tuple(
-        RecoveryReport(
-            fresh=True,
-            applied_seq=0,
-            snapshot_seq=None,
-            replayed=0,
-            truncated_bytes=0,
-        )
-        for _ in range(count)
-    )
-
-
 def _create_cluster(
     root: Path,
     *,
@@ -575,130 +564,3 @@ def _check_recorded_fleet(
             f"requested rate {float(rate):g} contradicts the "
             f"recorded rate {float(config['rate']):g} in {root}"
         )
-
-
-def _open_cluster(
-    root: str | Path,
-    *,
-    mode: str = "attach",
-    num_shards: int | None = None,
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-    io_factory: Any = None,
-    **config_overrides: Any,
-) -> tuple[ShardedOnlineCluster, tuple[RecoveryReport, ...]]:
-    check_open_mode(mode)
-    root = Path(root)
-    base = as_record_sink(sink)
-    if mode == "recover":
-        check_recover_overrides(config_overrides)
-    if mode == "recover" or (
-        mode == "attach" and (root / _CLUSTER_META).exists()
-    ):
-        # Attach tolerates creation-time overrides — they apply only
-        # on the creation branch — but still cross-checks the fleet
-        # shape against the recorded configuration.
-        _check_recorded_fleet(root, num_shards, rate)
-        return _recover_cluster(
-            root,
-            sink=base,
-            crash_factory=crash_factory,
-            io_factory=io_factory,
-        )
-    if num_shards is None or rate is None:
-        raise RecoveryError(
-            f"{root} holds no cluster and no num_shards=/rate= were "
-            "given to create one"
-        )
-    cluster = _create_cluster(
-        root,
-        num_shards=num_shards,
-        rate=rate,
-        sink=base,
-        crash_factory=crash_factory,
-        io_factory=io_factory,
-        **config_overrides,
-    )
-    return cluster, _fresh_reports(cluster.num_shards)
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-unification entry points
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def create_cluster(
-    root: str | Path,
-    *,
-    num_shards: int,
-    rate: float,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-    **config_overrides: Any,
-) -> ShardedOnlineCluster:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="create")``.
-
-    Kept as a thin shim for one release; returns the bare cluster
-    (the unified factory also returns the fresh per-shard
-    :class:`RecoveryReport` tuple).
-    """
-    _deprecated(
-        "create_cluster",
-        "ShardedOnlineCluster.open(root, mode='create', ...)",
-    )
-    return _create_cluster(
-        Path(root),
-        num_shards=num_shards,
-        rate=rate,
-        sink=as_record_sink(sink),
-        crash_factory=crash_factory,
-        **config_overrides,
-    )
-
-
-def recover_cluster(
-    root: str | Path,
-    *,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-) -> tuple[ShardedOnlineCluster, tuple[RecoveryReport, ...]]:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="recover")``."""
-    _deprecated(
-        "recover_cluster",
-        "ShardedOnlineCluster.open(root, mode='recover', ...)",
-    )
-    return _recover_cluster(
-        Path(root), sink=as_record_sink(sink), crash_factory=crash_factory
-    )
-
-
-def open_cluster(
-    root: str | Path,
-    *,
-    num_shards: int | None = None,
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash_factory: Any = None,
-    **config_overrides: Any,
-) -> tuple[ShardedOnlineCluster, tuple[RecoveryReport, ...]]:
-    """Deprecated: use ``ShardedOnlineCluster.open(root, mode="attach")``."""
-    _deprecated(
-        "open_cluster",
-        "ShardedOnlineCluster.open(root, mode='attach', ...)",
-    )
-    return _open_cluster(
-        root,
-        mode="attach",
-        num_shards=num_shards,
-        rate=rate,
-        sink=sink,
-        crash_factory=crash_factory,
-        **config_overrides,
-    )

@@ -17,8 +17,8 @@ real fleet needs:
 
 A hung shard is killed (SIGKILL — it is not going to cooperate) and
 both failure modes converge on the same recovery path: spawn a fresh
-worker on the same WAL directory; its ``open_durable_service`` replays
-the log to the exact acknowledged state.
+worker on the same WAL directory; its ``DurableOnlineService.open``
+replays the log to the exact acknowledged state.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ The durability layer makes the online service survivable: every ingest
 line is CRC-framed into a segmented :class:`WriteAheadLog` *before* it
 is applied, the full serving state is periodically committed by a
 :class:`SnapshotStore` (atomically, with an asserted round-trip
-bit-identity check), and :func:`recover_durable_service` rebuilds a
-killed service — newest valid snapshot, torn-tail truncation,
-idempotent replay by sequence number — into exactly the state of an
-uninterrupted run.  The chaos harness in
+bit-identity check), and ``DurableOnlineService.open(dir,
+mode="recover")`` rebuilds a killed service — newest valid snapshot,
+torn-tail truncation, idempotent replay by sequence number — into
+exactly the state of an uninterrupted run.  The chaos harness in
 ``tests/online/test_recovery_chaos.py`` kills and restarts the service
 at every crash-point class and asserts that equivalence with
 ``np.array_equal``.
@@ -29,9 +29,6 @@ from repro.online.durability.scrub import (
 from repro.online.durability.service import (
     DurableOnlineService,
     RecoveryReport,
-    create_durable_service,
-    open_durable_service,
-    recover_durable_service,
 )
 from repro.online.durability.snapshot import SNAPSHOT_FORMAT, SnapshotStore
 from repro.online.durability.wal import WalEntry, WriteAheadLog
@@ -44,9 +41,6 @@ from repro.online.durability.writers import (
 __all__ = [
     "DurableOnlineService",
     "RecoveryReport",
-    "create_durable_service",
-    "open_durable_service",
-    "recover_durable_service",
     "SnapshotStore",
     "SNAPSHOT_FORMAT",
     "WriteAheadLog",

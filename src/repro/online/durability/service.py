@@ -34,7 +34,6 @@ needing exactly-once must deduplicate on the ``line`` sequence number.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -50,13 +49,7 @@ from repro.online.factory import check_open_mode, check_recover_overrides
 from repro.online.records import RecordSink
 from repro.online.service import OnlineService
 
-__all__ = [
-    "DurableOnlineService",
-    "RecoveryReport",
-    "open_durable_service",
-    "create_durable_service",
-    "recover_durable_service",
-]
+__all__ = ["DurableOnlineService", "RecoveryReport"]
 
 _META_NAME = "meta.json"
 _META_FORMAT = 1
@@ -85,7 +78,7 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What :func:`recover_durable_service` reconstructed and from where."""
+    """What :meth:`DurableOnlineService.open` reconstructed and from where."""
 
     fresh: bool
     applied_seq: int
@@ -103,6 +96,12 @@ class RecoveryReport:
             "replayed": self.replayed,
             "truncated_bytes": self.truncated_bytes,
         }
+
+
+#: The report of a freshly created directory (nothing recovered).
+_FRESH_REPORT = RecoveryReport(
+    fresh=True, applied_seq=0, snapshot_seq=None, replayed=0, truncated_bytes=0
+)
 
 
 def _write_meta(directory: Path, config: dict[str, Any]) -> None:
@@ -146,9 +145,7 @@ class DurableOnlineService(OnlineService):
 
     Construct via :meth:`DurableOnlineService.open` rather than
     directly — it wires the WAL, the snapshot store and the on-disk
-    metadata consistently (the old ``create_durable_service`` /
-    ``recover_durable_service`` / ``open_durable_service`` triple
-    remains as deprecated shims).
+    metadata consistently.
 
     Parameters (beyond :class:`OnlineService`)
     ------------------------------------------
@@ -270,9 +267,7 @@ class DurableOnlineService(OnlineService):
     ) -> tuple["DurableOnlineService", RecoveryReport]:
         """Open a WAL directory as a durable service.
 
-        The single entry point replacing the old ``create`` /
-        ``recover`` / ``open`` function triple; every mode returns
-        ``(service, report)``.
+        Every mode returns ``(service, report)``.
 
         ``mode="create"``
             Initialize a fresh directory (``rate`` required;
@@ -294,29 +289,33 @@ class DurableOnlineService(OnlineService):
             initialized one recovered (with the same ``rate``
             cross-check).
         """
-        if mode == "create":
-            if rate is None:
+        check_open_mode(mode)
+        directory = Path(directory)
+        if mode == "recover":
+            check_recover_overrides(config_overrides)
+        if mode == "recover" or (
+            mode == "attach" and (directory / _META_NAME).exists()
+        ):
+            # Attach tolerates creation-time overrides: they apply only
+            # on the creation branch (restart loops pass the same
+            # command line whether the directory is fresh or not).
+            return _recover(
+                directory, sink=sink, crash=crash, expected_rate=rate, io=io
+            )
+        if rate is None:
+            if mode == "create":
                 raise ValidationError(
                     "mode='create' requires rate= to size the server"
                 )
-            service = _create(
-                Path(directory),
-                rate=rate,
-                sink=sink,
-                crash=crash,
-                io=io,
-                **config_overrides,
+            raise RecoveryError(
+                f"{directory} holds no serving session and no rate= was "
+                "given to create one"
             )
-            return service, _fresh_report()
-        return _open_durable(
-            directory,
-            mode=mode,
-            rate=rate,
-            sink=sink,
-            crash=crash,
-            io=io,
+        service = _create(
+            directory, rate=rate, sink=sink, crash=crash, io=io,
             **config_overrides,
         )
+        return service, _FRESH_REPORT
 
     # ------------------------------------------------------------------
     # service-state capture (snapshot payload alongside the engine)
@@ -532,16 +531,6 @@ def _build_service(
     )
 
 
-def _fresh_report() -> RecoveryReport:
-    return RecoveryReport(
-        fresh=True,
-        applied_seq=0,
-        snapshot_seq=None,
-        replayed=0,
-        truncated_bytes=0,
-    )
-
-
 def _create(
     directory: Path,
     *,
@@ -660,121 +649,3 @@ def _recover(
         truncated_bytes=wal.truncated_bytes,
     )
     return service, report
-
-
-def _open_durable(
-    directory: str | Path,
-    *,
-    mode: str = "attach",
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    io: Any = None,
-    **config_overrides: Any,
-) -> tuple[DurableOnlineService, RecoveryReport]:
-    check_open_mode(mode)
-    directory = Path(directory)
-    if mode == "recover":
-        check_recover_overrides(config_overrides)
-        return _recover(
-            directory, sink=sink, crash=crash, expected_rate=rate, io=io
-        )
-    if mode == "attach" and (directory / _META_NAME).exists():
-        # Attach tolerates creation-time overrides: they apply only on
-        # the creation branch (restart loops pass the same command
-        # line whether the directory is fresh or not).
-        return _recover(
-            directory, sink=sink, crash=crash, expected_rate=rate, io=io
-        )
-    if rate is None:
-        raise RecoveryError(
-            f"{directory} holds no serving session and no rate= was "
-            "given to create one"
-        )
-    service = _create(
-        directory, rate=rate, sink=sink, crash=crash, io=io,
-        **config_overrides,
-    )
-    return service, _fresh_report()
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-unification entry points
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def create_durable_service(
-    directory: str | Path,
-    *,
-    rate: float,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    **config_overrides: Any,
-) -> DurableOnlineService:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="create")``.
-
-    Kept as a thin shim for one release; returns the bare service
-    (the unified factory also returns the fresh
-    :class:`RecoveryReport`).
-    """
-    _deprecated(
-        "create_durable_service",
-        "DurableOnlineService.open(directory, mode='create', ...)",
-    )
-    return _create(
-        Path(directory),
-        rate=rate,
-        sink=sink,
-        crash=crash,
-        **config_overrides,
-    )
-
-
-def recover_durable_service(
-    directory: str | Path,
-    *,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    expected_rate: float | None = None,
-) -> tuple[DurableOnlineService, RecoveryReport]:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="recover")``.
-
-    The old ``expected_rate`` cross-check is the unified factory's
-    ``rate`` parameter.
-    """
-    _deprecated(
-        "recover_durable_service",
-        "DurableOnlineService.open(directory, mode='recover', ...)",
-    )
-    return _recover(
-        Path(directory), sink=sink, crash=crash, expected_rate=expected_rate
-    )
-
-
-def open_durable_service(
-    directory: str | Path,
-    *,
-    rate: float | None = None,
-    sink: RecordSink | IO[str] | None = None,
-    crash: Any = None,
-    **config_overrides: Any,
-) -> tuple[DurableOnlineService, RecoveryReport]:
-    """Deprecated: use ``DurableOnlineService.open(dir, mode="attach")``."""
-    _deprecated(
-        "open_durable_service",
-        "DurableOnlineService.open(directory, mode='attach', ...)",
-    )
-    return _open_durable(
-        directory,
-        mode="attach",
-        rate=rate,
-        sink=sink,
-        crash=crash,
-        **config_overrides,
-    )

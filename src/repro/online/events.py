@@ -8,7 +8,7 @@ kinds, all stamped with a slot-valued ``time``:
   :class:`repro.faults.RateFault` windows onto pairs of these);
 * :class:`SessionJoin` — a session asks to join with weight ``phi``
   and, optionally, an E.B.B. characterization plus a
-  :class:`repro.core.admission.QoSTarget` for admission control;
+  :class:`repro.analysis.admission.QoSTarget` for admission control;
 * :class:`Renegotiate` — an active session changes its weight and/or
   QoS declaration (re-admitted like a join);
 * :class:`ArrivalEvent` — ``amount`` units of work arrive for one

@@ -24,7 +24,6 @@ this server trial by trial.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -347,13 +346,10 @@ def clearing_delays(
 class FluidGPSServer:
     """Stateful slot-stepped fluid GPS server.
 
-    Preferred construction is keyword-only::
+    Construction is keyword-only::
 
         FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
         FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
-
-    The historical positional form ``FluidGPSServer(rate, phis)`` still
-    works but emits a :class:`DeprecationWarning`.
 
     Parameters
     ----------
@@ -373,27 +369,11 @@ class FluidGPSServer:
 
     def __init__(
         self,
-        *args,
+        *,
         rate: float | None = None,
         phis=None,
         scenario=None,
     ) -> None:
-        if args:
-            warnings.warn(
-                "positional FluidGPSServer(rate, phis) is deprecated; "
-                "use FluidGPSServer(rate=..., phis=...) or "
-                "FluidGPSServer(scenario=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2 or (rate is not None or phis is not None):
-                raise TypeError(
-                    "FluidGPSServer takes at most the two legacy "
-                    "positional arguments (rate, phis)"
-                )
-            rate = args[0]
-            if len(args) == 2:
-                phis = args[1]
         if scenario is not None:
             if rate is not None or phis is not None:
                 raise ValidationError(

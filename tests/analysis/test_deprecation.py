@@ -1,40 +1,82 @@
-"""The ``repro.core`` compatibility surface after the analysis split.
+"""The ``repro.core`` surface after the analysis split, and the removed
+call forms.
 
-Moved names must keep resolving through ``repro.core`` (with a
-:class:`DeprecationWarning` naming the new home), and the package's
-``__all__`` must keep matching the documented API exactly.
+Each public name has one home, one constructor form and one factory:
+the theorem machinery is reached only through :mod:`repro.analysis`,
+constructors and network builders are keyword-only, and durable
+services and clusters open only through their ``open(mode=...)``
+classmethods.
 """
 
+import importlib
 import warnings
 
 import pytest
 
 import repro.analysis
 import repro.core
+import repro.online
+from repro.cli import main
+from repro.core.ebb import EBB
+from repro.experiments.supervisor import SupervisedRunner
+from repro.network.builders import ring_network, tandem_network, tree_network
+from repro.sim.fluid import FluidGPSServer
+
+_ARRIVAL = EBB(0.2, 1.0, 1.5)
 
 
-MOVED = [
-    ("feasible_partition", "repro.analysis.feasible"),
-    ("find_feasible_ordering", "repro.analysis.feasible"),
-    ("FeasiblePartition", "repro.analysis.feasible"),
-    ("lemma5_tail_bound", "repro.analysis.mgf"),
-    ("discrete_delta_tail_bound", "repro.analysis.mgf"),
-    ("theorem10_bounds", "repro.analysis.single_node"),
-    ("theorem11_family", "repro.analysis.single_node"),
-    ("admissible", "repro.analysis.admission"),
-    ("QoSTarget", "repro.analysis.admission"),
+def _trial(trial, seed):
+    return trial
+
+
+REMOVED_FORMS = [
+    pytest.param(
+        lambda: FluidGPSServer(1.0, [1.0]), TypeError,
+        id="FluidGPSServer-positional",
+    ),
+    pytest.param(
+        lambda: SupervisedRunner(_trial, 2), TypeError,
+        id="SupervisedRunner-positional",
+    ),
+    pytest.param(
+        lambda: tandem_network(2, _ARRIVAL, _ARRIVAL), TypeError,
+        id="tandem_network-positional",
+    ),
+    pytest.param(
+        lambda: tree_network([[_ARRIVAL]]), TypeError,
+        id="tree_network-positional",
+    ),
+    pytest.param(
+        lambda: ring_network(3, _ARRIVAL), TypeError,
+        id="ring_network-positional",
+    ),
+    pytest.param(
+        lambda: repro.core.theorem10_bounds, AttributeError,
+        id="core-moved-name",
+    ),
+    pytest.param(
+        lambda: importlib.import_module("repro.core.mgf"), ImportError,
+        id="core-shim-module",
+    ),
+    pytest.param(
+        lambda: repro.online.open_durable_service, AttributeError,
+        id="durable-factory-function",
+    ),
+    pytest.param(
+        lambda: repro.online.create_cluster, AttributeError,
+        id="cluster-factory-function",
+    ),
+    pytest.param(
+        lambda: main(["simulate", "--dispatch", "serial"]), SystemExit,
+        id="simulate-dispatch-flag",
+    ),
 ]
 
 
-@pytest.mark.parametrize("name,home", MOVED)
-def test_moved_name_resolves_with_deprecation_warning(name, home):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        obj = getattr(repro.core, name)
-    messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-    assert any(home in m for m in messages), messages
-    # and it is the same object the analysis package exports
-    assert obj is getattr(repro.analysis, name)
+@pytest.mark.parametrize("call,error", REMOVED_FORMS)
+def test_removed_form_raises(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_eager_core_names_do_not_warn():
@@ -47,18 +89,6 @@ def test_eager_core_names_do_not_warn():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
         repro.core.nonsense
-
-
-def test_dir_lists_moved_names():
-    listing = dir(repro.core)
-    for name, _ in MOVED:
-        assert name in listing
-
-
-def test_core_all_covers_moved_names():
-    """Every moved name stays importable via ``from repro.core import X``."""
-    for name, _ in MOVED:
-        assert name in repro.core.__all__
 
 
 def test_analysis_all_resolves():

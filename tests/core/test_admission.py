@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.admission import (
+from repro.analysis.admission import (
     QoSTarget,
     admissible,
     max_admissible_copies,

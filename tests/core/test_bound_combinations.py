@@ -16,9 +16,9 @@ from repro.core.decomposition import (
     uniform_epsilons,
 )
 from repro.core.ebb import EBB
-from repro.core.feasible import all_feasible_orderings
+from repro.analysis.feasible import all_feasible_orderings
 from repro.core.gps import GPSConfig, Session
-from repro.core.single_node import theorem7_family, theorem11_family
+from repro.analysis.single_node import theorem7_family, theorem11_family
 
 
 def make_config() -> GPSConfig:

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core.ebb import EBB
-from repro.core.feasible import (
+from repro.analysis.feasible import (
     all_feasible_orderings,
     find_feasible_ordering,
     is_feasible_ordering,
 )
-from repro.core.mgf import bucket_delta_tail_bound, lemma5_tail_bound
+from repro.analysis.mgf import bucket_delta_tail_bound, lemma5_tail_bound
 
 
 class TestBucketDeltaTailBound:

@@ -10,7 +10,7 @@ from repro.core.decomposition import (
     uniform_epsilons,
 )
 from repro.core.ebb import EBB
-from repro.core.feasible import is_feasible_ordering
+from repro.analysis.feasible import is_feasible_ordering
 from repro.core.gps import GPSConfig, Session
 
 

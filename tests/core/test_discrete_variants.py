@@ -8,8 +8,8 @@ import pytest
 from repro.core.decomposition import decompose
 from repro.core.ebb import EBB
 from repro.core.gps import GPSConfig, Session
-from repro.core.mgf import discrete_log_mgf_bound, lemma6_log_mgf_bound
-from repro.core.single_node import (
+from repro.analysis.mgf import discrete_log_mgf_bound, lemma6_log_mgf_bound
+from repro.analysis.single_node import (
     best_partition_family,
     theorem7_family,
     theorem8_family,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.feasible import (
+from repro.analysis.feasible import (
     FeasibleOrderingError,
     feasible_partition,
     find_feasible_ordering,

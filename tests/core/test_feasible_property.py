@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.feasible import (  # noqa: E402
+from repro.analysis.feasible import (  # noqa: E402
     FeasibleOrderingError,
     feasible_partition,
     find_feasible_ordering,

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.ebb import EBB
-from repro.core.mgf import (
+from repro.analysis.mgf import (
     VirtualQueue,
     discrete_delta_tail_bound,
     lemma5_max_xi,

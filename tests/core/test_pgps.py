@@ -14,7 +14,7 @@ from repro.core.pgps import (
     pgps_session_bounds,
     shift_bound,
 )
-from repro.core.single_node import theorem10_bounds
+from repro.analysis.single_node import theorem10_bounds
 
 
 class TestPacketizationPenalty:

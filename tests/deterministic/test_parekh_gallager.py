@@ -89,7 +89,7 @@ class TestPGBounds:
             shaped.append(released)
         arrivals = np.vstack(shaped)
         result = FluidGPSServer(
-            1.0, [s.phi for s in config.sessions]
+            rate=1.0, phis=[s.phi for s in config.sessions]
         ).run(arrivals)
         for i, bound in enumerate(bounds):
             assert result.backlog[i].max() <= bound.max_backlog + 1e-6

@@ -54,7 +54,9 @@ class TestTrialSeed:
 
 class TestBasicRun:
     def test_all_trials_complete(self):
-        manifest = SupervisedRunner(_mean_trial, 8, base_seed=42).run()
+        manifest = SupervisedRunner(
+            trial_fn=_mean_trial, num_trials=8, base_seed=42
+        ).run()
         assert manifest.num_completed == 8
         assert manifest.failed == {}
         assert manifest.skipped == []
@@ -62,27 +64,39 @@ class TestBasicRun:
         assert len(manifest.results) == 8
 
     def test_results_are_reproducible(self):
-        first = SupervisedRunner(_mean_trial, 5, base_seed=9).run()
-        second = SupervisedRunner(_mean_trial, 5, base_seed=9).run()
+        first = SupervisedRunner(
+            trial_fn=_mean_trial, num_trials=5, base_seed=9
+        ).run()
+        second = SupervisedRunner(
+            trial_fn=_mean_trial, num_trials=5, base_seed=9
+        ).run()
         assert first.results == second.results
 
     def test_different_base_seeds_differ(self):
-        a = SupervisedRunner(_mean_trial, 3, base_seed=0).run()
-        b = SupervisedRunner(_mean_trial, 3, base_seed=1).run()
+        a = SupervisedRunner(
+            trial_fn=_mean_trial, num_trials=3, base_seed=0
+        ).run()
+        b = SupervisedRunner(
+            trial_fn=_mean_trial, num_trials=3, base_seed=1
+        ).run()
         assert a.results != b.results
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            SupervisedRunner(_mean_trial, 0)
+            SupervisedRunner(trial_fn=_mean_trial, num_trials=0)
         with pytest.raises(ValidationError):
-            SupervisedRunner(_mean_trial, 1, max_retries=-1)
+            SupervisedRunner(
+                trial_fn=_mean_trial, num_trials=1, max_retries=-1
+            )
         with pytest.raises(ValidationError):
-            SupervisedRunner(_mean_trial, 1, timeout=0.0)
+            SupervisedRunner(trial_fn=_mean_trial, num_trials=1, timeout=0.0)
         with pytest.raises(ValidationError):
-            SupervisedRunner(_mean_trial, 1, backoff_base=-0.1)
+            SupervisedRunner(
+                trial_fn=_mean_trial, num_trials=1, backoff_base=-0.1
+            )
 
     def test_summary_mentions_counts(self):
-        manifest = SupervisedRunner(_mean_trial, 2).run()
+        manifest = SupervisedRunner(trial_fn=_mean_trial, num_trials=2).run()
         assert "2 completed" in manifest.summary()
 
 
@@ -98,8 +112,8 @@ class TestRetries:
             return trial
 
         manifest = SupervisedRunner(
-            flaky,
-            3,
+            trial_fn=flaky,
+            num_trials=3,
             base_seed=5,
             max_retries=2,
             sleep=sleeps.append,
@@ -121,8 +135,8 @@ class TestRetries:
             raise NumericalError("nope")
 
         manifest = SupervisedRunner(
-            always_fails,
-            1,
+            trial_fn=always_fails,
+            num_trials=1,
             max_retries=3,
             backoff_base=0.1,
             backoff_cap=100.0,
@@ -139,8 +153,8 @@ class TestRetries:
             raise NumericalError("nope")
 
         SupervisedRunner(
-            always_fails,
-            1,
+            trial_fn=always_fails,
+            num_trials=1,
             max_retries=4,
             backoff_base=1.0,
             backoff_cap=2.0,
@@ -158,7 +172,7 @@ class TestRetries:
             raise KeyError("not transient")
 
         manifest = SupervisedRunner(
-            broken, 2, max_retries=5, sleep=lambda _: None
+            trial_fn=broken, num_trials=2, max_retries=5, sleep=lambda _: None
         ).run()
         assert calls == [0, 1]
         assert set(manifest.failed) == {0, 1}
@@ -171,7 +185,7 @@ class TestRetries:
             return trial
 
         manifest = SupervisedRunner(
-            mixed, 4, max_retries=1, sleep=lambda _: None
+            trial_fn=mixed, num_trials=4, max_retries=1, sleep=lambda _: None
         ).run()
         assert set(manifest.completed) == {0, 2, 3}
         assert set(manifest.failed) == {1}
@@ -183,8 +197,8 @@ class TestRetries:
             return trial
 
         runner = SupervisedRunner(
-            mixed,
-            5,
+            trial_fn=mixed,
+            num_trials=5,
             max_retries=0,
             fail_fast=True,
             sleep=lambda _: None,
@@ -203,8 +217,8 @@ class TestRetries:
             return trial
 
         manifest = SupervisedRunner(
-            slow_once,
-            1,
+            trial_fn=slow_once,
+            num_trials=1,
             timeout=0.2,
             max_retries=1,
             backoff_base=0.0,
@@ -232,7 +246,10 @@ class TestCheckpointing:
             return _mean_trial(trial, seed)
 
         runner = SupervisedRunner(
-            killable, n, base_seed=123, checkpoint_path=path
+            trial_fn=killable,
+            num_trials=n,
+            base_seed=123,
+            checkpoint_path=path,
         )
         with pytest.raises(Killed):
             runner.run()
@@ -241,10 +258,13 @@ class TestCheckpointing:
         assert partial.num_completed == k
 
         resumed = SupervisedRunner(
-            _mean_trial, n, base_seed=123, checkpoint_path=path
+            trial_fn=_mean_trial,
+            num_trials=n,
+            base_seed=123,
+            checkpoint_path=path,
         ).run()
         uninterrupted = SupervisedRunner(
-            _mean_trial, n, base_seed=123
+            trial_fn=_mean_trial, num_trials=n, base_seed=123
         ).run()
         assert resumed.num_completed == n
         assert resumed.results == uninterrupted.results
@@ -257,7 +277,10 @@ class TestCheckpointing:
     def test_checkpoint_file_is_valid_json(self, tmp_path):
         path = tmp_path / "run.json"
         SupervisedRunner(
-            _mean_trial, 3, base_seed=1, checkpoint_path=path
+            trial_fn=_mean_trial,
+            num_trials=3,
+            base_seed=1,
+            checkpoint_path=path,
         ).run()
         payload = json.loads(path.read_text())
         assert payload["version"] == 1
@@ -272,14 +295,14 @@ class TestCheckpointing:
             raise NumericalError("bad")
 
         SupervisedRunner(
-            fails,
-            2,
+            trial_fn=fails,
+            num_trials=2,
             max_retries=0,
             checkpoint_path=path,
             sleep=lambda _: None,
         ).run()
         manifest = SupervisedRunner(
-            _mean_trial, 2, checkpoint_path=path
+            trial_fn=_mean_trial, num_trials=2, checkpoint_path=path
         ).run()
         assert manifest.num_completed == 2
         assert manifest.failed == {}
@@ -287,21 +310,27 @@ class TestCheckpointing:
     def test_base_seed_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         SupervisedRunner(
-            _mean_trial, 2, base_seed=1, checkpoint_path=path
+            trial_fn=_mean_trial,
+            num_trials=2,
+            base_seed=1,
+            checkpoint_path=path,
         ).run()
         with pytest.raises(CheckpointError, match="base_seed"):
             SupervisedRunner(
-                _mean_trial, 2, base_seed=2, checkpoint_path=path
+                trial_fn=_mean_trial,
+                num_trials=2,
+                base_seed=2,
+                checkpoint_path=path,
             ).run()
 
     def test_num_trials_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         SupervisedRunner(
-            _mean_trial, 2, checkpoint_path=path
+            trial_fn=_mean_trial, num_trials=2, checkpoint_path=path
         ).run()
         with pytest.raises(CheckpointError, match="trials"):
             SupervisedRunner(
-                _mean_trial, 5, checkpoint_path=path
+                trial_fn=_mean_trial, num_trials=5, checkpoint_path=path
             ).run()
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
@@ -309,7 +338,7 @@ class TestCheckpointing:
         path.write_text("{not json")
         with pytest.raises(CheckpointError, match="cannot read"):
             SupervisedRunner(
-                _mean_trial, 2, checkpoint_path=path
+                trial_fn=_mean_trial, num_trials=2, checkpoint_path=path
             ).load_checkpoint()
 
     def test_wrong_version_rejected(self, tmp_path):
@@ -326,7 +355,7 @@ class TestCheckpointing:
         )
         with pytest.raises(CheckpointError, match="version"):
             SupervisedRunner(
-                _mean_trial, 2, checkpoint_path=path
+                trial_fn=_mean_trial, num_trials=2, checkpoint_path=path
             ).load_checkpoint()
 
     def test_missing_field_rejected(self, tmp_path):
@@ -334,7 +363,7 @@ class TestCheckpointing:
         path.write_text(json.dumps({"version": 1}))
         with pytest.raises(CheckpointError, match="missing"):
             SupervisedRunner(
-                _mean_trial, 2, checkpoint_path=path
+                trial_fn=_mean_trial, num_trials=2, checkpoint_path=path
             ).load_checkpoint()
 
     def test_numpy_results_serialized(self, tmp_path):
@@ -348,7 +377,7 @@ class TestCheckpointing:
             }
 
         manifest = SupervisedRunner(
-            numpy_trial, 1, checkpoint_path=path
+            trial_fn=numpy_trial, num_trials=1, checkpoint_path=path
         ).run()
         payload = json.loads(path.read_text())
         assert payload["completed"]["0"] == {

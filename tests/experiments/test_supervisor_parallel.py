@@ -1,8 +1,6 @@
 """Process fan-out and the keyword/scenario construction of
 SupervisedRunner."""
 
-import warnings
-
 import pytest
 
 from repro.errors import SimulationFaultError, ValidationError
@@ -29,15 +27,7 @@ def _flaky_first_attempt(trial, seed):
 
 
 class TestConstructionShim:
-    def test_positional_form_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            runner = SupervisedRunner(_square_trial, 2)
-        assert runner.run().num_completed == 2
-
-    def test_keyword_form_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SupervisedRunner(trial_fn=_square_trial, num_trials=2)
+    """Keyword-only construction and its argument validation."""
 
     def test_requires_trial_fn_and_num_trials(self):
         with pytest.raises(ValidationError):
@@ -56,11 +46,6 @@ class TestConstructionShim:
                 scenario=FakeScenario(),
                 num_trials=1,
             )
-
-    def test_rejects_too_many_positional(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                SupervisedRunner(_square_trial, 2, 0)
 
     def test_rejects_bad_max_workers(self):
         with pytest.raises(ValidationError):

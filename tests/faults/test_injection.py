@@ -47,7 +47,7 @@ def _example_arrivals(num_slots, seed=0):
 
 class TestFluidServerInjection:
     def test_outage_accrues_backlog_instead_of_raising(self):
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.full((2, 10), 0.4)
         capacities = np.array([1.0] * 3 + [0.0] * 4 + [1.0] * 3)
         result = server.run(arrivals, capacities=capacities)
@@ -58,24 +58,24 @@ class TestFluidServerInjection:
         )
 
     def test_degraded_window_halves_throughput(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         arrivals = np.full((1, 100), 1.0)
         capacities = np.full(100, 0.5)
         result = server.run(arrivals, capacities=capacities)
         assert result.served.sum() == pytest.approx(50.0)
 
     def test_capacity_must_be_nonnegative(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         with pytest.raises(ValidationError):
             server.step([0.1], capacity=-1.0)
 
     def test_capacities_shape_checked(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         with pytest.raises(ValidationError):
             server.run(np.ones((1, 5)), capacities=np.ones(4))
 
     def test_faulted_gps_run_applies_rate_and_burst(self):
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.full((2, 20), 0.3)
         schedule = FaultSchedule(
             [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.gps import GPSConfig, Session
-from repro.core.single_node import theorem10_bounds, theorem11_family
+from repro.analysis.single_node import theorem10_bounds, theorem11_family
 from repro.markov.lnt94 import ebb_characterization, queue_tail_bound
 from repro.markov.onoff import OnOffSource
 from repro.sim.fluid import FluidGPSServer
@@ -44,7 +44,7 @@ def rpps_node_simulation():
             for m in models
         ]
     )
-    result = FluidGPSServer(1.0, list(config.phis)).run(arrivals)
+    result = FluidGPSServer(rate=1.0, phis=list(config.phis)).run(arrivals)
     return models, config, result
 
 

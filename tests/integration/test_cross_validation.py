@@ -48,7 +48,7 @@ class TestSlottedVsExactEngines:
                 for _ in range(num_sessions)
             ]
         )
-        slotted = FluidGPSServer(1.0, phis).run(arrivals)
+        slotted = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
         segments = [
             RateSegment(
                 float(t), tuple(arrivals[:, t].tolist())
@@ -118,7 +118,7 @@ class TestConservationProperties:
                 for _ in range(num_sessions)
             ]
         )
-        result = FluidGPSServer(1.0, phis).run(arrivals)
+        result = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
         # conservation
         total = result.served.sum() + result.backlog[:, -1].sum()
         assert total == pytest.approx(arrivals.sum(), abs=1e-6)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.gps import rpps_config
 from repro.core.pgps import PacketizationPenalty, pgps_session_bounds
-from repro.core.single_node import theorem10_bounds
+from repro.analysis.single_node import theorem10_bounds
 from repro.markov.lnt94 import ebb_characterization
 from repro.markov.onoff import OnOffSource
 from repro.sim.packet import WFQServer

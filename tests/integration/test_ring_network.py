@@ -28,7 +28,7 @@ RHO = 0.3
 def ring_scenario():
     ebb = ebb_characterization(MODEL.as_mms(), RHO)
     network = ring_network(
-        NUM_NODES, ebb, hops_per_session=HOPS
+        num_nodes=NUM_NODES, arrival=ebb, hops_per_session=HOPS
     )
     reports = rpps_network_report(network, discrete=True)
     rng = np.random.default_rng(41)

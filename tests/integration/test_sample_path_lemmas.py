@@ -46,7 +46,7 @@ def build_scenario(seed: int, num_slots: int = 4000):
     arrivals = np.vstack(
         [src.generate(num_slots, rng) for src in sources]
     )
-    result = FluidGPSServer(1.0, phis).run(arrivals)
+    result = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
     deltas = np.vstack(
         [
             virtual_backlogs(arrivals[i], decomposition.rates[i])

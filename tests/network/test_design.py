@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.admission import QoSTarget, meets_target
+from repro.analysis.admission import QoSTarget, meets_target
 from repro.core.ebb import EBB
 from repro.network.design import (
     rpps_weights,

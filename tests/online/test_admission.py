@@ -2,7 +2,7 @@
 
 The load-bearing property: on any state, the controller's
 accept/reject gate must agree with the offline procedure
-:func:`repro.core.admission.admissible` evaluated on the same
+:func:`repro.analysis.admission.admissible` evaluated on the same
 candidate population — asserted below over randomized request
 sequences that exercise both outcomes.
 """
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.admission import QoSTarget, admissible
+from repro.analysis.admission import QoSTarget, admissible
 from repro.core.ebb import EBB
 from repro.errors import AdmissionError, ValidationError
 from repro.online.admission import AdmissionController, AdmissionDecision

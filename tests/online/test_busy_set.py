@@ -510,66 +510,3 @@ class TestOpenFactoryValidation:
             ShardedOnlineCluster.open(
                 tmp_path, mode="recover", snapshot_every=5
             )
-
-
-class TestDeprecatedFactoryShims:
-    def test_durable_shims_warn_and_delegate(self, tmp_path):
-        from repro.online import (
-            create_durable_service,
-            open_durable_service,
-            recover_durable_service,
-        )
-
-        join = json.dumps(
-            {"kind": "join", "name": "a", "time": 0.0, "phi": 1.0}
-        )
-        with pytest.warns(
-            DeprecationWarning, match="DurableOnlineService.open"
-        ):
-            service = create_durable_service(tmp_path, rate=1.0)
-        service.ingest([join])
-        service.shutdown()
-        with pytest.warns(
-            DeprecationWarning, match="DurableOnlineService.open"
-        ):
-            service, report = recover_durable_service(tmp_path)
-        assert report.applied_seq == 1
-        service.shutdown()
-        with pytest.warns(
-            DeprecationWarning, match="DurableOnlineService.open"
-        ):
-            service, report = open_durable_service(tmp_path)
-        assert not report.fresh
-        service.shutdown()
-
-    def test_cluster_shims_warn_and_delegate(self, tmp_path):
-        from repro.online import (
-            create_cluster,
-            open_cluster,
-            recover_cluster,
-        )
-
-        joins = [
-            json.dumps(
-                {"kind": "join", "name": name, "time": 0.0, "phi": 1.0}
-            )
-            for name in NAMES
-        ]
-        with pytest.warns(
-            DeprecationWarning, match="ShardedOnlineCluster.open"
-        ):
-            cluster = create_cluster(tmp_path, num_shards=2, rate=1.0)
-        cluster.ingest(joins)
-        cluster.shutdown()
-        with pytest.warns(
-            DeprecationWarning, match="ShardedOnlineCluster.open"
-        ):
-            cluster, reports = recover_cluster(tmp_path)
-        assert len(reports) == 2
-        cluster.shutdown()
-        with pytest.warns(
-            DeprecationWarning, match="ShardedOnlineCluster.open"
-        ):
-            cluster, reports = open_cluster(tmp_path)
-        assert not any(r.fresh for r in reports)
-        cluster.shutdown()

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import (
     RecoveryError,

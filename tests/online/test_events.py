@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import ValidationError
 from repro.online.events import (

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.faults import (
     CRASH_POINTS,

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.admission import QoSTarget
+from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import ReproError
 from repro.online.engine import StreamingGPSServer

@@ -45,7 +45,7 @@ class TestFCFS:
         arrivals = np.vstack([flood_then_idle, conforming])
 
         fcfs = FCFSServer(1.0, 2).run(arrivals)
-        gps = FluidGPSServer(1.0, [1.0, 1.0]).run(arrivals)
+        gps = FluidGPSServer(rate=1.0, phis=[1.0, 1.0]).run(arrivals)
         # Under FCFS the conforming session queues behind the flood.
         assert fcfs.backlog[1].max() > gps.backlog[1].max() + 1.0
 
@@ -79,7 +79,7 @@ class TestWeightedRoundRobin:
         wrr = WeightedRoundRobinServer(
             1.0, [1.0, 3.0], quantum=0.001
         ).run(arrivals)
-        gps = FluidGPSServer(1.0, [1.0, 3.0]).run(arrivals)
+        gps = FluidGPSServer(rate=1.0, phis=[1.0, 3.0]).run(arrivals)
         np.testing.assert_allclose(
             wrr.served, gps.served, atol=5e-3
         )

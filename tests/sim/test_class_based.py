@@ -28,7 +28,7 @@ class TestSingletonClassesEqualGPS:
         class_based = ClassBasedGPSServer(
             1.0, [[0], [1], [2]], phis
         ).run(arrivals)
-        plain = FluidGPSServer(1.0, phis).run(arrivals)
+        plain = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
         np.testing.assert_allclose(
             class_based.served, plain.served, atol=1e-9
         )
@@ -90,7 +90,7 @@ class TestIsolationAndSharing:
                 arrivals[2:].sum(axis=0),
             ]
         )
-        plain = FluidGPSServer(1.0, [1.0, 1.5]).run(class_flows)
+        plain = FluidGPSServer(rate=1.0, phis=[1.0, 1.5]).run(class_flows)
         class_backlog = np.vstack(
             [
                 result.backlog[:2].sum(axis=0),

@@ -54,7 +54,7 @@ class TestEstimateDecayRate:
         """End-to-end consistency: the analytic decay is a valid lower
         bound on the empirical decay of a GPS session backlog."""
         from repro.core.gps import rpps_config
-        from repro.core.single_node import theorem10_bounds
+        from repro.analysis.single_node import theorem10_bounds
         from repro.markov.lnt94 import ebb_characterization
         from repro.markov.onoff import OnOffSource
         from repro.sim.fluid import FluidGPSServer
@@ -79,7 +79,7 @@ class TestEstimateDecayRate:
                 for m in models
             ]
         )
-        result = FluidGPSServer(1.0, list(config.phis)).run(arrivals)
+        result = FluidGPSServer(rate=1.0, phis=list(config.phis)).run(arrivals)
         for i in range(2):
             samples = result.backlog[i][1000:]
             if (samples > 0).mean() < 0.05:

@@ -87,29 +87,29 @@ class TestGpsSlotAllocation:
 
 class TestFluidGPSServer:
     def test_step_updates_backlog(self):
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         served = server.step([2.0, 0.0])
         np.testing.assert_allclose(served, [1.0, 0.0])
         np.testing.assert_allclose(server.backlog, [1.0, 0.0])
 
     def test_reset(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         server.step([5.0])
         server.reset()
         np.testing.assert_allclose(server.backlog, [0.0])
 
     def test_rejects_negative_arrivals(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         with pytest.raises(ValueError):
             server.step([-1.0])
 
     def test_rejects_wrong_shape(self):
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         with pytest.raises(ValueError):
             server.step([1.0])
 
     def test_run_traces(self):
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         result = server.run(arrivals)
         np.testing.assert_allclose(result.served[0], [1.0, 1.0, 0.0])
@@ -119,7 +119,7 @@ class TestFluidGPSServer:
     def test_guaranteed_rate_when_backlogged(self):
         """A continuously backlogged session receives at least
         g_i = phi_i / sum(phi) per slot (eq. 1)."""
-        server = FluidGPSServer(1.0, [1.0, 3.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 3.0])
         rng = np.random.default_rng(0)
         arrivals = np.vstack(
             [
@@ -133,7 +133,7 @@ class TestFluidGPSServer:
     def test_isolation_against_misbehaving_session(self):
         """GPS isolation: a flooding session cannot deny a conforming
         session its guaranteed share."""
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.vstack(
             [
                 np.full(100, 0.4),  # conforming: below g = 0.5
@@ -146,7 +146,7 @@ class TestFluidGPSServer:
         np.testing.assert_allclose(result.served[0][5:], 0.4, atol=1e-9)
 
     def test_work_conservation_over_run(self):
-        server = FluidGPSServer(1.0, [2.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
         rng = np.random.default_rng(1)
         arrivals = rng.uniform(0.0, 1.5, size=(2, 300))
         result = server.run(arrivals)
@@ -156,7 +156,7 @@ class TestFluidGPSServer:
         assert total_out == pytest.approx(total_in, abs=1e-6)
 
     def test_busy_fraction(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         arrivals = np.array([[2.0, 0.0, 0.0, 0.0]])
         result = server.run(arrivals)
         assert result.busy_fraction(0) == pytest.approx(0.25)
@@ -183,7 +183,7 @@ class TestClearingDelays:
         assert np.isnan(delays).all()
 
     def test_session_delays_in_run(self):
-        server = FluidGPSServer(1.0, [1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0])
         arrivals = np.array([[3.0, 0.0, 0.0, 0.0]])
         result = server.run(arrivals)
         delays = result.session_delays(0)

@@ -128,7 +128,7 @@ class TestSimulateExactGps:
         num_slots = 40
         arrivals = rng.uniform(0.0, 1.2, size=(2, num_slots))
         phis = [1.0, 2.0]
-        slotted = FluidGPSServer(1.0, phis).run(arrivals)
+        slotted = FluidGPSServer(rate=1.0, phis=phis).run(arrivals)
         segments = [
             RateSegment(float(t), (arrivals[0, t], arrivals[1, t]))
             for t in range(num_slots)

@@ -35,7 +35,7 @@ class TestFeedforward:
         }
         sim = FluidNetworkSimulator(network)
         result = sim.run(arrivals)
-        direct = FluidGPSServer(1.0, [1.0, 2.0]).run(
+        direct = FluidGPSServer(rate=1.0, phis=[1.0, 2.0]).run(
             np.vstack([arrivals["a"], arrivals["b"]])
         )
         np.testing.assert_allclose(

@@ -1,8 +1,7 @@
 """Every simulator result implements the unified SimResult protocol,
-and the FluidGPSServer keyword/scenario shim behaves."""
+and FluidGPSServer validates its keyword/scenario construction."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -173,27 +172,13 @@ class TestToJsonable:
 
 
 class TestFluidServerShim:
-    def test_positional_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            server = FluidGPSServer(1.0, [1.0, 2.0])
-        assert server.rate == 1.0
-        assert server.num_sessions == 2
-
-    def test_keyword_form_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            FluidGPSServer(rate=1.0, phis=[1.0, 2.0])
+    """Keyword-only construction and its argument validation."""
 
     def test_requires_rate_and_phis(self):
         with pytest.raises(ValidationError):
             FluidGPSServer(rate=1.0)
         with pytest.raises(ValidationError):
             FluidGPSServer(phis=[1.0])
-
-    def test_positional_and_keyword_mix_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                FluidGPSServer(1.0, [1.0], rate=2.0)
 
     def test_validation_hoisted_to_construction(self):
         with pytest.raises(ValidationError):

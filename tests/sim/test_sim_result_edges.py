@@ -9,7 +9,7 @@ from repro.sim.fluid import FluidGPSServer, GPSSimResult
 
 class TestGPSSimResultEdges:
     def make_result(self) -> GPSSimResult:
-        server = FluidGPSServer(1.0, [1.0, 1.0])
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         arrivals = np.array(
             [[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
         )

@@ -141,14 +141,16 @@ INVALID_CALLS = [
     ("node empty name", lambda: NetworkNode("", 1.0)),
     ("node bad rate", lambda: NetworkNode("n", 0.0)),
     # sim ----------------------------------------------------------------
-    ("fluid server bad rate", lambda: FluidGPSServer(0.0, [1.0])),
+    ("fluid server bad rate", lambda: FluidGPSServer(rate=0.0, phis=[1.0])),
     (
         "fluid step bad capacity",
-        lambda: FluidGPSServer(1.0, [1.0]).step([0.1], capacity=-1.0),
+        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).step(
+            [0.1], capacity=-1.0
+        ),
     ),
     (
         "fluid run capacity shape",
-        lambda: FluidGPSServer(1.0, [1.0]).run(
+        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).run(
             np.ones((1, 4)), capacities=np.ones(3)
         ),
     ),
@@ -157,7 +159,10 @@ INVALID_CALLS = [
     ("link fault no effect", lambda: LinkFault("n", 0, 5)),
     ("schedule foreign object", lambda: FaultSchedule([42])),
     # experiments --------------------------------------------------------
-    ("runner zero trials", lambda: SupervisedRunner(lambda t, s: t, 0)),
+    (
+        "runner zero trials",
+        lambda: SupervisedRunner(trial_fn=lambda t, s: t, num_trials=0),
+    ),
     ("negative trial index", lambda: trial_seed(0, -1)),
     # online -------------------------------------------------------------
     ("online engine bad rate", lambda: StreamingGPSServer(rate=0.0)),
@@ -205,7 +210,7 @@ class TestSpecificTypes:
         path = tmp_path / "c.json"
         path.write_text("not json at all {")
         runner = SupervisedRunner(
-            lambda t, s: t, 1, checkpoint_path=path
+            trial_fn=lambda t, s: t, num_trials=1, checkpoint_path=path
         )
         with pytest.raises(CheckpointError):
             runner.load_checkpoint()

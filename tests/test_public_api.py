@@ -22,6 +22,8 @@ PACKAGES = [
     "repro.experiments",
     "repro.faults",
     "repro.online",
+    "repro.online.cluster",
+    "repro.online.durability",
     "repro.packet",
     "repro.utils",
 ]
@@ -36,20 +38,17 @@ MODULES = [
     "repro.analysis.incremental",
     "repro.analysis.mgf",
     "repro.analysis.single_node",
-    "repro.core.admission",
     "repro.core.bounds",
     "repro.core.decomposition",
     "repro.core.ebb",
-    "repro.core.feasible",
     "repro.core.gps",
     "repro.core.holder",
-    "repro.core.mgf",
     "repro.core.pgps",
     "repro.core.rpps",
-    "repro.core.single_node",
     "repro.deterministic.all_greedy",
     "repro.deterministic.network",
     "repro.deterministic.parekh_gallager",
+    "repro.experiments.dispatch",
     "repro.experiments.paper_example",
     "repro.experiments.runner",
     "repro.experiments.sensitivity",
@@ -74,8 +73,20 @@ MODULES = [
     "repro.network.rpps_network",
     "repro.network.topology",
     "repro.online.admission",
+    "repro.online.cluster.cluster",
+    "repro.online.cluster.process",
+    "repro.online.cluster.routing",
+    "repro.online.cluster.shard",
+    "repro.online.cluster.supervisor",
+    "repro.online.cluster.worker",
+    "repro.online.durability.scrub",
+    "repro.online.durability.service",
+    "repro.online.durability.snapshot",
+    "repro.online.durability.wal",
+    "repro.online.durability.writers",
     "repro.online.engine",
     "repro.online.events",
+    "repro.online.records",
     "repro.online.service",
     "repro.online.session",
     "repro.packet.engine",
