@@ -58,6 +58,7 @@ from repro.online.durability.wal import _fsync_dir
 from repro.online.engine import OnlineResult
 from repro.online.factory import check_open_mode, check_recover_overrides
 from repro.online.records import RecordSink, TaggedSink, as_record_sink
+from repro.online.service import decode_line
 from repro.utils.retry import RetryPolicy
 
 __all__ = ["ClusterResult", "ShardedOnlineCluster"]
@@ -313,19 +314,21 @@ class ShardedOnlineCluster:
     def ingest(self, lines: Iterable[str]) -> None:
         """Route a line stream across the fleet without draining.
 
-        Global sequence numbering continues across calls.  A shard
-        crash inside a delivery marks that shard down and schedules
-        its restart; subsequent lines for it buffer (or shed) until
-        the supervisor readmits it.
+        Each line is decoded once: the router and every target shard
+        share the decoded value.  Global sequence numbering continues
+        across calls.  A shard crash inside a delivery marks that shard
+        down and schedules its restart; subsequent lines for it buffer
+        (or shed) until the supervisor readmits it.
         """
         for line in lines:
             self._global_seq += 1
             tick = self._global_seq
             self._supervisor.poll(tick)
-            for index in self._router.route(line):
+            payload = decode_line(line)
+            for index in self._router.route(line, payload):
                 handle = self._handles[index]
                 if handle.state == RUNNING:
-                    self._supervisor.deliver(handle, tick, line)
+                    self._supervisor.deliver(handle, tick, line, payload)
                 elif handle.state == DOWN:
                     if not handle.enqueue(tick, line):
                         self._emit(

@@ -8,33 +8,45 @@ shard that crashes and recovers can be compared ``np.array_equal``
 against a fresh uninterrupted run over :func:`ShardRouter.partition`
 of the same lines.
 
+The cluster decodes each line once, with
+:func:`repro.online.service.decode_line`, routes on the decoded value
+(:meth:`ShardRouter.route` with ``payload=``) and hands the same value
+to the shard, which does not parse the line again.  Called with the
+raw line alone, :meth:`ShardRouter.route` decodes it the same way, so
+:meth:`ShardRouter.partition` and the cluster agree on every line.
+
 Rules, in order:
 
 * an *empty* line (heartbeat tick) broadcasts to every shard — ticks
   advance each service's line clock exactly as they would a single
   server's;
-* a ``capacity`` event broadcasts — each shard is an independent GPS
-  server and a fleet-wide capacity change applies to each of them;
-* any record carrying a session key (``session`` for arrivals,
+* a ``capacity`` event broadcasts, whether or not it carries a
+  session key — each shard is an independent GPS server and a
+  fleet-wide capacity change applies to each of them;
+* any other record carrying a session key (``session`` for arrivals,
   ``name`` for join/renegotiate/leave) routes to
   ``crc32(key) % num_shards`` — CRC32 is stable across platforms and
   Python versions, so a cluster restarted elsewhere routes
   identically;
 * anything else — unparsable JSON, a record with no session key —
-  routes to ``crc32(raw line) % num_shards``: exactly one shard emits
-  the ``error`` record and charges its error budget, mirroring the
-  single-server behavior.
+  routes to ``crc32(stripped line) % num_shards``: exactly one shard
+  emits the ``error`` record and charges its error budget, mirroring
+  the single-server behavior.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.errors import ValidationError
+from repro.online.service import BLANK, decode_line
 
 __all__ = ["shard_for", "ShardRouter"]
+
+#: ``route``'s default payload: decode the line itself.  Not ``None``,
+#: which is what the line ``null`` decodes to.
+_UNDECODED: Any = object()
 
 
 def shard_for(key: str, num_shards: int) -> int:
@@ -68,42 +80,28 @@ class ShardRouter:
         """Number of shards lines are routed across."""
         return self._num_shards
 
-    def session_key(self, line: str) -> str | None:
-        """The session key a line routes by, or ``None`` for broadcast
-        / keyless lines.
+    def route(
+        self, line: str, payload: Any = _UNDECODED
+    ) -> tuple[int, ...]:
+        """Target shard indices for one raw line (1 shard, or all).
 
-        Raises nothing: a malformed line simply has no key.
+        ``payload`` is the line's :func:`~repro.online.service.decode_line`
+        value when the caller already decoded it; left out, ``line``
+        is decoded here.  Either way the result depends on the line and
+        the shard count alone.
         """
-        stripped = line.strip()
-        if not stripped:
-            return None
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        key = record.get("session", record.get("name"))
-        if isinstance(key, str):
-            return key
-        return None
-
-    def route(self, line: str) -> tuple[int, ...]:
-        """Target shard indices for one raw line (1 shard, or all)."""
-        stripped = line.strip()
-        if not stripped:
+        if payload is _UNDECODED:
+            payload = decode_line(line)
+        if payload is BLANK:
             return self._all
-        key = self.session_key(line)
-        if key is not None:
-            return (shard_for(key, self._num_shards),)
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError:
-            record = None
-        if isinstance(record, dict) and record.get("kind") == "capacity":
-            return self._all
+        if isinstance(payload, dict):
+            if payload.get("kind") == "capacity":
+                return self._all
+            key = payload.get("session", payload.get("name"))
+            if isinstance(key, str):
+                return (shard_for(key, self._num_shards),)
         # Keyless / malformed: exactly one shard owns the error record.
-        return (shard_for(stripped, self._num_shards),)
+        return (shard_for(line.strip(), self._num_shards),)
 
     def partition(
         self, lines: Iterable[str]

@@ -59,6 +59,7 @@ from repro.online.cluster.shard import (
 )
 from repro.online.durability.scrub import scrub_directory
 from repro.online.durability.service import DurableOnlineService
+from repro.online.service import decode_line
 from repro.utils.retry import RetryPolicy
 
 __all__ = ["ShardSupervisor"]
@@ -101,7 +102,7 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------------
     def deliver(
-        self, handle: ShardHandle, tick: int, line: str
+        self, handle: ShardHandle, tick: int, line: str, payload: Any
     ) -> bool:
         """Synchronously deliver one line to a running shard.
 
@@ -109,7 +110,9 @@ class ShardSupervisor:
         the WAL and applied), ``False`` when the shard crashed — the
         line is then in-flight and reconciliation on restart decides
         its fate.  ``tick`` is the current ingest tick, used to
-        schedule the restart.
+        schedule the restart.  ``payload`` is the line's
+        :func:`~repro.online.service.decode_line` value, handed to the
+        shard so it does not parse the line again.
         """
         if handle.state != RUNNING or handle.service is None:
             raise ClusterError(
@@ -119,7 +122,7 @@ class ShardSupervisor:
             )
         handle.inflight = (tick, line)
         try:
-            handle.service.ingest([line])
+            handle.service.ingest((line,), (payload,))
         except (SimulatedCrash, ReproError) as exc:
             self.on_crash(handle, tick, reason=exc)
             return False
@@ -297,6 +300,6 @@ class ShardSupervisor:
         """Drain the degraded-mode buffer through normal delivery."""
         while handle.buffer:
             seq, line = handle.buffer.popleft()
-            if not self.deliver(handle, tick, line):
+            if not self.deliver(handle, tick, line, decode_line(line)):
                 return False
         return True

@@ -47,7 +47,7 @@ from repro.online.durability.writers import parse_fsync_policy
 from repro.online.engine import StreamingGPSServer
 from repro.online.factory import check_open_mode, check_recover_overrides
 from repro.online.records import RecordSink
-from repro.online.service import OnlineService
+from repro.online.service import OnlineService, decode_line
 
 __all__ = ["DurableOnlineService", "RecoveryReport"]
 
@@ -345,7 +345,7 @@ class DurableOnlineService(OnlineService):
     # ------------------------------------------------------------------
     # the durable ingest cycle
     # ------------------------------------------------------------------
-    def _handle_line(self, lineno: int, line: str) -> None:
+    def _handle_line(self, lineno: int, line: str, payload: Any) -> None:
         if self._crash is not None:
             self._crash.fire("pre-append", lineno)
         try:
@@ -387,7 +387,7 @@ class DurableOnlineService(OnlineService):
             )
         if self._crash is not None:
             self._crash.fire("post-append", lineno)
-        super()._handle_line(lineno, line)
+        super()._handle_line(lineno, line, payload)
         self._applied_seq = lineno
         if (
             self._snapshot_every is not None
@@ -451,7 +451,9 @@ class DurableOnlineService(OnlineService):
                         f"{self._applied_seq + 1}..{entry.seq - 1} are "
                         "missing; the log lost acknowledged events"
                     )
-                OnlineService._handle_line(self, entry.seq, entry.line)
+                OnlineService._handle_line(
+                    self, entry.seq, entry.line, decode_line(entry.line)
+                )
                 self._applied_seq = entry.seq
                 self._lineno = entry.seq
                 replayed += 1

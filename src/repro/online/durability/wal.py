@@ -85,6 +85,7 @@ import os
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_string
 from pathlib import Path
 from typing import IO, Any, Iterator
 
@@ -140,12 +141,18 @@ def _segment_first_seq(path: Path) -> int | None:
 
 
 def _frame(seq: int, line: str) -> bytes:
-    payload = json.dumps(
-        {"seq": seq, "line": line}, separators=(",", ":")
+    """``<crc32 hex> {"seq":N,"line":"..."}\\n`` for one ingest line.
+
+    The payload is exactly ``json.dumps({"seq": seq, "line": line},
+    separators=(",", ":"))`` — ASCII-escaped, surrogates included — but
+    formatted directly: non-default ``json.dumps`` arguments build a
+    fresh encoder on every call.
+    """
+    data = b'{"seq":%d,"line":%s}' % (
+        seq,
+        _encode_string(line).encode("ascii"),
     )
-    data = payload.encode("utf-8")
-    crc = zlib.crc32(data) & 0xFFFFFFFF
-    return f"{crc:08x} ".encode("ascii") + data + b"\n"
+    return b"%08x %s\n" % (zlib.crc32(data), data)
 
 
 def _parse_frame(raw: bytes) -> WalEntry | None:

@@ -74,8 +74,8 @@ class JsonlSink:
 
     The terminal sink of the stack: one ``json.dumps`` per record (via
     :func:`repro.sim.results.to_jsonable`, so numpy scalars/arrays
-    serialize), one ``"\\n"``, byte-for-byte the format the service
-    loop historically wrote.
+    serialize) and one ``write`` of that text plus ``"\\n"`` —
+    byte-for-byte the format the service loop historically wrote.
     """
 
     def __init__(self, stream: IO[str]) -> None:
@@ -92,9 +92,8 @@ class JsonlSink:
         return self._stream
 
     def emit(self, record: dict[str, Any]) -> None:
-        """Write the record as one JSONL line."""
-        self._stream.write(json.dumps(to_jsonable(record)))
-        self._stream.write("\n")
+        """Write the record as one JSONL line, in one ``write`` call."""
+        self._stream.write(json.dumps(to_jsonable(record)) + "\n")
 
     def flush(self) -> None:
         """Flush the underlying stream."""

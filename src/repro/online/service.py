@@ -38,14 +38,38 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any, Iterable
+from json import JSONDecodeError
+from typing import IO, Any, Iterable, Sequence
 
 from repro.errors import OverloadError, ReproError, ValidationError
 from repro.online.engine import OnlineResult, StreamingGPSServer
 from repro.online.events import ArrivalEvent, event_from_record
 from repro.online.records import RecordSink, as_record_sink
 
-__all__ = ["OnlineService"]
+__all__ = ["BLANK", "OnlineService", "decode_line"]
+
+#: What :func:`decode_line` returns for an empty or whitespace-only line
+#: (a heartbeat tick).
+BLANK: Any = object()
+
+
+def decode_line(line: str) -> Any:
+    """Decode one raw JSONL line; never raises on malformed input.
+
+    Returns the JSON value of the stripped line, :data:`BLANK` for an
+    empty or whitespace-only line, or the
+    :class:`json.JSONDecodeError` instance ``json.loads`` raised.  This
+    is the single decode of the serving path: the cluster routes on the
+    value it returns and hands the same value to the shard's
+    :meth:`OnlineService.ingest`, so each line is parsed once.
+    """
+    stripped = line.strip()
+    if not stripped:
+        return BLANK
+    try:
+        return json.loads(stripped)
+    except JSONDecodeError as exc:
+        return exc
 
 
 class OnlineService:
@@ -251,28 +275,28 @@ class OnlineService:
         """
         return event_from_record(payload)
 
-    def _handle_line(self, lineno: int, line: str) -> None:
-        stripped = line.strip()
-        if not stripped:
+    def _handle_line(self, lineno: int, line: str, payload: Any) -> None:
+        """Apply one line whose :func:`decode_line` value is ``payload``."""
+        if payload is BLANK:
             self._heartbeat(lineno)
             return
-        try:
-            event = self._parse_event(json.loads(stripped))
-            if self._maybe_shed(lineno, event):
-                self._heartbeat(lineno)
-                return
-            record = self._engine.process(event)
-        except json.JSONDecodeError as exc:
+        if isinstance(payload, JSONDecodeError):
             if self._strict:
                 raise ReproError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
+                    f"line {lineno} is not valid JSON: {payload}"
+                ) from payload
             self._emit(
-                {"kind": "error", "line": lineno, "error": str(exc)}
+                {"kind": "error", "line": lineno, "error": str(payload)}
             )
             self._count_error()
             self._heartbeat(lineno)
             return
+        try:
+            event = self._parse_event(payload)
+            if self._maybe_shed(lineno, event):
+                self._heartbeat(lineno)
+                return
+            record = self._engine.process(event)
         except ReproError as exc:
             if self._strict:
                 raise
@@ -291,16 +315,25 @@ class OnlineService:
         self._emit(record)
         self._heartbeat(lineno)
 
-    def ingest(self, lines: Iterable[str]) -> None:
+    def ingest(
+        self, lines: Iterable[str], decoded: Sequence[Any] | None = None
+    ) -> None:
         """Feed a line stream to the engine without draining.
 
         Line numbering continues from where the previous ingest left
         off, so a service resumed after recovery keeps globally
-        consistent sequence numbers.
+        consistent sequence numbers.  ``decoded``, when given, holds
+        the :func:`decode_line` value of each line (the cluster decodes
+        a line once to route it and passes the value on); otherwise
+        each line is decoded here.
         """
-        for line in lines:
+        for index, line in enumerate(lines):
             self._lineno += 1
-            self._handle_line(self._lineno, line)
+            self._handle_line(
+                self._lineno,
+                line,
+                decode_line(line) if decoded is None else decoded[index],
+            )
 
     def serve(self, lines: Iterable[str]) -> OnlineResult:
         """Ingest a line stream until it ends (or Ctrl-C), then drain.

@@ -48,19 +48,21 @@ def to_jsonable(value: Any) -> Any:
     Dicts and sequences are converted recursively; non-string dict keys
     are stringified (tuple keys become ``"a/b"``) so the result always
     survives ``json.dumps``.  Plain JSON leaves are returned without a
-    recursive call.
+    recursive call, and plain ``str`` keys without a ``_key`` call.
     """
     if type(value) in _JSON_LEAVES:
         return value
+    if isinstance(value, dict):
+        return {
+            k if type(k) is str else _key(k): (
+                v if type(v) in _JSON_LEAVES else to_jsonable(v)
+            )
+            for k, v in value.items()
+        }
     if isinstance(value, np.ndarray):
         return [to_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
-    if isinstance(value, dict):
-        return {
-            _key(k): v if type(v) in _JSON_LEAVES else to_jsonable(v)
-            for k, v in value.items()
-        }
     if isinstance(value, (list, tuple)):
         return [
             v if type(v) in _JSON_LEAVES else to_jsonable(v) for v in value

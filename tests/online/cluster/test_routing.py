@@ -1,5 +1,6 @@
 """Routing is a pure, stable function — the failover proof rests on it."""
 
+import io
 import json
 import zlib
 
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
+from repro.online import JsonlSink, ShardedOnlineCluster
 from repro.online.cluster import ShardRouter, shard_for
+from repro.online.service import decode_line
 
 
 def _arrival(session, t=1.0):
@@ -139,3 +142,83 @@ class TestPartition:
             for t in targets:
                 per_shard[t] += 1
         assert [len(p) for p in parts] == per_shard
+
+
+class TestCapacityWithKey:
+    """A capacity line broadcasts even when it carries a session key:
+    ``event_from_record`` accepts it as a capacity event, so every
+    shard must apply it."""
+
+    LINES = (
+        '{"kind":"capacity","time":1.0,"capacity":0.5,"name":"ops"}',
+        '{"kind":"capacity","time":1.0,"capacity":0.5,"session":"ops"}',
+    )
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_route_broadcasts(self, line):
+        router = ShardRouter(4)
+        assert router.route(line) == (0, 1, 2, 3)
+        assert router.route(line, decode_line(line)) == (0, 1, 2, 3)
+        assert all(line in part for part in router.partition([line]))
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_every_shard_applies_it(self, tmp_path, line):
+        out = io.StringIO()
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path / "cluster",
+            mode="create",
+            num_shards=4,
+            rate=1.0,
+            sink=JsonlSink(out),
+            snapshot_every=0,
+        )
+        cluster.ingest([line])
+        assert [h.service.engine.capacity for h in cluster.handles] == [
+            0.5
+        ] * 4
+        cluster.shutdown()
+        records = [json.loads(r) for r in out.getvalue().splitlines()]
+        applied = {
+            r["shard"]: r["capacity"]
+            for r in records
+            if r["kind"] == "capacity"
+        }
+        assert applied == {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
+
+
+#: Lines covering every routing rule and its edge cases.
+_ROUTED_LINES = st.one_of(
+    st.sampled_from(
+        [
+            "",
+            "  \t ",
+            "null",
+            "[1,2]",
+            "{}",
+            "{not json",
+            '"just a string"',
+            '{"kind":"capacity","time":1.0,"capacity":2.0}',
+            '{"kind":"capacity","time":1.0,"capacity":2.0,"name":"k"}',
+            '{"kind":"arrival","time":1.0,"amount":1.0}',
+            '{"kind":"arrival","session":7,"name":"fallback"}',
+            '{"kind":"join","session":null,"name":"fallback"}',
+            '  {"kind":"join","name":"padded","time":0.0,"phi":1.0}  ',
+            '{"kind":"\\ud800","time":1.0}',
+        ]
+    ),
+    st.builds(_arrival, st.text(max_size=12)),
+    st.builds(
+        lambda name, kind: json.dumps({"kind": kind, "name": name}),
+        st.text(max_size=12),
+        st.sampled_from(["join", "leave", "renegotiate", "capacity"]),
+    ),
+    st.text(max_size=20),
+)
+
+
+class TestDecodeOnceAgreement:
+    @given(_ROUTED_LINES, st.integers(min_value=1, max_value=8))
+    def test_route_with_payload_equals_route(self, line, n):
+        """The cluster's decode-once call and the pure form agree."""
+        router = ShardRouter(n)
+        assert router.route(line, decode_line(line)) == router.route(line)

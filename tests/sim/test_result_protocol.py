@@ -113,8 +113,8 @@ class TestToJsonable:
         json.dumps(payload)
 
     def test_matches_reference_conversion(self):
-        """The exact-type leaf fast path serializes like the plain
-        recursive conversion it replaced."""
+        """The exact-type leaf and plain-``str`` key fast paths
+        serialize like the plain recursive conversion they replaced."""
 
         def reference(value):
             if isinstance(value, np.ndarray):
@@ -161,9 +161,31 @@ class TestToJsonable:
             },
             [[1, (2.0, [np.float64(3.0), {"x": (True, None)}])]],
             ((np.array([1.0]),),),
+            {
+                "plain": {"nested": [{"deep": 1}, [{"deeper": (2, 3)}]]},
+                1: {2: [{3: "x"}]},
+                "1": "same text as the int key before it",
+                ("s1", 4): {("a", ("b", 5)): []},
+                np.int64(7): {np.int32(-8): np.int64(9)},
+                np.uint8(255): None,
+                Label("tag"): {Label("inner"): Label("v")},
+                (): {"": {}},
+            },
         ]
+
+        def key_types(obj):
+            if isinstance(obj, dict):
+                return [(type(k), key_types(v)) for k, v in obj.items()]
+            if isinstance(obj, list):
+                return [key_types(v) for v in obj]
+            return None
+
         for value in values:
             assert json.dumps(to_jsonable(value)) == json.dumps(
+                reference(value)
+            ), value
+            # Plain str keys skip _key; every key keeps its type.
+            assert key_types(to_jsonable(value)) == key_types(
                 reference(value)
             ), value
         converted = to_jsonable({"x": np.float64(0.1), "y": [np.float64(2.0)]})
