@@ -59,10 +59,14 @@ class QoSTarget:
 
     def __post_init__(self) -> None:
         check_positive("d_max", self.d_max)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(
-                f"epsilon must be in (0, 1), got {self.epsilon}"
-            )
+        try:
+            if 0.0 < self.epsilon < 1.0:
+                return
+        except TypeError:
+            pass
+        raise ValidationError(
+            f"epsilon must be in (0, 1), got {self.epsilon}"
+        )
 
 
 def meets_target(

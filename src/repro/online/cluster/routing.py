@@ -50,12 +50,18 @@ _UNDECODED: Any = object()
 
 
 def shard_for(key: str, num_shards: int) -> int:
-    """The shard index session ``key`` hashes to (stable CRC32)."""
+    """The shard index session ``key`` hashes to (stable CRC32).
+
+    The key is hashed as UTF-8 with ``surrogatepass``, so a lone
+    surrogate (a ``"\\ud800"`` escape decodes to one) routes like any
+    other key; every other string encodes to the same bytes either way.
+    """
     if num_shards < 1:
         raise ValidationError(
             f"num_shards must be >= 1, got {num_shards}"
         )
-    return (zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF) % num_shards
+    data = key.encode("utf-8", "surrogatepass")
+    return (zlib.crc32(data) & 0xFFFFFFFF) % num_shards
 
 
 class ShardRouter:

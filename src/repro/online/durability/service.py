@@ -415,7 +415,9 @@ class DurableOnlineService(OnlineService):
         round-trip-verified (see
         :class:`~repro.online.durability.snapshot.SnapshotStore`);
         WAL segments entirely covered by the oldest *retained*
-        snapshot are deleted afterwards.
+        snapshot are deleted afterwards.  That horizon is at most the
+        sequence just snapshotted, so the retained snapshots are read
+        back only when a sealed segment ends at or below it.
         """
         path = self._snapshots.write(
             self._applied_seq,
@@ -423,9 +425,11 @@ class DurableOnlineService(OnlineService):
             self._service_state(),
             crash_hook=self._crash,
         )
-        oldest = self._snapshots.oldest_seq()
-        if oldest is not None:
-            self._wal.prune(oldest)
+        tail = self._wal.oldest_sealed_tail()
+        if tail is not None and tail <= self._applied_seq:
+            oldest = self._snapshots.oldest_seq()
+            if oldest is not None:
+                self._wal.prune(oldest)
         return path
 
     def replay(self, entries: Iterable[WalEntry]) -> int:

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import RecoveryError, ValidationError
+from repro.online.durability.wal import _fsync_dir
 
 __all__ = ["SnapshotStore", "SNAPSHOT_PREFIX"]
 
@@ -98,19 +99,6 @@ def _decode(raw: bytes) -> dict[str, Any] | None:
     if not isinstance(document, dict):
         return None
     return document
-
-
-def _fsync_dir(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 class SnapshotStore:

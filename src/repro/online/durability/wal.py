@@ -705,6 +705,18 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # pruning
     # ------------------------------------------------------------------
+    def oldest_sealed_tail(self) -> int | None:
+        """Tail of the oldest sealed segment; ``None`` when there is none.
+
+        ``prune(upto_seq)`` removes nothing unless this is at most
+        ``upto_seq`` (see :meth:`prune` for the tail rule), so a caller
+        can skip computing the horizon when it is not.
+        """
+        segments = self._segments()
+        if len(segments) < 2:
+            return None
+        return (_segment_first_seq(segments[1]) or 0) - 1
+
     def prune(self, upto_seq: int) -> int:
         """Delete segments whose entries are all ``<= upto_seq``.
 

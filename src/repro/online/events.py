@@ -57,10 +57,12 @@ __all__ = [
 
 
 def _check_time(time: float) -> None:
-    if not math.isfinite(time) or time < 0.0:
-        raise ValidationError(
-            f"event time must be finite and >= 0, got {time}"
-        )
+    try:
+        if math.isfinite(time) and time >= 0.0:
+            return
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(f"event time must be finite and >= 0, got {time}")
 
 
 def _check_name(name: str) -> None:
@@ -78,10 +80,14 @@ class CapacityEvent:
 
     def __post_init__(self) -> None:
         _check_time(self.time)
-        if not math.isfinite(self.capacity) or self.capacity < 0.0:
-            raise ValidationError(
-                f"capacity must be finite and >= 0, got {self.capacity}"
-            )
+        try:
+            if math.isfinite(self.capacity) and self.capacity >= 0.0:
+                return
+        except (TypeError, OverflowError):
+            pass
+        raise ValidationError(
+            f"capacity must be finite and >= 0, got {self.capacity}"
+        )
 
     def to_record(self) -> dict[str, Any]:
         """JSON-serializable record of the event."""
@@ -177,10 +183,14 @@ class ArrivalEvent:
     def __post_init__(self) -> None:
         _check_time(self.time)
         _check_name(self.session)
-        if not math.isfinite(self.amount) or self.amount < 0.0:
-            raise ValidationError(
-                f"arrival amount must be finite and >= 0, got {self.amount}"
-            )
+        try:
+            if math.isfinite(self.amount) and self.amount >= 0.0:
+                return
+        except (TypeError, OverflowError):
+            pass
+        raise ValidationError(
+            f"arrival amount must be finite and >= 0, got {self.amount}"
+        )
 
     def to_record(self) -> dict[str, Any]:
         """JSON-serializable record of the event."""
@@ -305,8 +315,14 @@ def _target_record(target: QoSTarget | None) -> dict[str, float] | None:
 def _ebb_from(record: dict[str, float] | None) -> EBB | None:
     if record is None:
         return None
+    try:
+        rho = record["rho"]
+    except TypeError:
+        raise ValidationError(
+            f"ebb must be a JSON object or null, got {record!r}"
+        ) from None
     return EBB(
-        rho=record["rho"],
+        rho=rho,
         prefactor=record["prefactor"],
         decay_rate=record["decay_rate"],
     )
@@ -315,7 +331,13 @@ def _ebb_from(record: dict[str, float] | None) -> EBB | None:
 def _target_from(record: dict[str, float] | None) -> QoSTarget | None:
     if record is None:
         return None
-    return QoSTarget(d_max=record["d_max"], epsilon=record["epsilon"])
+    try:
+        d_max = record["d_max"]
+    except TypeError:
+        raise ValidationError(
+            f"target must be a JSON object or null, got {record!r}"
+        ) from None
+    return QoSTarget(d_max=d_max, epsilon=record["epsilon"])
 
 
 def event_to_record(event: Event) -> dict[str, Any]:

@@ -21,12 +21,14 @@ zero — harmless, because the water-filling kernel's sequential
 reductions are invariant to exact-zero entries
 (:func:`repro.sim.fluid.busy_gps_slot_allocation`).
 
-Idle-session bookkeeping is **epoch-lazy**: cumulative totals are
-copied back onto the Python-side :class:`SessionInfo` records only for
-sessions touched since the last sync (a dirty mask pruned per slot),
-and the system-wide backlog/pending totals are cached scalars updated
-incrementally, so none of the reporting paths scan the full active
-set per event.
+The fields the vectors do not carry — join slot, renegotiation count,
+E.B.B. declaration and QoS target — are plain lists aligned with the
+same order, so an active session is a column index and nothing else.
+A :class:`SessionInfo` is built only on demand: by :meth:`info`,
+:meth:`leave` (departed sessions keep theirs) and :meth:`stats`.  The
+system-wide backlog/pending totals are cached scalars updated
+incrementally, so none of the reporting paths scan the full active set
+per event.
 
 For a population that joined in scenario order and never churned, the
 registry's vectors are element-for-element the rows of the offline
@@ -53,9 +55,9 @@ __all__ = ["SessionInfo", "SessionRegistry"]
 class SessionInfo:
     """Bookkeeping for one session, live or departed.
 
-    Cumulative totals (``arrived``/``served``/``residual``) are synced
-    from the registry vectors when the session leaves and on demand via
-    :meth:`SessionRegistry.stats`.
+    For an active session this is a copy taken by
+    :meth:`SessionRegistry.info`; a departed session's record holds its
+    totals at the moment it left.
     """
 
     name: str
@@ -85,6 +87,13 @@ class SessionInfo:
 
 _GROW = 1024
 
+#: Backing vectors, compacted together on leave.
+_VECTORS = ("_phis", "_backlog", "_pending", "_arrived", "_served")
+
+#: Active-session fields kept as plain lists, and the snapshot
+#: ``columns`` they export to.
+_COLUMNS = ("joined_at", "renegotiations", "ebb", "target")
+
 
 class SessionRegistry:
     """Active-session state vectors with churn.
@@ -97,7 +106,12 @@ class SessionRegistry:
     def __init__(self) -> None:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
-        self._info: dict[str, SessionInfo] = {}
+        # Active-session columns the vectors do not carry, aligned
+        # with _names.
+        self._joined_at: list[int] = []
+        self._renegotiations: list[int] = []
+        self._ebb: list[EBB | None] = []
+        self._target: list[QoSTarget | None] = []
         self._departed: list[SessionInfo] = []
         self._capacity = _GROW
         self._phis = np.zeros(self._capacity)
@@ -113,14 +127,10 @@ class SessionRegistry:
         self._busy_capacity = _GROW
         self._busy_idx = np.zeros(self._busy_capacity, dtype=np.int64)
         self._busy_count = 0
-        # Epoch-lazy bookkeeping: cached system totals plus the dirty
-        # mask of sessions whose cumulative vectors changed since the
-        # last sync_totals().  _epoch counts committed slots.
+        # Cached system totals; _epoch counts committed slots.
         self._total_backlog = 0.0
         self._total_pending = 0.0
         self._epoch = 0
-        self._synced_epoch = 0
-        self._dirty_mask = np.zeros(self._capacity, dtype=bool)
 
     # ------------------------------------------------------------------
     # vector views (length == num_active)
@@ -175,7 +185,7 @@ class SessionRegistry:
 
     @property
     def epoch(self) -> int:
-        """Number of slots committed so far (the lazy-sync clock)."""
+        """Number of slots committed so far."""
         return self._epoch
 
     def busy_indices(self) -> np.ndarray:
@@ -232,7 +242,6 @@ class SessionRegistry:
             self._served[busy] += served
             self._backlog[busy] = new_backlog
             self._pending[busy] = 0.0
-            self._dirty_mask[busy] = True
             kept = busy[new_backlog > 0.0]
             self._busy_mask[busy] = False
             self._busy_mask[kept] = True
@@ -261,10 +270,23 @@ class SessionRegistry:
         except KeyError:
             raise AdmissionError(f"no active session named {name!r}") from None
 
+    def _info_at(self, index: int) -> SessionInfo:
+        return SessionInfo(
+            name=self._names[index],
+            phi=float(self._phis[index]),
+            ebb=self._ebb[index],
+            target=self._target[index],
+            joined_at=self._joined_at[index],
+            arrived=float(self._arrived[index]),
+            served=float(self._served[index]),
+            residual=float(self._backlog[index]),
+            renegotiations=self._renegotiations[index],
+        )
+
     def info(self, name: str) -> SessionInfo:
-        """The :class:`SessionInfo` of an active session."""
-        self.index_of(name)
-        return self._info[name]
+        """A :class:`SessionInfo` copy of an active session, totals
+        current as of the last committed slot."""
+        return self._info_at(self.index_of(name))
 
     # ------------------------------------------------------------------
     # churn
@@ -274,15 +296,7 @@ class SessionRegistry:
             return
         while self._capacity < needed:
             self._capacity *= 2
-        for attr in (
-            "_phis",
-            "_backlog",
-            "_pending",
-            "_arrived",
-            "_served",
-            "_busy_mask",
-            "_dirty_mask",
-        ):
+        for attr in (*_VECTORS, "_busy_mask"):
             old = getattr(self, attr)
             grown = np.zeros(self._capacity, dtype=old.dtype)
             grown[: old.size] = old
@@ -296,32 +310,30 @@ class SessionRegistry:
         ebb: EBB | None = None,
         target: QoSTarget | None = None,
         at: int = 0,
-    ) -> SessionInfo:
+    ) -> None:
         """Register a new session; raises :class:`AdmissionError` on a
         duplicate name."""
         check_positive("phi", phi)
         if name in self._index:
             raise AdmissionError(
                 f"session {name!r} is already active (joined at slot "
-                f"{self._info[name].joined_at})"
+                f"{self._joined_at[self._index[name]]})"
             )
         index = self.num_active
         self._ensure_capacity(index + 1)
         self._names.append(name)
         self._index[name] = index
+        self._joined_at.append(at)
+        self._renegotiations.append(0)
+        self._ebb.append(ebb)
+        self._target.append(target)
         self._phis[index] = float(phi)
         self._backlog[index] = 0.0
         self._pending[index] = 0.0
         self._arrived[index] = 0.0
         self._served[index] = 0.0
         self._busy_mask[index] = False
-        self._dirty_mask[index] = False
-        info = SessionInfo(
-            name=name, phi=float(phi), ebb=ebb, target=target, joined_at=at
-        )
-        self._info[name] = info
         self._peak_active = max(self._peak_active, self.num_active)
-        return info
 
     def leave(self, name: str, *, at: int = 0) -> SessionInfo:
         """Deregister a session; returns its final :class:`SessionInfo`.
@@ -330,10 +342,8 @@ class SessionRegistry:
         current slot) is dropped and recorded on the info record.
         """
         index = self.index_of(name)
-        info = self._info.pop(name)
+        info = self._info_at(index)
         info.left_at = at
-        info.arrived = float(self._arrived[index])
-        info.served = float(self._served[index])
         info.residual = float(self._backlog[index] + self._pending[index])
         # Busy-set fix-up (O(busy)): drop the leaver, then shift every
         # busy index past the compaction point down one slot.  The
@@ -358,22 +368,20 @@ class SessionRegistry:
         last = self.num_active - 1
         if index != last:
             # Compact by shifting the tail down one slot; O(active).
-            for attr in (
-                "_phis",
-                "_backlog",
-                "_pending",
-                "_arrived",
-                "_served",
-                "_busy_mask",
-                "_dirty_mask",
-            ):
+            for attr in (*_VECTORS, "_busy_mask"):
                 vec = getattr(self, attr)
                 vec[index:last] = vec[index + 1 : last + 1]
             for shifted in self._names[index + 1 :]:
                 self._index[shifted] -= 1
         self._busy_mask[last] = False
-        self._dirty_mask[last] = False
-        del self._names[index]
+        for column in (
+            self._names,
+            self._joined_at,
+            self._renegotiations,
+            self._ebb,
+            self._target,
+        ):
+            del column[index]
         del self._index[name]
         self._departed.append(info)
         return info
@@ -385,20 +393,17 @@ class SessionRegistry:
         phi: float | None = None,
         ebb: EBB | None = None,
         target: QoSTarget | None = None,
-    ) -> SessionInfo:
+    ) -> None:
         """Update an active session's weight / QoS declaration in place."""
         index = self.index_of(name)
-        info = self._info[name]
         if phi is not None:
             check_positive("phi", phi)
-            info.phi = float(phi)
             self._phis[index] = float(phi)
         if ebb is not None:
-            info.ebb = ebb
+            self._ebb[index] = ebb
         if target is not None:
-            info.target = target
-        info.renegotiations += 1
-        return info
+            self._target[index] = target
+        self._renegotiations[index] += 1
 
     def add_arrival(self, name: str, amount: float) -> None:
         """Accumulate work for the current slot (O(1)).
@@ -415,25 +420,6 @@ class SessionRegistry:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def sync_totals(self) -> None:
-        """Copy the cumulative vectors back onto the active info records.
-
-        Epoch-lazy: only sessions dirtied by a slot commit since the
-        last sync are touched, so a large idle population costs one
-        vectorized mask scan, not a Python loop over every session.
-        """
-        if self._epoch == self._synced_epoch:
-            return
-        for index in np.flatnonzero(
-            self._dirty_mask[: self.num_active]
-        ).tolist():
-            info = self._info[self._names[index]]
-            info.arrived = float(self._arrived[index])
-            info.served = float(self._served[index])
-            info.residual = float(self._backlog[index])
-        self._dirty_mask[: self.num_active] = False
-        self._synced_epoch = self._epoch
-
     def stats(self) -> dict[str, dict[str, Any]]:
         """Per-session summaries, active sessions first then departed.
 
@@ -441,8 +427,10 @@ class SessionRegistry:
         incarnation keeps the bare name and departed ones are keyed
         ``name@left_at`` (with a counter on further collisions).
         """
-        self.sync_totals()
-        out = {name: self._info[name].to_record() for name in self._names}
+        out = {
+            name: self._info_at(index).to_record()
+            for index, name in enumerate(self._names)
+        }
         for info in self._departed:
             key = info.name
             if key in out:
@@ -460,15 +448,12 @@ class SessionRegistry:
     def export_state(self) -> dict[str, Any]:
         """JSON-serializable snapshot of the registry (active + departed).
 
-        Active sessions are stored column-wise: ``names`` plus one
-        ``columns`` list per field the vectors do not carry
-        (``joined_at``, ``renegotiations``, ``ebb``, ``target``), in
-        vector order.  Their ``phi``/``arrived``/``served``/``residual``
-        are not repeated: after :meth:`sync_totals` they equal the
-        ``phis``/``arrived``/``served``/``backlog`` vector entries bit
-        for bit, and :meth:`from_state` reads them from there.  Departed
-        sessions keep one record each, because their final totals are
-        in no vector.
+        Active sessions are stored column-wise: ``names`` plus the
+        ``joined_at``, ``renegotiations``, ``ebb`` and ``target``
+        columns, in vector order.  Their ``phi``/``arrived``/``served``/
+        ``residual`` live only in the ``phis``/``arrived``/``served``/
+        ``backlog`` vectors.  Departed sessions keep one record each,
+        because their final totals are in no vector.
 
         The backing vectors are trimmed to the active prefix; the
         restored registry reallocates them, and since JSON round-trips
@@ -477,8 +462,6 @@ class SessionRegistry:
         """
         from repro.online.events import _ebb_record, _target_record
 
-        self.sync_totals()
-        active = [self._info[name] for name in self._names]
         departed = [
             {
                 "name": info.name,
@@ -497,10 +480,10 @@ class SessionRegistry:
         return {
             "names": list(self._names),
             "columns": {
-                "joined_at": [info.joined_at for info in active],
-                "renegotiations": [info.renegotiations for info in active],
-                "ebb": [_ebb_record(info.ebb) for info in active],
-                "target": [_target_record(info.target) for info in active],
+                "joined_at": list(self._joined_at),
+                "renegotiations": list(self._renegotiations),
+                "ebb": [_ebb_record(ebb) for ebb in self._ebb],
+                "target": [_target_record(t) for t in self._target],
             },
             "departed": departed,
             "peak_active": self._peak_active,
@@ -530,24 +513,6 @@ class SessionRegistry:
         """
         from repro.online.events import _ebb_from, _target_from
 
-        def info_from(record: dict[str, Any]) -> SessionInfo:
-            return SessionInfo(
-                name=str(record["name"]),
-                phi=float(record["phi"]),
-                ebb=_ebb_from(record["ebb"]),
-                target=_target_from(record["target"]),
-                joined_at=int(record["joined_at"]),
-                left_at=(
-                    None
-                    if record["left_at"] is None
-                    else int(record["left_at"])
-                ),
-                arrived=float(record["arrived"]),
-                served=float(record["served"]),
-                residual=float(record["residual"]),
-                renegotiations=int(record["renegotiations"]),
-            )
-
         out = cls()
         names = [str(name) for name in state["names"]]
         out._ensure_capacity(len(names))
@@ -563,49 +528,49 @@ class SessionRegistry:
                 )
             return values
 
-        vectors = {
-            key: [float(v) for v in column(state["vectors"], key, "vector")]
-            for key in ("phis", "backlog", "pending", "arrived", "served")
-        }
-        for key, values in vectors.items():
+        for key in ("phis", "backlog", "pending", "arrived", "served"):
+            values = [
+                float(v) for v in column(state["vectors"], key, "vector")
+            ]
             getattr(out, f"_{key}")[: len(values)] = values
         if "active" in state:
-            out._info = {
-                record["name"]: info_from(record)
-                for record in state["active"]
-            }
+            # The per-session records repeat the vector fields; the
+            # vectors are authoritative, as in the columnar layout.
+            rows = column(state, "active", "list")
+            if [str(row["name"]) for row in rows] != names:
+                raise ValidationError(
+                    "registry state 'active' records are not in "
+                    "'names' order"
+                )
+            columns = {key: [row[key] for row in rows] for key in _COLUMNS}
         else:
             columns = {
                 key: column(state["columns"], key, "column")
-                for key in ("joined_at", "renegotiations", "ebb", "target")
+                for key in _COLUMNS
             }
-            rows = zip(
-                names,
-                vectors["phis"],
-                vectors["arrived"],
-                vectors["served"],
-                vectors["backlog"],
-                columns["joined_at"],
-                columns["renegotiations"],
-                columns["ebb"],
-                columns["target"],
+        out._joined_at = [int(v) for v in columns["joined_at"]]
+        out._renegotiations = [int(v) for v in columns["renegotiations"]]
+        out._ebb = [_ebb_from(record) for record in columns["ebb"]]
+        out._target = [_target_from(record) for record in columns["target"]]
+        out._departed = [
+            SessionInfo(
+                name=str(record["name"]),
+                phi=float(record["phi"]),
+                ebb=_ebb_from(record["ebb"]),
+                target=_target_from(record["target"]),
+                joined_at=int(record["joined_at"]),
+                left_at=(
+                    None
+                    if record["left_at"] is None
+                    else int(record["left_at"])
+                ),
+                arrived=float(record["arrived"]),
+                served=float(record["served"]),
+                residual=float(record["residual"]),
+                renegotiations=int(record["renegotiations"]),
             )
-            out._info = {
-                name: SessionInfo(
-                    name=name,
-                    phi=phi,
-                    ebb=_ebb_from(ebb),
-                    target=_target_from(target),
-                    joined_at=int(joined_at),
-                    arrived=arrived,
-                    served=served,
-                    residual=residual,
-                    renegotiations=int(renegotiations),
-                )
-                for name, phi, arrived, served, residual, joined_at,
-                renegotiations, ebb, target in rows
-            }
-        out._departed = [info_from(r) for r in state["departed"]]
+            for record in state["departed"]
+        ]
         out._peak_active = int(state["peak_active"])
         if "busy" in state:
             busy = [int(k) for k in state["busy"]]
@@ -633,7 +598,6 @@ class SessionRegistry:
                 float(np.cumsum(pending_busy)[-1]) if busy else 0.0
             )
             out._epoch = 0
-        out._synced_epoch = out._epoch
         count = len(busy)
         while out._busy_capacity < max(count, 1):
             out._busy_capacity *= 2
@@ -647,12 +611,6 @@ class SessionRegistry:
         self,
     ) -> list[tuple[str, EBB | None, float, QoSTarget | None]]:
         """``(name, ebb, phi, target)`` of every active session, in order."""
-        return [
-            (
-                name,
-                self._info[name].ebb,
-                self._info[name].phi,
-                self._info[name].target,
-            )
-            for name in self._names
-        ]
+        return list(
+            zip(self._names, self._ebb, self.phis.tolist(), self._target)
+        )

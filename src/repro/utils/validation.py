@@ -25,21 +25,30 @@ __all__ = [
 
 
 def check_positive(name: str, value: float) -> float:
-    """Raise :class:`ValidationError` unless ``value`` is finite and > 0."""
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(
-            f"{name} must be finite and positive, got {value}"
-        )
-    return value
+    """Raise :class:`ValidationError` unless ``value`` is finite and > 0.
+
+    A non-number (a string, ``None``, a list) or an int too large for
+    a float fails the check rather than raising ``TypeError``.
+    """
+    try:
+        if math.isfinite(value) and value > 0.0:
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 def check_nonnegative(name: str, value: float) -> float:
-    """Raise :class:`ValidationError` unless ``value`` is finite and >= 0."""
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(
-            f"{name} must be finite and non-negative, got {value}"
-        )
-    return value
+    """Raise :class:`ValidationError` unless ``value`` is finite and >= 0
+    (non-numbers fail, as in :func:`check_positive`)."""
+    try:
+        if math.isfinite(value) and value >= 0.0:
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(
+        f"{name} must be finite and non-negative, got {value}"
+    )
 
 
 def check_probability(name: str, value: float) -> float:

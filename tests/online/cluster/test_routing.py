@@ -37,6 +37,19 @@ class TestShardFor:
     def test_always_in_range(self, key, n):
         assert 0 <= shard_for(key, n) < n
 
+    @given(st.text(max_size=40), st.integers(min_value=1, max_value=64))
+    def test_keys_without_surrogates_keep_their_shard(self, key, n):
+        # The plain UTF-8 hash every such key was routed by.
+        plain = zlib.crc32(key.encode("utf-8")) & 0xFFFFFFFF
+        assert shard_for(key, n) == plain % n
+
+    @pytest.mark.parametrize(
+        "key", ["\ud800", "a\udfffb", "\udc80"], ids=["hi", "mid", "lo"]
+    )
+    def test_lone_surrogate_key_routes(self, key):
+        data = key.encode("utf-8", "surrogatepass")
+        assert shard_for(key, 4) == (zlib.crc32(data) & 0xFFFFFFFF) % 4
+
 
 class TestRoute:
     def test_keyed_records_route_to_one_shard(self):
@@ -184,6 +197,52 @@ class TestCapacityWithKey:
             if r["kind"] == "capacity"
         }
         assert applied == {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
+
+
+class TestLoneSurrogateKey:
+    """``"\\ud800"`` decodes to a lone surrogate, which strict UTF-8
+    cannot encode; a single service accepts the line, so a cluster must
+    too."""
+
+    LINES = (
+        '{"kind":"join","time":0.0,"name":"\\ud800","phi":1.0}',
+        '{"kind":"arrival","time":0.0,"session":"\\ud800","amount":1.0}',
+        '{"kind":"leave","time":1.0,"name":"\\ud800"}',
+    )
+
+    def test_route_and_partition_accept_it(self):
+        router = ShardRouter(4)
+        target = (shard_for("\ud800", 4),)
+        for line in self.LINES:
+            assert router.route(line) == target
+            assert router.route(line, decode_line(line)) == target
+        parts = router.partition(self.LINES)
+        assert parts[target[0]] == list(self.LINES)
+
+    def test_cluster_serves_it(self, tmp_path):
+        out = io.StringIO()
+        cluster, _ = ShardedOnlineCluster.open(
+            tmp_path / "cluster",
+            mode="create",
+            num_shards=4,
+            rate=1.0,
+            sink=JsonlSink(out),
+            snapshot_every=0,
+        )
+        for line in self.LINES:
+            cluster.ingest((line,))
+        cluster.shutdown()
+        records = [json.loads(r) for r in out.getvalue().splitlines()]
+        served = [
+            (r["shard"], r["kind"])
+            for r in records
+            if r.get("session") == "\ud800"
+        ]
+        shard = shard_for("\ud800", 4)
+        assert served == [
+            (shard, "join"), (shard, "arrival"), (shard, "leave")
+        ]
+        assert not any(r["kind"] == "error" for r in records)
 
 
 #: Lines covering every routing rule and its edge cases.

@@ -373,6 +373,53 @@ class TestRegistryStateRoundTrip:
         assert from_legacy.stats() == registry.stats()
 
 
+class TestColumnarActiveSessions:
+    """Active sessions are columns, not objects: a ``SessionInfo`` is a
+    copy built on demand."""
+
+    def test_joins_build_no_session_info(self):
+        import gc
+
+        from repro.online.session import SessionInfo
+
+        def infos():
+            return sum(
+                isinstance(obj, SessionInfo) for obj in gc.get_objects()
+            )
+
+        before = infos()
+        registry = SessionRegistry()
+        for k in range(10_000):
+            assert registry.join(f"s{k}", 1.0, at=k) is None
+        assert registry.renegotiate("s7", phi=2.0) is None
+        assert infos() == before
+        assert not hasattr(registry, "sync_totals")
+        assert not hasattr(registry, "_dirty_mask")
+        assert not hasattr(registry, "_synced_epoch")
+
+    def test_info_is_a_current_copy(self):
+        ebb = EBB(rho=0.2, prefactor=1.0, decay_rate=0.5)
+        target = QoSTarget(d_max=20.0, epsilon=1e-3)
+        registry = SessionRegistry()
+        registry.join("a", 1.0, ebb=ebb, target=target, at=3)
+        registry.join("b", 3.0)
+        registry.add_arrival("a", 2.0)
+        registry.add_arrival("b", 1.0)
+        busy = registry.busy_indices()
+        registry.commit_slot(busy, np.array([1.5, 0.0]), np.array([0.5, 1.0]))
+        info = registry.info("a")
+        assert (info.phi, info.ebb, info.target, info.joined_at) == (
+            1.0, ebb, target, 3,
+        )
+        assert (info.arrived, info.served, info.residual) == (2.0, 0.5, 1.5)
+        info.phi = 9.0
+        assert registry.info("a").phi == 1.0
+        assert registry.info("a") is not registry.info("a")
+        registry.renegotiate("a", phi=4.0)
+        assert registry.info("a").renegotiations == 1
+        assert registry.info("a").phi == 4.0
+
+
 class TestBusySetRecovery:
     def _serve_some(self, server):
         for k, name in enumerate(NAMES):

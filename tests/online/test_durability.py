@@ -311,6 +311,38 @@ class TestSnapshotStore:
         doc = store.load_newest()
         assert doc is not None and doc["applied_seq"] == 10
 
+    def test_directory_fsync_failure_is_logged_once(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        import logging
+        import os
+        import stat
+
+        from repro.online.durability import wal as wal_module
+
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(5, "injected EIO")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        wal_module._FSYNC_DIR_WARNED.discard(str(tmp_path))
+        engine = self._engine_state()
+        store = SnapshotStore(tmp_path)
+        with caplog.at_level(
+            logging.WARNING, logger="repro.online.durability"
+        ):
+            store.write(10, engine.export_state(), {})
+            store.write(20, engine.export_state(), {})
+        hits = [
+            r for r in caplog.records if str(tmp_path) in r.getMessage()
+        ]
+        assert len(hits) == 1
+        assert "not power-loss durable" in hits[0].getMessage()
+        assert store.load_newest()["applied_seq"] == 20
+
     def test_keep_prunes_and_clears_tmp(self, tmp_path):
         engine = self._engine_state()
         store = SnapshotStore(tmp_path, keep=1)

@@ -1,0 +1,123 @@
+"""A non-numeric value in a numeric event field is an ``error`` record.
+
+Each line below once raised ``TypeError`` out of
+``OnlineService.ingest`` (``math.isfinite`` or a comparison on a
+string, ``null`` or list), which stopped a single service and, through
+``ShardSupervisor.deliver``, a whole cluster.  Each must now become one
+``ValidationError`` error record on the shard that owns the line, with
+serving continuing past it.
+"""
+
+import io
+import json
+
+import pytest
+
+from repro.online import (
+    JsonlSink,
+    OnlineService,
+    ShardedOnlineCluster,
+    StreamingGPSServer,
+)
+from repro.online.cluster import ShardRouter
+
+_EBB = '{"rho":0.2,"prefactor":1.0,"decay_rate":0.5}'
+_TARGET = '{"d_max":20.0,"epsilon":0.001}'
+
+#: ``(id, line)``: one bad field per line, on session ``a`` (joined by
+#: ``_JOIN``) or on a new session ``n``.
+BAD_LINES = [
+    ("amount-str", '{"kind":"arrival","time":1.0,"session":"a","amount":"many"}'),
+    ("amount-null", '{"kind":"arrival","time":1.0,"session":"a","amount":null}'),
+    ("amount-list", '{"kind":"arrival","time":1.0,"session":"a","amount":[1]}'),
+    ("amount-huge", '{"kind":"arrival","time":1.0,"session":"a","amount":1%s}' % ("0" * 400)),
+    ("time-str", '{"kind":"arrival","time":"soon","session":"a","amount":1.0}'),
+    ("time-null", '{"kind":"leave","time":null,"name":"a"}'),
+    ("phi-list", '{"kind":"join","time":1.0,"name":"n","phi":[1]}'),
+    ("phi-str", '{"kind":"renegotiate","time":1.0,"name":"a","phi":"2"}'),
+    ("capacity-str", '{"kind":"capacity","time":1.0,"capacity":"fast"}'),
+    ("ebb-rho", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":{"rho":"x","prefactor":1.0,"decay_rate":0.5}}'),
+    ("ebb-prefactor", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":{"rho":0.2,"prefactor":null,"decay_rate":0.5}}'),
+    ("ebb-decay", '{"kind":"renegotiate","time":1.0,"name":"a","ebb":{"rho":0.2,"prefactor":1.0,"decay_rate":[0.5]}}'),
+    ("ebb-not-object", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":5}'),
+    ("target-dmax", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":%s,"target":{"d_max":"far","epsilon":0.001}}' % _EBB),
+    ("target-epsilon", '{"kind":"renegotiate","time":1.0,"name":"a","target":{"d_max":20.0,"epsilon":"tiny"}}'),
+    ("target-not-object", '{"kind":"renegotiate","time":1.0,"name":"a","target":[20.0,0.001]}'),
+]
+
+_JOIN = '{"kind":"join","time":0.0,"name":"a","phi":1.0,"ebb":%s,"target":%s}' % (
+    _EBB,
+    _TARGET,
+)
+#: A valid line after the bad one, proving serving went on.
+_AFTER = '{"kind":"arrival","time":2.0,"session":"a","amount":0.5}'
+
+
+def _records(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _assert_one_error(records, lineno):
+    errors = [r for r in records if r["kind"] == "error"]
+    assert len(errors) == 1
+    assert errors[0]["line"] == lineno
+    assert errors[0]["error_type"] == "ValidationError"
+    assert any(
+        r["kind"] == "arrival" and r.get("session") == "a"
+        and r["amount"] == 0.5
+        for r in records
+    )
+
+
+@pytest.mark.parametrize(
+    "line", [line for _, line in BAD_LINES], ids=[k for k, _ in BAD_LINES]
+)
+def test_single_service_emits_an_error_record(line):
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest([_JOIN, line, _AFTER])
+    service.shutdown()
+    _assert_one_error(_records(out.getvalue()), 2)
+    assert service.errors == 1
+
+
+@pytest.mark.parametrize(
+    "line", [line for _, line in BAD_LINES], ids=[k for k, _ in BAD_LINES]
+)
+def test_cluster_emits_an_error_record(tmp_path, line):
+    out = io.StringIO()
+    cluster, _ = ShardedOnlineCluster.open(
+        tmp_path / "cluster",
+        mode="create",
+        num_shards=4,
+        rate=1.0,
+        sink=JsonlSink(out),
+        snapshot_every=0,
+    )
+    for each in (_JOIN, line, _AFTER):
+        cluster.ingest((each,))
+    cluster.shutdown()
+    records = _records(out.getvalue())
+    errors = [r for r in records if r["kind"] == "error"]
+    # A broadcast line (capacity) is one error per shard; any other
+    # line is owned by exactly one shard.
+    owners = ShardRouter(4).route(line)
+    assert sorted(r["shard"] for r in errors) == sorted(owners)
+    assert all(r["error_type"] == "ValidationError" for r in errors)
+    assert any(
+        r["kind"] == "arrival" and r.get("session") == "a"
+        and r["amount"] == 0.5
+        for r in records
+    )
+
+
+def test_boolean_amount_stays_accepted():
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest(
+        [_JOIN, '{"kind":"arrival","time":1.0,"session":"a","amount":true}']
+    )
+    service.shutdown()
+    records = _records(out.getvalue())
+    assert not any(r["kind"] == "error" for r in records)
+    assert [r["amount"] for r in records if r["kind"] == "arrival"] == [True]
