@@ -1,24 +1,24 @@
 """Fault-tolerant sharded serving.
 
-One ingest stream, ``N`` independent durable GPS shards: pure CRC32
-session-key routing (:mod:`~repro.online.cluster.routing`), per-shard
-failover bookkeeping (:mod:`~repro.online.cluster.shard`), a
-supervisor that restarts crashed shards with deterministic backoff and
-exactly-once reconciliation (:mod:`~repro.online.cluster.supervisor`),
-the cluster orchestrator with self-describing on-disk metadata
-(:mod:`~repro.online.cluster.cluster`), and real OS-process workers
-with deadness/hangness health checks
-(:mod:`~repro.online.cluster.process`,
-:mod:`~repro.online.cluster.worker`).
+One ingest stream, ``N`` independent durable GPS shards in one
+interpreter: pure CRC32 session-key routing
+(:mod:`~repro.online.cluster.routing`), per-shard failover bookkeeping
+(:mod:`~repro.online.cluster.shard`), the one supervisor, which
+restarts crashed shards with deterministic backoff and exactly-once
+reconciliation (:mod:`~repro.online.cluster.supervisor`), and the
+cluster orchestrator with self-describing on-disk metadata
+(:mod:`~repro.online.cluster.cluster`).
+
+Shards are a durability and isolation boundary, not a throughput one:
+each has its own WAL, snapshots and crash budget, and a crash in one
+leaves the others serving.  A shard in its own OS process is simply
+``repro serve - --wal DIR``; SIGKILL it and the next run recovers from
+``DIR``.
 """
 
 from repro.online.cluster.cluster import (
     ClusterResult,
     ShardedOnlineCluster,
-)
-from repro.online.cluster.process import (
-    ProcessShardSupervisor,
-    ShardProcess,
 )
 from repro.online.cluster.routing import ShardRouter, shard_for
 from repro.online.cluster.shard import (
@@ -29,10 +29,8 @@ from repro.online.cluster.supervisor import ShardSupervisor
 
 __all__ = [
     "ClusterResult",
-    "ProcessShardSupervisor",
     "ShardedOnlineCluster",
     "ShardHandle",
-    "ShardProcess",
     "ShardRouter",
     "ShardSupervisor",
     "shard_directory",

@@ -18,7 +18,6 @@ from repro.sim.fluid_exact import (
 from repro.sim.fluid import (
     FluidGPSServer,
     GPSSimResult,
-    batch_gps_slot_allocation,
     clearing_delays,
     gps_slot_allocation,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "to_jsonable",
     "clearing_delays",
     "gps_slot_allocation",
-    "batch_gps_slot_allocation",
     "BoundComparison",
     "busy_periods",
     "compare_bound_to_samples",

@@ -9,7 +9,7 @@ across the whole batch at once, so the interpreter cost is paid ``T``
 times regardless of ``B``.
 
 Because the scalar server is the ``B = 1`` slice of the shared kernel
-(:func:`repro.sim.fluid.batch_gps_slot_allocation`), the batched traces
+(``repro.sim.fluid._batch_water_fill``), the batched traces
 are bit-for-bit identical to running the scalar server on each trial —
 the equivalence suite in ``tests/sim/test_batch.py`` asserts exact
 equality, not closeness.

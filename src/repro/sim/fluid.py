@@ -16,10 +16,12 @@ traces and the paper's delay process ``D_i(t)`` (the time for the
 session-``i`` backlog present at ``t`` to clear).
 
 The water-filling itself is implemented once, as a *batched* kernel
-over stacked ``(B, N)`` work matrices (:func:`batch_gps_slot_allocation`);
-the scalar server is the ``B = 1`` slice of that kernel, so the batched
+over stacked ``(B, N)`` work matrices (``_batch_water_fill``); the
+scalar server is the ``B = 1`` slice of that kernel, so the batched
 engine in :mod:`repro.sim.batch` is bit-for-bit identical to stepping
-this server trial by trial.
+this server trial by trial.  :func:`gps_slot_allocation` is the one
+validating entry point, :func:`busy_gps_slot_allocation` the unchecked
+one the streaming engine calls on its gathered busy slice.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.errors import ValidationError
 
 __all__ = [
     "gps_slot_allocation",
-    "batch_gps_slot_allocation",
     "busy_gps_slot_allocation",
     "FluidGPSServer",
     "GPSSimResult",
@@ -143,35 +144,6 @@ def gps_slot_allocation(
     return _batch_water_fill(
         work_arr[None, :], phi_arr, np.array([float(capacity)])
     )[0]
-
-
-def batch_gps_slot_allocation(
-    work: np.ndarray, phis: np.ndarray, capacity
-) -> np.ndarray:
-    """Vectorized :func:`gps_slot_allocation` over a ``(B, N)`` batch.
-
-    ``work[b]`` is trial ``b``'s available work, ``phis`` the shared
-    weight vector and ``capacity`` either a scalar (same for every
-    trial) or a ``(B,)`` array.  Row ``b`` of the result equals
-    ``gps_slot_allocation(work[b], phis, capacity[b])`` bit for bit.
-    """
-    work_arr = np.ascontiguousarray(work, dtype=float)
-    phi_arr = np.ascontiguousarray(phis, dtype=float)
-    if work_arr.ndim != 2:
-        raise ValidationError(
-            f"work must be 2-D (trials x sessions), got {work_arr.shape}"
-        )
-    if phi_arr.shape != (work_arr.shape[1],):
-        raise ValidationError(
-            f"phis must have shape ({work_arr.shape[1]},), got "
-            f"{phi_arr.shape}"
-        )
-    if np.any(work_arr < -_EPS):
-        raise ValidationError("work amounts must be non-negative")
-    caps = np.broadcast_to(
-        np.asarray(capacity, dtype=float), (work_arr.shape[0],)
-    ).copy()
-    return _batch_water_fill(work_arr, phi_arr, caps)
 
 
 def busy_gps_slot_allocation(

@@ -5,7 +5,8 @@ Each public name has one home, one constructor form and one factory:
 the theorem machinery is reached only through :mod:`repro.analysis`,
 constructors and network builders are keyword-only, and durable
 services and clusters open only through their ``open(mode=...)``
-classmethods.
+classmethods.  Shards run in-process under ``ShardSupervisor``; a
+shard in its own process is ``repro serve - --wal DIR``.
 """
 
 import importlib
@@ -16,6 +17,8 @@ import pytest
 import repro.analysis
 import repro.core
 import repro.online
+import repro.online.cluster
+import repro.sim
 from repro.cli import main
 from repro.core.ebb import EBB
 from repro.experiments.supervisor import SupervisedRunner
@@ -69,6 +72,24 @@ REMOVED_FORMS = [
     pytest.param(
         lambda: main(["simulate", "--dispatch", "serial"]), SystemExit,
         id="simulate-dispatch-flag",
+    ),
+    pytest.param(
+        lambda: importlib.import_module("repro.online.cluster.process"),
+        ImportError,
+        id="cluster-process-module",
+    ),
+    pytest.param(
+        lambda: importlib.import_module("repro.online.cluster.worker"),
+        ImportError,
+        id="cluster-worker-module",
+    ),
+    pytest.param(
+        lambda: repro.online.cluster.ShardProcess, AttributeError,
+        id="cluster-shard-process",
+    ),
+    pytest.param(
+        lambda: repro.sim.batch_gps_slot_allocation, AttributeError,
+        id="batch-slot-allocation",
     ),
 ]
 

@@ -2,119 +2,32 @@
 
 Guards against drift between ``__all__`` lists and module contents as
 the library grows, and enforces the documentation contract (every
-public item carries a docstring).
+public item carries a docstring).  The module list is walked from the
+package itself, so a new module is covered and a deleted one needs no
+edit here.
 """
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.analysis",
-    "repro.core",
-    "repro.markov",
-    "repro.traffic",
-    "repro.deterministic",
-    "repro.sim",
-    "repro.network",
-    "repro.experiments",
-    "repro.faults",
-    "repro.online",
-    "repro.online.cluster",
-    "repro.online.durability",
-    "repro.packet",
-    "repro.utils",
-]
+import repro
 
-MODULES = [
-    "repro.cli",
-    "repro.errors",
-    "repro.analysis.admission",
-    "repro.analysis.context",
-    "repro.analysis.feasible",
-    "repro.analysis.grid",
-    "repro.analysis.incremental",
-    "repro.analysis.mgf",
-    "repro.analysis.single_node",
-    "repro.core.bounds",
-    "repro.core.decomposition",
-    "repro.core.ebb",
-    "repro.core.gps",
-    "repro.core.holder",
-    "repro.core.pgps",
-    "repro.core.rpps",
-    "repro.deterministic.all_greedy",
-    "repro.deterministic.network",
-    "repro.deterministic.parekh_gallager",
-    "repro.experiments.dispatch",
-    "repro.experiments.paper_example",
-    "repro.experiments.runner",
-    "repro.experiments.sensitivity",
-    "repro.experiments.supervisor",
-    "repro.experiments.tables",
-    "repro.faults.injection",
-    "repro.faults.report",
-    "repro.faults.schedule",
-    "repro.markov.chain",
-    "repro.markov.effective_bandwidth",
-    "repro.markov.exact_queue",
-    "repro.markov.fitting",
-    "repro.markov.lnt94",
-    "repro.markov.mmpp",
-    "repro.markov.onoff",
-    "repro.network.analysis",
-    "repro.network.builders",
-    "repro.network.crst",
-    "repro.network.design",
-    "repro.network.render",
-    "repro.network.serialization",
-    "repro.network.rpps_network",
-    "repro.network.topology",
-    "repro.online.admission",
-    "repro.online.cluster.cluster",
-    "repro.online.cluster.process",
-    "repro.online.cluster.routing",
-    "repro.online.cluster.shard",
-    "repro.online.cluster.supervisor",
-    "repro.online.cluster.worker",
-    "repro.online.durability.scrub",
-    "repro.online.durability.service",
-    "repro.online.durability.snapshot",
-    "repro.online.durability.wal",
-    "repro.online.durability.writers",
-    "repro.online.engine",
-    "repro.online.events",
-    "repro.online.records",
-    "repro.online.service",
-    "repro.online.session",
-    "repro.packet.engine",
-    "repro.packet.gap",
-    "repro.packet.results",
-    "repro.packet.serving",
-    "repro.packet.trace",
-    "repro.packet.vclock",
-    "repro.sim.baselines",
-    "repro.sim.class_based",
-    "repro.sim.decay",
-    "repro.sim.fluid",
-    "repro.sim.fluid_exact",
-    "repro.sim.measurements",
-    "repro.sim.network_sim",
-    "repro.sim.packet",
-    "repro.sim.packet_baselines",
-    "repro.sim.packet_network",
-    "repro.sim.packetize",
-    "repro.sim.statistics",
-    "repro.traffic.envelope",
-    "repro.traffic.estimation",
-    "repro.traffic.leaky_bucket",
-    "repro.traffic.presets",
-    "repro.traffic.sources",
-    "repro.utils.numeric",
-    "repro.utils.validation",
-]
+
+def _walk() -> tuple[list[str], list[str]]:
+    """Every ``repro`` module, split into packages and plain modules."""
+    packages = ["repro"]
+    modules = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        (packages if info.ispkg else modules).append(info.name)
+    return packages, modules
+
+
+PACKAGES, MODULES = _walk()
 
 
 @pytest.mark.parametrize("name", PACKAGES + MODULES)
