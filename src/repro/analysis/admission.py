@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.ebb import EBB
 from repro.core.rpps import guaranteed_rate_bounds
-from repro.utils.numeric import bisect_root
-from repro.utils.validation import check_positive
+from repro.analysis.mgf import lemma5_tail_bound
+from repro.utils.numeric import bisect_root, expm1_neg
+from repro.utils.validation import check_nonnegative, check_positive
 
 from repro.errors import AdmissionError, ValidationError
 
@@ -136,6 +137,45 @@ def required_rate_for_delay(
     return bisect_root(gap, lo, rate_cap, tol=1e-10, max_iter=int(max_iter))
 
 
+def _target_predicate(
+    arrival: EBB, target: QoSTarget, *, discrete: bool
+) -> Callable[[float], bool]:
+    """:func:`meets_target` for one ``(arrival, target)`` pair, as a
+    predicate over rates ``g`` with ``arrival.rho < g <= server_rate``.
+
+    It evaluates the same Theorem 10/15 float expression — the
+    backlog prefactor of eq. (66) (or Lemma 5), the delay decay
+    ``alpha g`` and the clamped bound at ``d_max`` — without building
+    the :class:`SessionBounds` that :func:`meets_target` returns
+    through :func:`guaranteed_rate_bounds`.  The checks that depend on
+    ``g`` stay, with the same messages; the rest hold for every rate in
+    the range.
+    """
+    rho = arrival.rho
+    prefactor = arrival.prefactor
+    alpha = arrival.decay_rate
+    d_max = target.d_max
+    epsilon = target.epsilon
+
+    def passes(rate: float) -> bool:
+        if not discrete:
+            backlog = lemma5_tail_bound(arrival, rate).prefactor
+        elif prefactor == 0.0:
+            backlog = 0.0
+        else:  # discrete_delta_tail_bound
+            backlog = check_nonnegative(
+                "prefactor", prefactor / expm1_neg(alpha * (rate - rho))
+            )
+        decay = check_positive("decay_rate", alpha * rate)
+        if backlog == 0.0:
+            return True  # the bound is 0 everywhere
+        log_bound = math.log(backlog) - decay * d_max
+        # min(1, exp(log_bound)) <= epsilon, and epsilon < 1
+        return log_bound < 0.0 and math.exp(log_bound) <= epsilon
+
+    return passes
+
+
 def critical_guaranteed_rate(
     arrival: EBB,
     target: QoSTarget,
@@ -157,18 +197,21 @@ def critical_guaranteed_rate(
     RPPS share never exceeds the server rate, which is why the search
     interval can stop there; the incremental admission gate compares
     shares against this cached threshold instead of re-evaluating the
-    bound.
+    bound.  The first probe, at ``server_rate``, is
+    :func:`meets_target` itself; the bisection steps evaluate its float
+    expression directly (:func:`_target_predicate`).
     """
     check_positive("server_rate", server_rate)
     if not meets_target(arrival, server_rate, target, discrete=discrete):
         return math.inf
+    passes = _target_predicate(arrival, target, discrete=discrete)
     lo = arrival.rho  # meets_target is False at rho by definition
     hi = server_rate
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if meets_target(arrival, mid, target, discrete=discrete):
+        if passes(mid):
             hi = mid
         else:
             lo = mid

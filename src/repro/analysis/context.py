@@ -27,9 +27,12 @@ is the single stateful entry point to the paper's analytic machinery:
   :meth:`AnalysisContext.theorem12_family` memoize the feasible
   partition and per-session bound families keyed on the population
   version, so repeated bound evaluations between membership changes
-  are free.  Incrementally, the partition and the eq. (4) feasibility
-  scan are read off the maintained ratio order instead of re-sorting
-  and re-validating the population.  The partition cache is keyed on
+  are free.  Incrementally, the eq. (4) feasibility scan and the
+  partition are C-level passes (numpy accumulations and selections,
+  builtin sums) over per-session columns kept beside the maintained
+  ratio order, and the Theorem 11/12 families read the session's place
+  in the partition off them: a diagnosed decision runs no per-session
+  interpreted loop.  The partition cache is keyed on
   the *geometry* version, which only advances when some ``rho_i`` or
   ``phi_i`` actually changes — renegotiating a QoS target, or
   re-declaring an identical contract, keeps every structural cache
@@ -47,10 +50,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.analysis.admission import (
     AdmissionDecision,
@@ -64,10 +69,14 @@ from repro.analysis.feasible import (
     feasible_partition,
     is_feasible_ordering,
 )
-from repro.analysis.incremental import ExactSum, SortedRatioOrder
+from repro.analysis.incremental import ExactSum, SortedRatioOrder, _ArrayColumn
 from repro.analysis.single_node import (
     SessionBoundFamily,
     SessionBounds,
+    _Placement,
+    _lower_class,
+    _theorem11,
+    _theorem12,
     theorem10_bounds,
     theorem11_family,
     theorem12_family,
@@ -144,18 +153,143 @@ class _SessionState:
         )
 
 
-def _strict_scan(ordered: list[_SessionState], rate: float) -> bool:
+class _Columns:
+    """Per-session contract values in insertion (ascending ``seq``)
+    order, kept beside the ratio order (internal).
+
+    ``names``, ``rhos`` and ``phis`` are object columns holding the
+    declared values themselves: gathers from them feed builtin sums in
+    the reference summation order, and ``tolist`` only copies
+    references.  The float columns serve the numpy arithmetic of the
+    eq. (4) scan and the lower classes of Theorems 11/12.  Together
+    they let the diagnostics read whole columns instead of visiting one
+    ``_SessionState`` per session in interpreted code.
+    """
+
+    __slots__ = (
+        "seq", "names", "rhos", "phis", "rho_floats", "phi_floats",
+        "prefactors", "decay_rates",
+    )
+
+    def __init__(self) -> None:
+        self.seq: list[int] = []
+        self.names = _ArrayColumn(object)
+        self.rhos = _ArrayColumn(object)
+        self.phis = _ArrayColumn(object)
+        self.rho_floats = _ArrayColumn(np.float64)
+        self.phi_floats = _ArrayColumn(np.float64)
+        self.prefactors = _ArrayColumn(np.float64)
+        self.decay_rates = _ArrayColumn(np.float64)
+
+    def _arrays(self) -> tuple[_ArrayColumn, ...]:
+        return (
+            self.names, self.rhos, self.phis, self.rho_floats,
+            self.phi_floats, self.prefactors, self.decay_rates,
+        )
+
+    @staticmethod
+    def _values(state: _SessionState) -> tuple[Any, ...]:
+        rho, phi = state.ebb.rho, state.phi
+        return (
+            state.name, rho, phi, rho, phi, state.ebb.prefactor,
+            state.ebb.decay_rate,
+        )
+
+    def append(self, state: _SessionState) -> None:
+        """Add the newest session (its ``seq`` exceeds every other)."""
+        self.seq.append(state.seq)
+        for array, value in zip(self._arrays(), self._values(state)):
+            array.append(value)
+
+    def remove(self, seq: int) -> None:
+        k = bisect_left(self.seq, seq)
+        del self.seq[k]
+        for array in self._arrays():
+            array.delete(k)
+
+    def set(self, state: _SessionState) -> None:
+        """Rewrite one session's values after a renegotiation."""
+        k = bisect_left(self.seq, state.seq)
+        for array, value in zip(self._arrays(), self._values(state)):
+            array[k] = value
+
+
+def _strict_scan(
+    rhos: np.ndarray, phis: np.ndarray, total_phi: float, rate: float
+) -> bool:
     """The strict eq. (4) check of
     :func:`repro.analysis.feasible.is_feasible_ordering` over sessions
-    already in candidate order, with its float evaluation order."""
-    remaining_phi = sum([s.phi for s in ordered])
-    consumed = 0.0
-    for s in ordered:
-        if (s.phi / remaining_phi) * (rate - consumed) - s.ebb.rho <= 0.0:
-            return False
-        consumed += s.ebb.rho
-        remaining_phi -= s.phi
-    return True
+    already in candidate order, with its float evaluation order.
+
+    The remaining weight starts at ``total_phi`` (the caller's builtin
+    ``sum`` of the weights in this order) and then loses one ``phi``
+    per step; the consumed rate gains one ``rho`` per step.
+    Both recurrences are sequential accumulations, which
+    ``np.{subtract,add}.accumulate`` evaluate in the same order, and the
+    slack is elementwise IEEE arithmetic.  Like the scalar loop, the
+    scan stops at the first failing step, and a remaining weight that
+    rounds to zero there raises ``ZeroDivisionError``.
+    """
+    remaining = np.empty_like(phis)
+    remaining[0] = total_phi
+    remaining[1:] = phis[:-1]
+    np.subtract.accumulate(remaining, out=remaining)
+    consumed = np.empty_like(rhos)
+    consumed[0] = 0.0
+    consumed[1:] = rhos[:-1]
+    np.add.accumulate(consumed, out=consumed)
+    with np.errstate(all="ignore"):
+        slack = phis / remaining * (rate - consumed) - rhos
+    if remaining.all() and (slack > 0.0).all():
+        return True
+    stops = np.flatnonzero((slack <= 0.0) | (remaining == 0.0))
+    if not stops.size:
+        return True
+    if remaining[stops[0]] == 0.0:
+        raise ZeroDivisionError("float division by zero")
+    return False
+
+
+class _Layout:
+    """The incremental partition's class structure (internal), cached
+    per geometry version.
+
+    Class ``k`` is the run of the ratio order ending before position
+    ``ends[k]``.  ``members[k]`` holds its sessions' column positions
+    in ascending (insertion) order, ``names[k]`` and ``class_rhos[k]``
+    list them in that order, and ``suffix_phi[k]`` is the weight mass at
+    or above the class.  These are the sums
+    :func:`repro.analysis.feasible.feasible_partition` forms, so
+    ``suffix_phi[k]`` equals ``partition.suffix_phi(k)`` and
+    ``suffix_phi[0]`` the total weight, bit for bit.
+    """
+
+    __slots__ = (
+        "rhos", "phis", "members", "ends", "suffix_phi", "class_rhos",
+        "names", "_partition",
+    )
+
+    def __init__(self, rhos: list[float], phis: list[float]) -> None:
+        self.rhos = rhos
+        self.phis = phis
+        self.members: list[np.ndarray] = []
+        self.ends: list[int] = []
+        self.suffix_phi: list[float] = []
+        self.class_rhos: list[list[float]] = []
+        self.names: list[list[str]] = []
+        self._partition: FeasiblePartition | None = None
+
+    def partition(self, server_rate: float) -> FeasiblePartition:
+        if self._partition is None:
+            self._partition = FeasiblePartition(
+                classes=tuple(
+                    tuple(members.tolist()) for members in self.members
+                ),
+                rhos=tuple(map(float, self.rhos)),
+                phis=tuple(map(float, self.phis)),
+                server_rate=server_rate,
+            )
+        return self._partition
 
 
 class AnalysisContext:
@@ -196,10 +330,13 @@ class AnalysisContext:
         self._order = SortedRatioOrder()
         self._heap: list[tuple[float, int]] = []  # (-scale, seq), lazy deletion
         self._seq_state: dict[int, _SessionState] = {}
+        self._columns = _Columns()
         # cache versioning ---------------------------------------------
         self._version = 0  # any membership / contract change
         self._geometry = 0  # only rho / phi changes
         self._threshold_cache: dict[tuple[EBB, QoSTarget], float] = {}
+        self._ranks_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._layout_cache: tuple[int, _Layout] | None = None
         self._partition_cache: tuple[int, FeasiblePartition] | None = None
         self._ordering_cache: tuple[int, dict[str, Any]] | None = None
         self._config_cache: tuple[int, GPSConfig] | None = None
@@ -263,8 +400,7 @@ class AnalysisContext:
         """Session names sorted by ``rho_i / phi_i`` (stable in join
         order) — the canonical feasible-ordering candidate of eq. (36)."""
         if self._incremental:
-            by_seq = {s.seq: s.name for s in self._sessions.values()}
-            return [by_seq[seq] for seq in self._order.seqs()]
+            return self._ratio_names()
         states = list(self._sessions.values())
         order = sorted(range(len(states)), key=lambda i: states[i].ratio)
         return [states[i].name for i in order]
@@ -313,6 +449,7 @@ class AnalysisContext:
             self._order.insert(state.ratio, state.seq)
             heapq.heappush(self._heap, (-state.scale, state.seq))
             self._seq_state[state.seq] = state
+            self._columns.append(state)
         self._version += 1
         self._geometry += 1
 
@@ -326,6 +463,7 @@ class AnalysisContext:
             self._total.remove(state.ebb.rho)
             self._order.remove(state.ratio, state.seq)
             del self._seq_state[state.seq]  # heap entries go stale lazily
+            self._columns.remove(state.seq)
         self._version += 1
         self._geometry += 1
         return state.declaration()
@@ -403,6 +541,8 @@ class AnalysisContext:
         state.phi = phi
         state.target = target
         state.ratio = ebb.rho / phi
+        if self._incremental:
+            self._columns.set(state)
         self._version += 1
         if geometry_changed:
             self._geometry += 1
@@ -522,14 +662,37 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # diagnostics (feasible ordering / partition / Theorem 11)
     # ------------------------------------------------------------------
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, rank)`` in incremental mode, cached per geometry:
+        ``order[r]`` is the column (insertion) index of the ``r``-th
+        session in ratio order and ``rank[i]`` the ratio position of
+        column ``i``.
+
+        Insertion order is ascending ``seq``, so sorting the maintained
+        order's ``seq`` column yields ``rank`` in one C-level pass.
+        """
+        cache = self._ranks_cache
+        if cache is not None and cache[0] == self._geometry:
+            return cache[1], cache[2]
+        rank = np.argsort(self._order.seq_array(), kind="stable")
+        order = np.empty_like(rank)
+        order[rank] = np.arange(len(rank))
+        self._ranks_cache = (self._geometry, order, rank)
+        return order, rank
+
+    def _ratio_names(self) -> list[str]:
+        order, _ = self._ranks()
+        names: list[str] = self._columns.names.view()[order].tolist()
+        return names
+
     def _ordering_diagnostics(self) -> dict[str, Any]:
         """Feasible-ordering diagnostics, cached on the geometry version.
 
         In incremental mode the maintained ratio order *is* the
         canonical candidate ordering, so only the strict eq. (4) scan
-        is paid, over contracts validated when they entered the
-        context; the output (including the failure message) is
-        bit-identical to
+        is paid, as numpy passes over the rate and weight columns
+        gathered into that order; the output (including the failure
+        message) is bit-identical to
         :func:`repro.analysis.feasible.find_feasible_ordering`.
         """
         if (
@@ -538,9 +701,15 @@ class AnalysisContext:
         ):
             return dict(self._ordering_cache[1])
         if self._incremental:
-            seq_state = self._seq_state
-            ordered = [seq_state[seq] for seq in self._order.seqs()]
-            feasible = _strict_scan(ordered, self._rate)
+            order, _ = self._ranks()
+            columns = self._columns
+            feasible = _strict_scan(
+                columns.rho_floats.view()[order],
+                columns.phi_floats.view()[order],
+                sum(columns.phis.view()[order].tolist()),
+                self._rate,
+            )
+            names = self._ratio_names() if feasible else []
         else:
             states = list(self._sessions.values())
             rhos = [s.ebb.rho for s in states]
@@ -552,9 +721,10 @@ class AnalysisContext:
             feasible = is_feasible_ordering(
                 order, rhos, phis, server_rate=self._rate, strict=True
             )
+            names = [s.name for s in ordered]
         out: dict[str, Any]
         if feasible:
-            out = {"feasible_ordering": [s.name for s in ordered]}
+            out = {"feasible_ordering": names}
         else:
             error = FeasibleOrderingError(
                 "no feasible ordering exists: the ratio-sorted ordering "
@@ -571,20 +741,32 @@ class AnalysisContext:
 
     def diagnose(self, request_name: str) -> dict[str, Any]:
         """Feasible ordering / partition / Theorem 11 diagnostics for a
-        request, matching the online controller's decision details."""
+        request, matching the online controller's decision details.
+
+        In incremental mode no step visits the sessions one by one in
+        interpreted code: the ordering and the partition are column
+        passes, the request's level comes from its rank in the ratio
+        order, and its Theorem 11 family reads the class sums the
+        partition formed.
+        """
         state = self._sessions.get(request_name)
         if state is None:
             raise AdmissionError(f"unknown session {request_name!r}")
         out = self._ordering_diagnostics()
         if out.get("feasible_ordering") is None:
             return out
-        partition = self.partition()
-        names = list(self._sessions)
-        out["feasible_partition"] = [
-            list(map(names.__getitem__, members))
-            for members in partition.classes
-        ]
-        out["partition_level"] = partition.level(names.index(request_name))
+        if self._incremental:
+            layout = self._layout()
+            out["feasible_partition"] = [list(names) for names in layout.names]
+            out["partition_level"] = self._level(state)
+        else:
+            partition = self.partition()
+            names = list(self._sessions)
+            out["feasible_partition"] = [
+                list(map(names.__getitem__, members))
+                for members in partition.classes
+            ]
+            out["partition_level"] = partition.level(names.index(request_name))
         out["theorem11_probability"] = self._theorem11_probability(state)
         return out
 
@@ -615,48 +797,56 @@ class AnalysisContext:
         class's rates over its sorted members), so the result is equal
         to it field for field.
         """
-        if (
-            self._partition_cache is not None
-            and self._partition_cache[0] == self._geometry
-        ):
-            return self._partition_cache[1]
-        states = list(self._sessions.values())
-        rhos = [s.ebb.rho for s in states]
-        phis = [s.phi for s in states]
         if self._incremental:
-            partition = self._ratio_order_partition(states, rhos, phis)
-        else:
-            partition = feasible_partition(rhos, phis, server_rate=self._rate)
+            return self._layout().partition(self._rate)
+        cache = self._partition_cache
+        if cache is not None and cache[0] == self._geometry:
+            return cache[1]
+        states = list(self._sessions.values())
+        partition = feasible_partition(
+            [s.ebb.rho for s in states],
+            [s.phi for s in states],
+            server_rate=self._rate,
+        )
         self._partition_cache = (self._geometry, partition)
         return partition
 
-    def _ratio_order_partition(
-        self,
-        states: list[_SessionState],
-        rhos: list[float],
-        phis: list[float],
-    ) -> FeasiblePartition:
-        """The feasible partition derived from the ratio order."""
-        if not states:
+    def _layout(self) -> _Layout:
+        """The partition's classes read off the ratio order
+        (incremental mode), cached per geometry.
+
+        Each class costs one ``bisect`` for its end in the ratio order,
+        numpy selections of its members' column positions, and builtin
+        ``sum`` passes over the gathered values.
+        """
+        cache = self._layout_cache
+        if cache is not None and cache[0] == self._geometry:
+            return cache[1]
+        columns = self._columns
+        rhos = columns.rhos.view()
+        phis = columns.phis.view()
+        n = len(rhos)
+        if not n:
             raise ValidationError("need at least one session")
         rate = self._rate
-        total_rho = sum(rhos)
+        layout = _Layout(rhos.tolist(), phis.tolist())
+        total_rho = sum(layout.rhos)
         if total_rho >= rate:
             raise FeasibleOrderingError(
                 f"stability requires sum(rho) < server rate; got {total_rho} "
                 f">= {rate}"
             )
-        # the insertion index of each entry, in ratio order
-        index_of = dict(zip([s.seq for s in states], range(len(states))))
+        _, rank = self._ranks()
         entries = self._order.as_tuples()
-        ranked = [index_of[seq] for _, seq in entries]
-        alive = [True] * len(states)
         consumed_rho = 0.0
-        classes: list[tuple[int, ...]] = []
+        remaining_phi = sum(layout.phis)
         start = 0
-        while start < len(entries):
-            # the remaining weights, by ascending insertion index
-            threshold = (rate - consumed_rho) / sum(compress(phis, alive))
+        while start < n:
+            # the sessions left, by ascending insertion index
+            alive = np.flatnonzero(rank >= start)
+            if start:
+                remaining_phi = sum(phis[alive].tolist())
+            threshold = (rate - consumed_rho) / remaining_phi
             # first entry at or above the threshold; seqs are >= 0
             end = bisect_left(entries, (threshold, -1), start)
             if end == start:
@@ -664,17 +854,56 @@ class AnalysisContext:
                     "feasible partition construction stalled; this cannot "
                     "happen when sum(rho) < server rate"
                 )
-            members = tuple(sorted(ranked[start:end]))
-            classes.append(members)
-            consumed_rho += sum(map(rhos.__getitem__, members))
-            for i in members:
-                alive[i] = False
+            members = alive if end == n else alive[rank[alive] < end]
+            member_rhos = rhos[members].tolist()
+            consumed_rho += sum(member_rhos)
+            layout.members.append(members)
+            layout.ends.append(end)
+            layout.suffix_phi.append(remaining_phi)
+            layout.class_rhos.append(member_rhos)
+            layout.names.append(columns.names.view()[members].tolist())
             start = end
-        return FeasiblePartition(
-            classes=tuple(classes),
-            rhos=tuple(map(float, rhos)),
-            phis=tuple(map(float, phis)),
-            server_rate=rate,
+        self._layout_cache = (self._geometry, layout)
+        return layout
+
+    def _level(self, state: _SessionState) -> int:
+        """A session's partition level, from its rank in the ratio order
+        (incremental mode): classes are contiguous runs of that order."""
+        rank = self._order.rank(state.ratio, state.seq)
+        return bisect_right(self._layout().ends, rank)
+
+    def _placement(self, state: _SessionState) -> _Placement:
+        """What Theorems 11/12 need about one session's class and the
+        classes below it, read off the layout (incremental mode).
+
+        Every float is the one the ``GPSConfig``/``FeasiblePartition``
+        route computes: ``psi`` divides by the partition's suffix
+        weight, ``g_i`` by the total weight, and the lower classes' rate
+        sums run over their members in class order.
+        """
+        layout = self._layout()
+        level = self._level(state)
+        columns = self._columns
+        return _Placement(
+            name=state.name,
+            arrival=state.ebb,
+            level=level,
+            psi=state.phi / layout.suffix_phi[level],
+            # over the lower classes' members in class order, as
+            # partition.prefix_sessions(level) lists them
+            lower_rho=sum(chain.from_iterable(layout.class_rhos[:level])),
+            server_rate=self._rate,
+            guaranteed_rate=state.phi / layout.suffix_phi[0] * self._rate,
+            lower=tuple(
+                _lower_class(
+                    sum(class_rhos),
+                    columns.prefactors.view()[members],
+                    columns.decay_rates.view()[members],
+                )
+                for members, class_rhos in zip(
+                    layout.members[:level], layout.class_rhos
+                )
+            ),
         )
 
     def gps_config(self) -> GPSConfig:
@@ -723,18 +952,22 @@ class AnalysisContext:
         family = cache.get(key)
         if family is not None:
             return family
-        config = self.gps_config()
-        index = config.index_of(name)
-        if kind == "t11":
-            family = theorem11_family(
-                config,
-                index,
-                xi=xi,
-                partition=self.partition(),
-                discrete=self._discrete,
-            )
+        if self._incremental:
+            state = self._sessions.get(name)
+            if state is None:
+                raise KeyError(f"no session named {name!r}")
+            placement = self._placement(state)
+            if kind == "t11":
+                family = _theorem11(placement, xi=xi, discrete=self._discrete)
+            else:
+                family = _theorem12(
+                    placement, xi=xi, paper_form=False, discrete=self._discrete
+                )
         else:
-            family = theorem12_family(
+            config = self.gps_config()
+            index = config.index_of(name)
+            build = theorem11_family if kind == "t11" else theorem12_family
+            family = build(
                 config,
                 index,
                 xi=xi,
@@ -839,6 +1072,7 @@ class AnalysisContext:
                 out._order.insert(session.ratio, session.seq)
                 heapq.heappush(out._heap, (-session.scale, session.seq))
                 out._seq_state[session.seq] = session
+                out._columns.append(session)
                 if target is not None:
                     out._threshold_cache[(ebb, target)] = session.threshold
         if out._incremental:

@@ -204,14 +204,14 @@ class FeasiblePartition:
     rhos: tuple[float, ...]
     phis: tuple[float, ...]
     server_rate: float
-    _level_of: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        levels = {}
-        for level, members in enumerate(self.classes):
-            for i in members:
-                levels[i] = level
-        object.__setattr__(self, "_level_of", levels)
+    # built on first use: the level map in one pass over the classes,
+    # each suffix weight once per level
+    _level_of: dict[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _suffix_phi: dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -221,7 +221,15 @@ class FeasiblePartition:
 
     def level(self, session: int) -> int:
         """0-based class index ``k`` such that ``session`` is in ``H_{k+1}``."""
-        return self._level_of[session]
+        levels = self._level_of
+        if levels is None:
+            levels = {
+                i: level
+                for level, members in enumerate(self.classes)
+                for i in members
+            }
+            object.__setattr__(self, "_level_of", levels)
+        return levels[session]
 
     def prefix_sessions(self, level: int) -> list[int]:
         """All sessions in classes strictly below ``level`` (``H^{k-1}``)."""
@@ -233,10 +241,14 @@ class FeasiblePartition:
     def suffix_phi(self, level: int) -> float:
         """``sum_{j not in H^{k-1}} phi_j`` — the weight mass at or above
         ``level``; the denominator of ``psi_i`` in Theorems 11-12."""
-        prefix = set(self.prefix_sessions(level))
-        return sum(
-            phi for j, phi in enumerate(self.phis) if j not in prefix
-        )
+        cached = self._suffix_phi.get(level)
+        if cached is None:
+            prefix = set(self.prefix_sessions(level))
+            cached = sum(
+                phi for j, phi in enumerate(self.phis) if j not in prefix
+            )
+            self._suffix_phi[level] = cached
+        return cached
 
     def psi(self, session: int) -> float:
         """``psi_i = phi_i / sum_{j not in H^{k-1}} phi_j`` for session i in H_k."""

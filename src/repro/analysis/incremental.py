@@ -17,14 +17,18 @@ from scratch:
   :meth:`SortedRatioOrder.replace` implements the Lemma 9 fast path:
   a renegotiated rate that still fits between the session's current
   neighbours leaves the ordering untouched (``O(1)`` check), and only
-  otherwise pays the ``O(log N)`` re-insertion.
+  otherwise pays the ``O(log N)`` re-insertion.  Beside the entries it
+  keeps their ``seq`` numbers as a numpy column, so a reader gets the
+  whole order as an array without a Python pass.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from typing import Iterable
+from bisect import bisect_left
+from typing import Any, Iterable
+
+import numpy as np
 
 __all__ = ["ExactSum", "SortedRatioOrder"]
 
@@ -94,6 +98,48 @@ class ExactSum:
         return len(self._partials)
 
 
+class _ArrayColumn:
+    """A numpy column with list-style insert and delete (internal).
+
+    Spare capacity makes an insert or a delete one overlapping slice
+    copy (a C-level memmove, as in ``list.insert``); :meth:`view`
+    returns the live prefix without copying, valid until the next
+    change.
+    """
+
+    __slots__ = ("_data", "_size")
+
+    def __init__(self, dtype: Any) -> None:
+        self._data = np.empty(64, dtype=dtype)
+        self._size = 0
+
+    def view(self) -> np.ndarray:
+        return self._data[: self._size]
+
+    def insert(self, k: int, value: Any) -> None:
+        n = self._size
+        if n == len(self._data):
+            grown = np.empty(2 * n, dtype=self._data.dtype)
+            grown[:n] = self._data
+            self._data = grown
+        data = self._data
+        data[k + 1 : n + 1] = data[k:n]
+        data[k] = value
+        self._size = n + 1
+
+    def append(self, value: Any) -> None:
+        self.insert(self._size, value)
+
+    def delete(self, k: int) -> None:
+        n = self._size
+        data = self._data
+        data[k : n - 1] = data[k + 1 : n]
+        self._size = n - 1
+
+    def __setitem__(self, k: int, value: Any) -> None:
+        self._data[k] = value
+
+
 class SortedRatioOrder:
     """The ratio-sorted session order, maintained incrementally.
 
@@ -105,26 +151,30 @@ class SortedRatioOrder:
     canonical feasible ordering of eq. (36) bit for bit.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_seqs")
 
     def __init__(self) -> None:
         self._entries: list[tuple[float, int]] = []
+        self._seqs = _ArrayColumn(np.int64)
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _place(self, entry: tuple[float, int]) -> None:
+        k = bisect_left(self._entries, entry)
+        self._entries.insert(k, entry)
+        self._seqs.insert(k, entry[1])
+
     def insert(self, ratio: float, seq: int) -> None:
         """Insert a session at its sorted position (``O(log N)`` search,
         ``O(N)`` shift — the shift is a C-level memmove)."""
-        insort(self._entries, (ratio, seq))
+        self._place((ratio, seq))
 
     def remove(self, ratio: float, seq: int) -> None:
         """Remove a session by its exact ``(ratio, seq)`` key."""
-        entries = self._entries
-        k = bisect_left(entries, (ratio, seq))
-        if k >= len(entries) or entries[k] != (ratio, seq):
-            raise KeyError((ratio, seq))
-        del entries[k]
+        k = self.rank(ratio, seq)
+        del self._entries[k]
+        self._seqs.delete(k)
 
     def replace(self, old_ratio: float, new_ratio: float, seq: int) -> bool:
         """Renegotiate a session's ratio; returns True if the order moved.
@@ -136,9 +186,7 @@ class SortedRatioOrder:
         delete + re-insert.
         """
         entries = self._entries
-        k = bisect_left(entries, (old_ratio, seq))
-        if k >= len(entries) or entries[k] != (old_ratio, seq):
-            raise KeyError((old_ratio, seq))
+        k = self.rank(old_ratio, seq)
         new_entry = (new_ratio, seq)
         left_ok = k == 0 or entries[k - 1] < new_entry
         right_ok = k == len(entries) - 1 or new_entry < entries[k + 1]
@@ -146,12 +194,21 @@ class SortedRatioOrder:
             entries[k] = new_entry
             return False
         del entries[k]
-        insort(entries, new_entry)
+        self._seqs.delete(k)
+        self._place(new_entry)
         return True
 
     def seqs(self) -> list[int]:
         """Session sequence numbers in ratio order."""
-        return [seq for _, seq in self._entries]
+        seqs: list[int] = self._seqs.view().tolist()
+        return seqs
+
+    def seq_array(self) -> np.ndarray:
+        """:meth:`seqs` as a read-only ``int64`` array view, valid until
+        the order next changes."""
+        view = self._seqs.view()
+        view.flags.writeable = False
+        return view
 
     def rank(self, ratio: float, seq: int) -> int:
         """0-based position of an entry in the order."""

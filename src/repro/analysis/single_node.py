@@ -31,7 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from itertools import repeat
+from operator import truediv
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.analysis.feasible import FeasiblePartition
 from repro.analysis.mgf import (
@@ -48,7 +53,7 @@ from repro.core.holder import HolderSplit, HolderTerm, optimal_holder_split
 from repro.utils.numeric import expm1_neg, minimize_scalar_bounded
 from repro.utils.validation import check_in_open_interval, check_positive
 
-from repro.errors import ValidationError
+from repro.errors import NumericalError, ValidationError
 
 __all__ = [
     "SessionBoundFamily",
@@ -100,15 +105,22 @@ class SessionBoundFamily:
     # ------------------------------------------------------------------
     # fixed-theta bounds
     # ------------------------------------------------------------------
-    def _check_theta(self, theta: float) -> None:
+    def _prefactor(self, theta: float) -> float:
+        """``Lambda(theta)``; a prefactor beyond the float range raises
+        :class:`repro.errors.NumericalError`."""
         check_in_open_interval("theta", theta, 0.0, self.theta_max)
+        log_prefactor = self.log_prefactor(theta)
+        try:
+            return math.exp(log_prefactor)
+        except OverflowError:
+            raise NumericalError(
+                f"{self.session_name!r}: prefactor exp({log_prefactor}) "
+                f"overflows at theta={theta}"
+            ) from None
 
     def backlog_bound(self, theta: float) -> ExponentialTailBound:
         """``Pr{Q >= q} <= Lambda(theta) e^{-theta q}``."""
-        self._check_theta(theta)
-        return ExponentialTailBound(
-            math.exp(self.log_prefactor(theta)), theta
-        )
+        return ExponentialTailBound(self._prefactor(theta), theta)
 
     def delay_bound(self, theta: float) -> ExponentialTailBound:
         """``Pr{D >= d} <= Lambda(theta) e^{-theta g d}``."""
@@ -118,10 +130,7 @@ class SessionBoundFamily:
 
     def output_ebb(self, theta: float) -> EBB:
         """The output process is ``(rho, Lambda(theta), theta)``-E.B.B."""
-        self._check_theta(theta)
-        return EBB(
-            self.rho, math.exp(self.log_prefactor(theta)), theta
-        )
+        return EBB(self.rho, self._prefactor(theta), theta)
 
     def bounds_at(self, theta: float) -> SessionBounds:
         """All three bounds at one ``theta``."""
@@ -162,17 +171,15 @@ class SessionBoundFamily:
     def optimized_backlog(self, q: float) -> ExponentialTailBound:
         """The member of the family that is tightest at backlog ``q``."""
         check_positive("q", q)
-        theta = self._optimize(
-            lambda t: self.log_prefactor(t) - t * q
-        )
+        log_prefactor = self.log_prefactor
+        theta = self._optimize(lambda t: log_prefactor(t) - t * q)
         return self.backlog_bound(theta)
 
     def optimized_delay(self, d: float) -> ExponentialTailBound:
         """The member of the family that is tightest at delay ``d``."""
         check_positive("d", d)
-        theta = self._optimize(
-            lambda t: self.log_prefactor(t) - t * self.guaranteed_rate * d
-        )
+        log_prefactor, rate = self.log_prefactor, self.guaranteed_rate
+        theta = self._optimize(lambda t: log_prefactor(t) - t * rate * d)
         return self.delay_bound(theta)
 
     def backlog_curve(self, qs: Sequence[float]) -> list[float]:
@@ -393,18 +400,99 @@ def theorem10_bounds(
 # ----------------------------------------------------------------------
 # Theorems 11 / 12 — feasible-partition bounds
 # ----------------------------------------------------------------------
-def _partition_epsilon_structure(
-    config: GPSConfig,
-    partition: FeasiblePartition,
-    session_index: int,
-) -> tuple[int, float, float, float]:
-    """Common geometry for Theorems 11/12.
+class _LowerClass(NamedTuple):
+    """One partition class below a session, as Theorems 11/12 read it.
 
-    Returns ``(level, psi, own_eps, class_eps)`` where ``level`` is the
-    0-based partition level of the session, ``own_eps`` is the
-    session's virtual-queue slack and ``class_eps`` is the slack
-    ``eps~_l`` of each aggregate class below it (chosen so that
-    ``psi * class_eps = own_eps``).
+    ``rho_total`` is the aggregate upper rate ``rho~``, summed over the
+    members in ascending session index.  ``prefactors`` and
+    ``decay_rates`` hold the distinct ``(Lambda_j, alpha_j)`` pairs among
+    the members, and ``pairs[m]`` is the index of member ``m``'s pair, in
+    member order: each ``sigma_hat_j(theta)`` is evaluated once per
+    distinct pair and summed over the members.
+    """
+
+    rho_total: float
+    prefactors: np.ndarray
+    decay_rates: np.ndarray
+    pairs: np.ndarray
+
+
+def _lower_class(
+    rho_total: float, prefactors: np.ndarray, decay_rates: np.ndarray
+) -> _LowerClass:
+    """The class whose members have these parameters, in member order."""
+    distinct, pairs = np.unique(
+        np.stack((prefactors, decay_rates)), axis=1, return_inverse=True
+    )
+    return _LowerClass(rho_total, distinct[0], distinct[1], pairs.ravel())
+
+
+class _Placement(NamedTuple):
+    """Where one session sits in the feasible partition: everything
+    Theorems 11/12 read about the rest of the server.
+
+    ``level`` is the 0-based class ``k`` holding the session, ``psi``
+    its ``phi_i / sum_{j not in H^{k-1}} phi_j``, ``lower_rho`` the
+    upper rates of the lower classes summed member by member in class
+    order, ``lower`` one :class:`_LowerClass` per lower class and
+    ``guaranteed_rate`` the GPS rate ``g_i``.  :func:`_placement`
+    derives it from a :class:`GPSConfig`;
+    :class:`repro.analysis.context.AnalysisContext` reads it off the
+    columns it maintains.  Both then run the same bound code.
+    """
+
+    name: str
+    arrival: EBB
+    level: int
+    psi: float
+    lower_rho: float
+    server_rate: float
+    guaranteed_rate: float
+    lower: tuple[_LowerClass, ...]
+
+
+def _placement(
+    config: GPSConfig,
+    session_index: int,
+    partition: FeasiblePartition | None,
+) -> _Placement:
+    if partition is None:
+        partition = config.partition()
+    level = partition.level(session_index)
+    session = config.sessions[session_index]
+    return _Placement(
+        name=session.name,
+        arrival=session.arrival,
+        level=level,
+        psi=partition.psi(session_index),
+        lower_rho=sum(
+            config.sessions[j].rho for j in partition.prefix_sessions(level)
+        ),
+        server_rate=config.rate,
+        guaranteed_rate=config.guaranteed_rate(session_index),
+        lower=tuple(
+            _lower_class(
+                sum(config.sessions[j].rho for j in members),
+                np.array(
+                    [config.sessions[j].arrival.prefactor for j in members],
+                    dtype=float,
+                ),
+                np.array(
+                    [config.sessions[j].alpha for j in members], dtype=float
+                ),
+            )
+            for members in partition.classes[:level]
+        ),
+    )
+
+
+def _slack_split(p: _Placement) -> tuple[float, float]:
+    """The partition-aware epsilon split of Theorems 11/12.
+
+    Returns ``(own_eps, class_eps)``: ``own_eps`` is the session's
+    virtual-queue slack and ``class_eps`` the slack ``eps~_l`` of each
+    aggregate class below it (chosen so that ``psi * class_eps =
+    own_eps``).
 
     The ``g_i`` of Theorems 11/12 is the *class-relative* guaranteed
     rate ``g_i = psi_i (r - sum_{j in lower classes} rho_j)`` — the
@@ -413,56 +501,91 @@ def _partition_epsilon_structure(
     proof of eq. (55), ``sum r~_l + r_i = 1 - (1/psi - 1) rho_i``,
     pins this down; for a session in ``H_1`` it coincides with the
     ordinary GPS guaranteed rate.)  The defining inequality (39) of the
-    feasible partition makes the margin ``g_i - rho_i`` strictly
-    positive for every session, which is exactly why the partition
-    yields bounds for *all* sessions.
+    feasible partition makes the margin ``g_i - rho_i`` positive in
+    exact arithmetic, but a ratio a few ulps below its class threshold
+    can round it to zero or below; that raises
+    :class:`repro.errors.NumericalError`.
     """
-    level = partition.level(session_index)
-    psi = partition.psi(session_index)
-    session = config.sessions[session_index]
-    lower_rho = sum(
-        config.sessions[j].rho for j in partition.prefix_sessions(level)
-    )
-    class_guaranteed_rate = psi * (config.rate - lower_rho)
-    margin = class_guaranteed_rate - session.rho
+    class_guaranteed_rate = p.psi * (p.server_rate - p.lower_rho)
+    margin = class_guaranteed_rate - p.arrival.rho
     if margin <= 0.0:
-        raise AssertionError(
-            f"session {session_index} has rho={session.rho} >= class-"
-            f"relative rate {class_guaranteed_rate}; this cannot happen "
-            "for a correctly built feasible partition"
+        raise NumericalError(
+            f"session {p.name!r} has rho={p.arrival.rho} >= class-"
+            f"relative rate {class_guaranteed_rate} after rounding, so "
+            "its partition bound has no slack"
         )
-    own_eps = margin / (level + 1)
-    class_eps = own_eps / psi
-    return level, psi, own_eps, class_eps
+    own_eps = margin / (p.level + 1)
+    return own_eps, own_eps / p.psi
+
+
+def _queue_slack(name: str, rho: float, slack: float) -> float:
+    """``(rho + slack) - rho``, the margin the Lemma 6 bound computes
+    from the virtual rate ``rho + slack``; validated once per family."""
+    return check_positive(name, (rho + slack) - rho)
+
+
+def _sigma_total(lower: _LowerClass, theta: float) -> float:
+    """``sigma~(theta) = sum_j sigma_hat_j(theta)`` over the class.
+
+    Each distinct pair's ``theta Lambda / (alpha - theta)`` is an
+    elementwise IEEE operation, so numpy yields the float
+    :meth:`EBB.sigma_hat` computes; ``math.log1p`` and the division by
+    ``theta`` follow, and the builtin ``sum`` adds the members' values
+    in member order, as the reference does.
+    """
+    # psi * theta underflows for a vanishing weight share
+    check_positive("theta", theta)
+    args = theta * lower.prefactors / (lower.decay_rates - theta)
+    sigma_hats = np.array(
+        list(map(truediv, map(math.log1p, args.tolist()), repeat(theta))),
+        dtype=object,
+    )
+    sigma_total: float = sum(sigma_hats[lower.pairs].tolist())
+    return sigma_total
+
+
+def _own_log_mgf(
+    arrival: EBB, eps: float, theta: float, xi: float, discrete: bool
+) -> float:
+    """:func:`_queue_log_mgf` at margin ``eps``, without its per-call
+    validation (the same float expression)."""
+    # EBB.sigma_hat and expm1_neg written out: this runs ~100 times
+    # per optimized bound
+    sigma_hat = (
+        math.log1p(theta * arrival.prefactor / (arrival.decay_rate - theta))
+        / theta
+    )
+    if discrete:
+        return theta * sigma_hat - math.log(-math.expm1(-(theta * eps)))
+    return theta * (sigma_hat + arrival.rho * xi) - math.log(
+        -math.expm1(-(theta * eps * xi))
+    )
 
 
 def _aggregate_log_mgf(
-    config: GPSConfig,
-    members: Sequence[int],
-    virtual_rate: float,
-    theta: float,
-    xi: float,
-    discrete: bool = False,
+    lower: _LowerClass, eps: float, theta: float, xi: float, discrete: bool
 ) -> float:
     """Lemma 6 log-MGF bound for an *aggregate* session.
 
-    The aggregate of independent sessions ``members`` has MGF envelope
+    The aggregate of independent sessions has MGF envelope
     ``exp(theta (rho~ d + sigma~(theta)))`` with ``rho~ = sum rho_j``
     and ``sigma~(theta) = sum sigma_hat_j(theta)``, so the Lemma 6 chain
-    goes through with those substitutions.
+    goes through with those substitutions; ``eps`` is the aggregate
+    queue's margin.
     """
-    check_positive("theta", theta)
-    rho_total = sum(config.sessions[j].rho for j in members)
-    eps = virtual_rate - rho_total
-    check_positive("aggregate eps", eps)
-    sigma_total = sum(
-        config.sessions[j].arrival.sigma_hat(theta) for j in members
-    )
+    sigma_total = _sigma_total(lower, theta)
     if discrete:
         return theta * sigma_total - math.log(expm1_neg(theta * eps))
-    return theta * (sigma_total + rho_total * xi) - math.log(
+    return theta * (sigma_total + lower.rho_total * xi) - math.log(
         expm1_neg(theta * eps * xi)
     )
+
+
+def _class_slacks(p: _Placement, class_eps: float) -> list[float]:
+    return [
+        _queue_slack("aggregate eps", lower.rho_total, class_eps)
+        for lower in p.lower
+    ]
 
 
 def theorem11_family(
@@ -481,41 +604,46 @@ def theorem11_family(
     geometric factors.  For a session in ``H_1`` the family degenerates
     to the single-queue Chernoff bound at rate ``g_i`` (the MGF version
     of Theorem 10).
-    """
-    if partition is None:
-        partition = config.partition()
-    session = config.sessions[session_index]
-    level, psi, own_eps, class_eps = _partition_epsilon_structure(
-        config, partition, session_index
-    )
-    own_rate = session.rho + own_eps
-    prefix_alphas = [
-        config.sessions[j].alpha for j in partition.prefix_sessions(level)
-    ]
-    theta_max = min([session.alpha] + prefix_alphas)
 
-    def log_prefactor(theta: float) -> float:
-        total = _queue_log_mgf(
-            session.arrival, own_rate, theta, xi, discrete
-        )
-        for l in range(level):
-            members = partition.classes[l]
-            rho_total = sum(config.sessions[j].rho for j in members)
+    Raises :class:`repro.errors.NumericalError` when rounding leaves
+    the session no slack (see :func:`_slack_split`).
+    """
+    return _theorem11(
+        _placement(config, session_index, partition), xi=xi, discrete=discrete
+    )
+
+
+def _theorem11(
+    p: _Placement, *, xi: float, discrete: bool
+) -> SessionBoundFamily:
+    own_eps, class_eps = _slack_split(p)
+    arrival = p.arrival
+    eps = _queue_slack("rate - rho", arrival.rho, own_eps)
+    lower = list(zip(p.lower, _class_slacks(p, class_eps)))
+    psi = p.psi
+
+    def with_lower_classes(theta: float) -> float:
+        total = _own_log_mgf(arrival, eps, theta, xi, discrete)
+        for group, group_eps in lower:
             total += _aggregate_log_mgf(
-                config,
-                members,
-                rho_total + class_eps,
-                psi * theta,
-                xi,
-                discrete,
+                group, group_eps, psi * theta, xi, discrete
             )
         return total
 
+    # in H_1 the own queue is the whole bound: one call frame per theta
+    log_prefactor: Callable[[float], float] = (
+        with_lower_classes
+        if lower
+        else partial(_own_log_mgf, arrival, eps, xi=xi, discrete=discrete)
+    )
     return SessionBoundFamily(
-        session_name=session.name,
-        theta_max=theta_max,
-        guaranteed_rate=config.guaranteed_rate(session_index),
-        rho=session.rho,
+        session_name=p.name,
+        theta_max=min(
+            [arrival.decay_rate]
+            + [float(g.decay_rates.min()) for g in p.lower]
+        ),
+        guaranteed_rate=p.guaranteed_rate,
+        rho=arrival.rho,
         log_prefactor=log_prefactor,
     )
 
@@ -537,83 +665,68 @@ def theorem12_family(
     :func:`theorem8_family`, the exact Hölder form is the default and
     ``paper_form=True`` reproduces the literal eq. (59).
     """
-    if partition is None:
-        partition = config.partition()
-    session = config.sessions[session_index]
-    level, psi, own_eps, class_eps = _partition_epsilon_structure(
-        config, partition, session_index
+    return _theorem12(
+        _placement(config, session_index, partition),
+        xi=xi,
+        paper_form=paper_form,
+        discrete=discrete,
     )
-    own_rate = session.rho + own_eps
 
+
+def _theorem12(
+    p: _Placement, *, xi: float, paper_form: bool, discrete: bool
+) -> SessionBoundFamily:
+    own_eps, class_eps = _slack_split(p)
     if paper_form and discrete:
         raise ValidationError(
             "paper_form reproduces the literal continuous-time "
             "eq. (59); combine it with discrete=False"
         )
-    if level == 0:
-        return theorem11_family(
-            config,
-            session_index,
-            xi=xi,
-            partition=partition,
-            discrete=discrete,
-        )
-
-    class_ceilings = [
-        min(config.sessions[j].alpha for j in partition.classes[l])
-        for l in range(level)
-    ]
-    terms = [HolderTerm(coefficient=1.0, ceiling=session.alpha)] + [
-        HolderTerm(coefficient=psi, ceiling=ceiling)
-        for ceiling in class_ceilings
+    if p.level == 0:
+        return _theorem11(p, xi=xi, discrete=discrete)
+    arrival = p.arrival
+    eps = _queue_slack("rate - rho", arrival.rho, own_eps)
+    lower = list(zip(p.lower, _class_slacks(p, class_eps)))
+    psi = p.psi
+    terms = [HolderTerm(coefficient=1.0, ceiling=arrival.decay_rate)] + [
+        HolderTerm(coefficient=psi, ceiling=float(group.decay_rates.min()))
+        for group in p.lower
     ]
     split = optimal_holder_split(terms)
     exponents = split.exponents
 
     def log_prefactor(theta: float) -> float:
         p_self = exponents[0]
-        inner_self = _queue_log_mgf(
-            session.arrival, own_rate, p_self * theta, xi, discrete
-        )
         if paper_form:
-            eps = own_rate - session.rho
+            # eq. (59): keep theta * (sigma_hat + rho xi) but divide by
+            # the *unexponentiated* geometric factor
+            arg = p_self * theta
             total = theta * (
-                session.arrival.sigma_hat(p_self * theta)
-                + session.rho * xi
-            ) - math.log(expm1_neg(p_self * theta * eps * xi))
+                arrival.sigma_hat(arg) + arrival.rho * xi
+            ) - math.log(expm1_neg(arg * eps * xi))
         else:
-            total = inner_self / p_self
-        for l in range(level):
-            p_l = exponents[l + 1]
-            members = partition.classes[l]
-            rho_total = sum(config.sessions[j].rho for j in members)
-            inner = _aggregate_log_mgf(
-                config,
-                members,
-                rho_total + class_eps,
-                p_l * psi * theta,
-                xi,
-                discrete,
+            total = (
+                _own_log_mgf(arrival, eps, p_self * theta, xi, discrete)
+                / p_self
             )
+        for (group, group_eps), p_l in zip(lower, exponents[1:]):
+            arg = p_l * psi * theta
             if paper_form:
-                sigma_total = sum(
-                    config.sessions[j].arrival.sigma_hat(p_l * psi * theta)
-                    for j in members
-                )
                 total += theta * psi * (
-                    sigma_total + rho_total * xi
-                ) - math.log(
-                    expm1_neg(p_l * psi * theta * class_eps * xi)
-                )
+                    _sigma_total(group, arg) + group.rho_total * xi
+                ) - math.log(expm1_neg(arg * class_eps * xi))
             else:
-                total += inner / p_l
+                total += (
+                    _aggregate_log_mgf(group, group_eps, arg, xi, discrete)
+                    / p_l
+                )
         return total
 
     return SessionBoundFamily(
-        session_name=session.name,
+        session_name=p.name,
         theta_max=split.theta_max,
-        guaranteed_rate=config.guaranteed_rate(session_index),
-        rho=session.rho,
+        guaranteed_rate=p.guaranteed_rate,
+        rho=arrival.rho,
         log_prefactor=log_prefactor,
     )
 

@@ -58,11 +58,10 @@ class AdmissionController:
     diagnostics:
         Attach feasible-ordering / feasible-partition / Theorem 11
         details to every decision.  In incremental mode this costs a
-        few float scans over the population (the eq. (4) check and the
-        partition, both read off the maintained ratio order) plus one
-        Theorem 11 bound optimization per request: a decision takes
-        about 1.5 ms at 1,000 sessions, against about 0.3 ms for the
-        gate alone.
+        few C-level passes over the context's columns (the eq. (4)
+        check and the partition) plus one Theorem 11 bound optimization
+        per request: a decision takes about 0.4-0.5 ms at 1,000
+        sessions, against about 0.1 ms for the gate alone.
         Switch off for very large populations where only the gate
         matters.
     incremental:

@@ -39,6 +39,7 @@ from repro.analysis import (  # noqa: E402
     QoSTarget,
     SortedRatioOrder,
     feasible_partition,
+    is_feasible_ordering,
 )
 from repro.core.ebb import EBB  # noqa: E402
 
@@ -282,3 +283,38 @@ class TestSortedRatioOrder:
             order.remove(1.0, 99)
         with pytest.raises(KeyError):
             order.replace(2.0, 1.0, 0)
+
+
+class TestScanAtSaturation:
+    """The eq. (4) scan runs as numpy accumulations over the ratio
+    order; within 1e-12 of saturation every rounding decides whether a
+    step passes, so the outcome must match the scalar reference
+    exactly, including when it finds no feasible ordering."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _saturated_sequences(),
+        st.floats(min_value=0.0, max_value=1e-12),
+    )
+    @example((_THREE_TIED_CLASSES, 0.999), 0.0)
+    def test_scan_matches_reference_near_saturation(self, case, gap):
+        events, _ = case
+        survivors = _drive(AnalysisContext(1.0), events)
+        if not survivors:
+            return
+        rhos = [rho for rho, _ in survivors.values()]
+        phis = [phi for _, phi in survivors.values()]
+        rate = math.fsum(rhos) * (1.0 + gap)
+        fast = AnalysisContext(rate)
+        slow = AnalysisContext(rate, incremental=False)
+        _drive(fast, events)
+        _drive(slow, events)
+        order = sorted(range(len(rhos)), key=lambda i: rhos[i] / phis[i])
+        feasible = is_feasible_ordering(
+            order, rhos, phis, server_rate=rate, strict=True
+        )
+        event(f"feasible={feasible}")
+        # the ordering part of diagnose(), cached per geometry
+        ordering = fast._ordering_diagnostics()
+        assert ordering == slow._ordering_diagnostics()
+        assert (ordering["feasible_ordering"] is not None) == feasible

@@ -135,3 +135,75 @@ class TestControllerParity:
                 slow.leave(gone)
         assert fast.summary() == slow.summary()
         assert outcomes == {True, False}
+
+
+class TestDiagnosticsAtScale:
+    """Diagnostics read off the maintained columns equal the
+    from-scratch context's at a serving-sized population.
+
+    2,000 sessions from four upper rates and four weights (half of the
+    rates exact, so ratios tie across sessions) at 97% load form four
+    partition classes; the churn renegotiates weights down to 0.1 and
+    joins contracts that land above ``H_1``, so requesters sit at every
+    level.
+    """
+
+    RATES = (1e-4, 2e-4, 4e-4, 8e-4)
+    WEIGHTS = (0.25, 0.5, 1.0, 2.0)
+    TARGET = QoSTarget(d_max=1e6, epsilon=1e-3)
+    TIGHT = QoSTarget(d_max=1.0, epsilon=1e-3)
+
+    def _contract(self, rng):
+        rho = self.RATES[int(rng.integers(len(self.RATES)))]
+        if rng.uniform() < 0.5:
+            rho *= float(rng.uniform(0.9, 1.1))
+        ebb = EBB(
+            rho,
+            float(rng.choice([0.5, 1.0, 2.0])),
+            float(rng.choice([1.0, 2.0, 4.0])),
+        )
+        return ebb, self.WEIGHTS[int(rng.integers(len(self.WEIGHTS)))]
+
+    def test_churn_diagnostics_match_reference(self):
+        rng = np.random.default_rng(7)
+        population = [self._contract(rng) for _ in range(2_000)]
+        rate = sum(ebb.rho for ebb, _ in population) / 0.97
+        fast = AnalysisContext(rate)
+        slow = AnalysisContext(rate, incremental=False)
+        for k, (ebb, phi) in enumerate(population):
+            fast.add(f"s{k}", ebb, phi, self.TARGET)
+            slow.add(f"s{k}", ebb, phi, self.TARGET)
+        assert fast.partition().num_classes >= 3
+        ratios = [ebb.rho / phi for ebb, phi in population]
+        assert len(set(ratios)) < len(ratios)
+
+        names = list(fast.names)
+        levels = set()
+        outcomes = set()
+        for step in range(60):
+            if step % 3 == 2:
+                gone = names.pop(int(rng.integers(len(names))))
+                fast.remove(gone)
+                slow.remove(gone)
+                continue
+            if step % 3 == 0:
+                ebb, phi = self._contract(rng)
+                target = self.TIGHT if step % 9 == 0 else self.TARGET
+                name = f"s{2_000 + step}"
+                d1 = fast.decide_join(name, ebb, phi, target, diagnostics=True)
+                d2 = slow.decide_join(name, ebb, phi, target, diagnostics=True)
+                if d1.accepted:
+                    names.append(name)
+            else:
+                name = names[int(rng.integers(len(names)))]
+                phi = float(rng.choice([0.1, 0.25, 0.5, 1.0, 2.0]))
+                d1 = fast.decide_update(name, phi=phi, diagnostics=True)
+                d2 = slow.decide_update(name, phi=phi, diagnostics=True)
+            assert d1.to_record() == d2.to_record()
+            levels.add(d1.details["partition_level"])
+            outcomes.add(d1.accepted)
+            if name in fast:  # a refused join never enters
+                assert fast.diagnose(name) == slow.diagnose(name)
+        assert fast.partition() == slow.partition()
+        assert outcomes == {True, False}
+        assert max(levels) >= 2, levels
