@@ -1,32 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the streaming PGPS/WFQ packet engine against the oracle.
+"""Benchmark the streaming PGPS/WFQ packet engine.
 
-The batch :class:`repro.sim.packet.WFQServer` pays O(busy) per packet:
-every virtual-clock advance re-sums the busy weights with ``fsum`` and
-the final fluid inversion bisects a fully materialized breakpoint
-index.  The streaming :class:`repro.packet.engine.PacketEngine` keeps
-the busy weight sum as an exact incremental Shewchuk accumulator, the
-next-finish lookup as a lazy-deletion heap, and the inversion as a
-pending-heap resolved while breakpoints are appended — O(log busy) per
-packet and O(in-system packets) memory, bit-identical output.
+:class:`repro.packet.engine.PacketEngine` keeps the busy weight sum as
+an exact incremental Shewchuk accumulator, the next-finish lookup as a
+lazy-deletion heap, and the fluid inversion as a pending-heap resolved
+while breakpoints are appended — O(log busy) per packet and
+O(in-system packets) memory.
 
 The sweep crosses trace length with busy-session count.  The workload
 runs at a slight overload (``--load 1.05`` on a rate-1 server): every
 session's arrival rate exceeds its GPS share, so after a short ramp
 the *entire* population is busy and stays busy — the busy-set size is
-the session count, which is exactly the axis the O(busy)-vs-O(log
-busy) comparison needs (at sub-critical load the stationary busy set
-collapses to ~``rho / (1 - rho)`` sessions regardless of population
-and both implementations look flat).  Per point the sweep reports
-sustained ``packets_per_sec`` for the engine; traces at or below
-``--oracle-max`` packets also run the oracle on the *same* workload so
-``speedup`` is a same-trace ratio.  The headline number is
-``engine_speedup_1m`` — engine throughput on the million-packet /
-1k-session point divided by oracle throughput on its largest feasible
-trace at the same session count (the oracle cannot finish a
-million-packet trace in benchmark time; its busy ramp is still partial
-at 20k packets, so its small-trace rate overstates its large-trace
-rate and the ratio is conservative).  The acceptance floor is 10x.
+the session count, the axis an O(log busy) engine must stay flat on
+(at sub-critical load the stationary busy set collapses to
+~``rho / (1 - rho)`` sessions regardless of population).  Per point
+the sweep reports sustained ``engine_packets_per_sec``.
 
 Writes ``BENCH_packet.json``; the CI bench job uploads it as a
 non-gating artifact and warns when the million-packet engine rate
@@ -48,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.packet.engine import PacketEngine
-from repro.sim.packet import Packet, WFQServer
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_packet.json"
 
@@ -94,24 +81,6 @@ def bench_engine(
     return len(times) / elapsed, engine
 
 
-def bench_oracle(
-    times: np.ndarray,
-    sessions: np.ndarray,
-    sizes: np.ndarray,
-    num_sessions: int,
-) -> float:
-    """Batch WFQServer throughput on the same workload in packets/s."""
-    phis = [1.0 / num_sessions] * num_sessions
-    packets = [
-        Packet(session=int(s), size=float(z), arrival_time=float(t))
-        for t, s, z in zip(times, sessions, sizes)
-    ]
-    server = WFQServer(rate=1.0, phis=phis)
-    start = time.perf_counter()
-    server.simulate(packets)
-    return len(packets) / (time.perf_counter() - start)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -129,12 +98,6 @@ def main() -> int:
         help="session-population sizes to sweep",
     )
     parser.add_argument(
-        "--oracle-max",
-        type=int,
-        default=20_000,
-        help="largest trace the batch oracle also runs (same workload)",
-    )
-    parser.add_argument(
         "--load",
         type=float,
         default=1.05,
@@ -146,7 +109,6 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    oracle_rate_by_sessions: dict[int, float] = {}
     for num_sessions in args.session_counts:
         for num_packets in args.packet_counts:
             times, sessions, sizes = build_workload(
@@ -155,54 +117,27 @@ def main() -> int:
             engine_rate, engine = bench_engine(
                 times, sessions, sizes, num_sessions
             )
-            row = {
-                "num_packets": num_packets,
-                "num_sessions": num_sessions,
-                "engine_packets_per_sec": engine_rate,
-                "oracle_packets_per_sec": None,
-                "same_trace_speedup": None,
-                "max_gap": engine.gap_report().max_gap,
-                "gap_violations": engine.gap_report().violations,
-            }
-            if num_packets <= args.oracle_max:
-                oracle_rate = bench_oracle(
-                    times, sessions, sizes, num_sessions
-                )
-                row["oracle_packets_per_sec"] = oracle_rate
-                row["same_trace_speedup"] = engine_rate / oracle_rate
-                oracle_rate_by_sessions[num_sessions] = oracle_rate
-            rows.append(row)
-            speedup = row["same_trace_speedup"]
-            extra = (
-                f", {speedup:.1f}x oracle" if speedup is not None else ""
+            rows.append(
+                {
+                    "num_packets": num_packets,
+                    "num_sessions": num_sessions,
+                    "engine_packets_per_sec": engine_rate,
+                    "max_gap": engine.gap_report().max_gap,
+                    "gap_violations": engine.gap_report().violations,
+                }
             )
             print(
                 f"packet N={num_packets:9,d} sessions="
                 f"{num_sessions:5,d}: {engine_rate:,.0f} packets/s"
-                f"{extra}"
             )
 
-    headline = None
-    for row in rows:
-        oracle_rate = oracle_rate_by_sessions.get(row["num_sessions"])
-        if (
-            row["num_packets"] >= 1_000_000
-            and row["num_sessions"] >= 1_000
-            and oracle_rate
-        ):
-            headline = row["engine_packets_per_sec"] / oracle_rate
-    if headline is not None:
-        print(f"headline engine_speedup_1m: {headline:.1f}x")
-
     payload = {
-        "benchmark": "streaming PGPS/WFQ packet engine vs batch oracle",
+        "benchmark": "streaming PGPS/WFQ packet engine",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "oracle_max_packets": args.oracle_max,
         "load": args.load,
-        "engine_speedup_1m": headline,
         "throughput": rows,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

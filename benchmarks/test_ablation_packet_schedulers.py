@@ -14,7 +14,8 @@ import numpy as np
 from benchmarks.conftest import report
 from repro.experiments.tables import format_table
 from repro.sim.measurements import tail_quantile
-from repro.sim.packet import Packet, WFQServer
+from repro.packet.engine import PacketEngine
+from repro.sim.packet import Packet
 from repro.sim.packet_baselines import SCFQServer, VirtualClockServer
 
 NUM_PACKETS = 3_000
@@ -36,16 +37,15 @@ def build_workload():
 
 def run_comparison():
     packets = build_workload()
-    servers = {
-        "WFQ (PGPS)": WFQServer(RATE, PHIS),
-        "SCFQ": SCFQServer(RATE, PHIS),
+    results = {
+        "WFQ (PGPS)": PacketEngine(RATE, PHIS, collect=True).run(packets),
+        "SCFQ": SCFQServer(RATE, PHIS).simulate(packets),
         "VirtualClock": VirtualClockServer(
             RATE, [0.45, 0.3, 0.2]
-        ),
+        ).simulate(packets),
     }
     rows = []
-    for label, server in servers.items():
-        result = server.simulate(packets)
+    for label, result in results.items():
         for session in range(3):
             delays = result.session_delays(session)
             rows.append(

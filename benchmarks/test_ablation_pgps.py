@@ -12,7 +12,8 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.experiments.tables import format_table
-from repro.sim.packet import Packet, WFQServer
+from repro.packet.engine import PacketEngine
+from repro.sim.packet import Packet
 
 NUM_PACKETS = 2_000
 RATE = 1.0
@@ -28,8 +29,7 @@ def run_experiment():
         session = int(rng.integers(0, len(PHIS)))
         size = float(rng.uniform(0.2, 1.2))
         packets.append(Packet(session, size, clock))
-    server = WFQServer(RATE, PHIS)
-    return server.simulate(packets)
+    return PacketEngine(RATE, PHIS, collect=True).run(packets)
 
 
 def test_pgps_vs_gps(once):

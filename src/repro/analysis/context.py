@@ -226,28 +226,32 @@ def _strict_scan(
     per step; the consumed rate gains one ``rho`` per step.
     Both recurrences are sequential accumulations, which
     ``np.{subtract,add}.accumulate`` evaluate in the same order, and the
-    slack is elementwise IEEE arithmetic.  Like the scalar loop, the
-    scan stops at the first failing step, and a remaining weight that
-    rounds to zero there raises ``ZeroDivisionError``.
+    slack is elementwise IEEE arithmetic.  Where the running weight
+    rounds to ``<= 0.0`` with sessions left, the scalar loop restarts
+    it from the builtin ``sum`` of the unscanned weights, and so does
+    this scan.  A step whose slack is NaN passes, as in the loop.
     """
     remaining = np.empty_like(phis)
     remaining[0] = total_phi
     remaining[1:] = phis[:-1]
     np.subtract.accumulate(remaining, out=remaining)
+    k = 0
+    while True:
+        rounded_away = np.flatnonzero(remaining[k:] <= 0.0)
+        if not rounded_away.size:
+            break
+        k += int(rounded_away[0])
+        tail = remaining[k:]
+        tail[0] = sum(phis[k:].tolist())
+        tail[1:] = phis[k:-1]
+        np.subtract.accumulate(tail, out=tail)
     consumed = np.empty_like(rhos)
     consumed[0] = 0.0
     consumed[1:] = rhos[:-1]
     np.add.accumulate(consumed, out=consumed)
     with np.errstate(all="ignore"):
         slack = phis / remaining * (rate - consumed) - rhos
-    if remaining.all() and (slack > 0.0).all():
-        return True
-    stops = np.flatnonzero((slack <= 0.0) | (remaining == 0.0))
-    if not stops.size:
-        return True
-    if remaining[stops[0]] == 0.0:
-        raise ZeroDivisionError("float division by zero")
-    return False
+    return not (slack <= 0.0).any()
 
 
 class _Layout:

@@ -85,6 +85,10 @@ def is_feasible_ordering(
     remaining_phi = sum(phis[i] for i in order)
     consumed = 0.0
     for position, i in enumerate(order):
+        if remaining_phi <= 0.0:
+            # The running weight rounded away while sessions remain
+            # (weights more than 2**53 apart): sum what is left.
+            remaining_phi = sum(phis[k] for k in order[position:])
         budget = (phis[i] / remaining_phi) * (server_rate - consumed)
         slack = budget - rates[i]
         if strict:
@@ -95,7 +99,6 @@ def is_feasible_ordering(
                 return False
         consumed += rates[i]
         remaining_phi -= phis[i]
-        del position
     return True
 
 

@@ -3,8 +3,8 @@
 The paper's bounds are fluid-level; Sections 2 and 7 invoke the
 Parekh–Gallager coupling (an ``L_max/r`` delay shift and an ``L_max``
 backlog shift) to carry them over to the packet-by-packet discipline.
-:mod:`repro.sim.packet` states that coupling on a batch, list-based
-simulator; this package *measures* it at scale:
+This package schedules that discipline and *measures* the coupling at
+scale (:mod:`repro.sim.packet` holds the packet types):
 
 * :mod:`repro.packet.vclock` — a streaming virtual clock: the busy-set
   φ mass lives in an exact incremental accumulator and the next busy
@@ -16,9 +16,9 @@ simulator; this package *measures* it at scale:
   a one-pass discrete-event PGPS/WFQ engine: packets stream in from an
   iterator, scheduled packets stream out through a
   :class:`repro.online.records.RecordSink`, and memory stays
-  O(in-system packets).  Bit-identical to the
-  :class:`repro.sim.packet.WFQServer` oracle (same exactly-rounded
-  arithmetic), ~an order of magnitude faster.
+  O(in-system packets).  The library's only PGPS scheduler; the
+  tests hold it bit-identical to a short reference schedule
+  (``tests/packet/oracle.py``, same exactly-rounded arithmetic).
 * :mod:`repro.packet.trace` — the JSONL ``PacketTrace`` wire format
   (pcap-style: arrival time, session, length) with a streaming
   reader/writer; :meth:`repro.scenario.Scenario.to_packet_trace`

@@ -1,10 +1,12 @@
 """One-pass discrete-event PGPS/WFQ engine.
 
-:class:`PacketEngine` schedules a nondecreasing-arrival-time packet
-stream exactly as :class:`repro.sim.packet.WFQServer` does — same
-virtual-clock trajectory, same non-preemptive smallest-virtual-finish
-transmission order, same fluid-reference inversion — but in a single
-streaming pass:
+:class:`PacketEngine` is the library's packet-by-packet GPS
+scheduler: a continuous-time virtual clock ``V(t)`` advancing at
+``r / sum_{i in B(t)} phi_i`` over the GPS-busy set, per-packet
+virtual stamps ``S = max(V(a), F_prev)``, ``F = S + L / phi_i``, a
+non-preemptive server that transmits the smallest virtual finish
+whenever it frees, and each packet's departure in the fluid reference
+(``V`` inverted at ``F``).  It works in a single streaming pass:
 
 * packets are **pushed** one at a time (or pulled from an iterator by
   :meth:`run`); the engine never sorts or materializes the workload;
@@ -16,15 +18,15 @@ streaming pass:
   record table and the virtual clock's pending-inversion heap all
   shrink as packets depart.
 
-Equivalence with the oracle is arithmetic, not approximate: the
-transmit loop interleaves admissions and transmissions in the exact
-order the oracle's batch loop visits them, and the
-:class:`repro.packet.vclock.StreamingVirtualClock` reproduces the
-reference clock bit for bit.  The hypothesis fuzz suite asserts
-``np.array_equal`` on every stamp column.  Ties (equal arrival times)
-are broken by push order, so feed the engine packets sorted by
-``(arrival_time, session)`` — the order :class:`PacketTrace` files
-are written in — to match the oracle's canonical ordering.
+The tests check it against a short reference schedule
+(``tests/packet/oracle.py``) with ``np.array_equal`` on every stamp
+column: the :class:`repro.packet.vclock.StreamingVirtualClock` uses
+the reference's exactly rounded arithmetic, and the transmit loop
+interleaves admissions and transmissions in the order the reference
+visits them.  Ties (equal arrival times) are broken by push order, so
+feed the engine packets sorted by ``(arrival_time, session)`` — the
+order :class:`PacketTrace` files are written in — to match the
+reference's canonical ordering.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class PacketEngine:
         departed packet; ``None`` keeps only the streaming aggregates.
     collect:
         Retain every :class:`~repro.sim.packet.ScheduledPacket` in
-        departure order on the result — the oracle-comparison mode;
-        leave off for large traces.
+        departure order on the result (needed for per-packet and
+        per-session views); leave off for large traces.
     """
 
     def __init__(
@@ -170,8 +172,8 @@ class PacketEngine:
         one-pass); violations raise
         :class:`repro.errors.ValidationError` before any state
         changes.  Transmissions that complete strictly before this
-        arrival are finalized first, exactly as the oracle's batch
-        loop orders them.
+        arrival are finalized first, exactly as the reference
+        schedule orders them.
         """
         if self._finished:
             raise ValidationError(
@@ -230,12 +232,6 @@ class PacketEngine:
         if clock.resolved:
             self._pump()
         return v_start, v_finish
-
-    def push_packet(self, packet: Packet) -> tuple[float, float]:
-        """Admit one :class:`~repro.sim.packet.Packet`."""
-        return self.push(
-            packet.session, packet.size, packet.arrival_time
-        )
 
     def _transmit(self) -> None:
         """Serve the smallest-virtual-finish queued packet."""

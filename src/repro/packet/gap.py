@@ -13,13 +13,10 @@ observed ``L_max``, the implied bound, and any violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.pgps import PacketizationPenalty
 from repro.utils.validation import check_positive
-
-if TYPE_CHECKING:  # circular-free: sim.packet never imports this
-    from repro.sim.packet import WFQResult
 
 __all__ = ["GapAccumulator", "GapReport", "SessionGap"]
 
@@ -226,23 +223,6 @@ class GapAccumulator:
             violations=violations,
             sessions=tuple(sessions),
         )
-
-    @classmethod
-    def from_result(
-        cls, result: "WFQResult"
-    ) -> "GapAccumulator":
-        """Accumulate a batch :class:`repro.sim.packet.WFQResult` —
-        the oracle-side path the equivalence tests compare against."""
-        acc = cls(result.rate)
-        for p in result.packets:
-            acc.observe(
-                p.packet.session,
-                p.packet.size,
-                p.packet.arrival_time,
-                p.pgps_finish,
-                p.gps_finish,
-            )
-        return acc
 
     # ------------------------------------------------------------------
     def export_state(self) -> dict[str, Any]:

@@ -4,9 +4,9 @@
 :class:`repro.packet.engine.PacketEngine` run — packet counts, delay
 extremes, the frozen :class:`repro.packet.gap.GapReport` — plus the
 full :class:`repro.sim.packet.ScheduledPacket` tuple when the engine
-ran with ``collect=True`` (the oracle-comparison mode).  ``summary()``
-matches the shape of :meth:`repro.sim.packet.WFQResult.summary` so
-downstream tooling treats batch and streaming runs alike.
+ran with ``collect=True``, which the per-session views
+(:meth:`PacketSimResult.session_packets`,
+:meth:`PacketSimResult.session_delays`) need.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+import numpy as np
+
+from repro.errors import ValidationError
 from repro.packet.gap import GapReport
 from repro.sim.packet import ScheduledPacket
 
@@ -47,9 +50,29 @@ class PacketSimResult:
         return self.gap_report.mean_delay
 
     def max_pgps_gps_gap(self) -> float:
-        """``max_k (pgps_finish_k - gps_finish_k)`` (cf.
-        :meth:`repro.sim.packet.WFQResult.max_pgps_gps_gap`)."""
+        """``max_k (pgps_finish_k - gps_finish_k)``; Parekh & Gallager
+        bound this by ``L_max / r``."""
         return self.gap_report.max_gap
+
+    def session_packets(self, session: int) -> list[ScheduledPacket]:
+        """Packets of one session, in arrival order (needs a run with
+        ``collect=True``)."""
+        if self.packets is None:
+            raise ValidationError(
+                "per-packet views need a PacketEngine run with "
+                "collect=True"
+            )
+        selected = [
+            p for p in self.packets if p.packet.session == session
+        ]
+        selected.sort(key=lambda p: p.packet.arrival_time)
+        return selected
+
+    def session_delays(self, session: int) -> np.ndarray:
+        """PGPS delays of one session's packets, in arrival order."""
+        return np.array(
+            [p.pgps_delay for p in self.session_packets(session)]
+        )
 
     def with_drained(self, drained: bool) -> "PacketSimResult":
         """A copy with the ``drained`` flag replaced."""

@@ -293,6 +293,11 @@ class PacketServiceMixin:
         engine.bind_sink(self._sink)
 
     def _parse_event(self, payload: dict[str, Any]) -> Any:
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"event record must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         kind = payload.get("kind")
         if kind == "packet":
             return packet_from_record(payload)

@@ -103,12 +103,28 @@ class PacketTraceHeader:
             raise ValidationError(
                 "packet-trace header must carry a non-empty phis list"
             )
+        for phi in phis:
+            if not _is_number(phi):
+                raise ValidationError(
+                    f"packet-trace header phis must be numbers, got "
+                    f"{phi!r}"
+                )
         names = record.get("names")
+        if names is not None and not isinstance(names, list):
+            raise ValidationError(
+                f"packet-trace header names must be a list, got "
+                f"{names!r}"
+            )
         return cls(
-            phis=tuple(float(p) for p in phis),
+            phis=tuple(phis),
             rate=record.get("rate"),
             names=None if names is None else tuple(names),
         )
+
+
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` decoded from a JSON number (a bool did not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def packet_to_record(packet: Packet) -> dict[str, Any]:
@@ -128,15 +144,24 @@ def packet_from_record(record: dict[str, Any]) -> Packet:
             f"expected a packet record, got kind={record.get('kind')!r}"
         )
     try:
-        return Packet(
-            session=int(record["session"]),
-            size=float(record["size"]),
-            arrival_time=float(record["time"]),
+        session, size, time = (
+            record["session"], record["size"], record["time"]
         )
-    except (KeyError, TypeError) as exc:
+        if not (
+            isinstance(session, int)
+            and _is_number(session)
+            and _is_number(size)
+            and _is_number(time)
+        ):
+            raise TypeError(
+                "session must be an integer, size and time numbers"
+            )
+        size, time = float(size), float(time)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(
             f"malformed packet record {record!r}: {exc}"
         ) from exc
+    return Packet(session=session, size=size, arrival_time=time)
 
 
 def _open_lines(source: _Source) -> tuple[Iterable[str], IO[str] | None]:

@@ -3,11 +3,10 @@
 The virtual clock of PGPS/WFQ advances at rate
 ``r / sum_{i in B(t)} phi_i`` over the GPS-busy set ``B(t)`` and is
 piecewise linear between *breakpoints* (busy-set changes and arrival
-instants).  The reference implementation
-(:class:`repro.sim.packet._VirtualClock`) keeps the busy set as a
-materialized index list, pays an O(busy) exactly-rounded φ sum per
-slope change, records every breakpoint, and inverts virtual finish
-values by post-hoc binary search.
+instants).  The short reference schedule the tests check it against
+(``tests/packet/oracle.py``) rescans the busy set at every step, pays
+an O(busy) exactly-rounded φ sum per slope change, records every
+breakpoint, and inverts virtual finish values by a scan over them.
 
 :class:`StreamingVirtualClock` computes the *same* trajectory in
 O(log busy) amortized per event and O(busy + pending) memory:
@@ -26,12 +25,12 @@ O(log busy) amortized per event and O(busy + pending) memory:
   virtual value reaches ``w``, interpolating inside the segment with
   the reference formula.  Queries equal to the current virtual value
   resolve against the start of the current equal-value plateau —
-  exactly the first-occurrence semantics of the reference binary
-  search — so no breakpoint history is retained at all.
+  exactly the first-breakpoint-reaching-the-query semantics of the
+  reference scan — so no breakpoint history is retained at all.
 
-Every floating-point expression matches the reference clock operation
-for operation; the equivalence fuzz suite asserts ``np.array_equal``
-on all stamps across both implementations.
+Every floating-point expression matches the reference operation for
+operation; the equivalence fuzz suite asserts ``np.array_equal`` on
+all stamps across both.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ def _segment_time(
 ) -> float:
     """First real time ``V`` reaches ``w`` inside one linear segment.
 
-    The expression mirrors ``_VirtualClock.real_time_of`` exactly
-    (flat-segment guard included) so resolved times are bit-identical
-    to the reference inversion.
+    The expression mirrors the reference schedule's inversion
+    exactly (flat-segment guard included) so resolved times are
+    bit-identical to it.
     """
     if v1 <= v0 + _EPS:
         return t1

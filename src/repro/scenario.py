@@ -45,8 +45,10 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.faults.schedule import FaultSchedule
     from repro.sim.batch import BatchFluidGPSServer, BatchGPSSimResult
     from repro.sim.fluid import FluidGPSServer, GPSSimResult
+    from repro.packet.engine import PacketEngine
+    from repro.packet.results import PacketSimResult
     from repro.packet.trace import PacketTrace
-    from repro.sim.packet import Packet, WFQResult, WFQServer
+    from repro.sim.packet import Packet
     from repro.sim.packetize import PacketSizeModel
 
 __all__ = ["Scenario"]
@@ -398,11 +400,12 @@ class Scenario:
     # ------------------------------------------------------------------
     # packet side
     # ------------------------------------------------------------------
-    def packet_server(self) -> "WFQServer":
-        """A WFQ (packet-by-packet GPS) server for this scenario."""
-        from repro.sim.packet import WFQServer
+    def packet_server(self) -> "PacketEngine":
+        """A fresh PGPS (packet-by-packet GPS) engine for this
+        scenario."""
+        from repro.packet.engine import PacketEngine
 
-        return WFQServer(rate=self.rate, phis=self.phis)
+        return PacketEngine(self.rate, self.phis)
 
     def packetize(
         self, packet_size: float, trial: int = 0
@@ -416,11 +419,13 @@ class Scenario:
 
     def simulate_packets(
         self, packet_size: float, trial: int = 0
-    ) -> "WFQResult":
-        """Run one packetized WFQ trial of the scenario."""
-        return self.packet_server().simulate(
-            self.packetize(packet_size, trial)
-        )
+    ) -> "PacketSimResult":
+        """Run one packetized PGPS trial of the scenario, keeping
+        every packet's stamps."""
+        from repro.packet.engine import PacketEngine
+
+        engine = PacketEngine(self.rate, self.phis, collect=True)
+        return engine.run(self.packetize(packet_size, trial))
 
     def to_packet_trace(
         self,

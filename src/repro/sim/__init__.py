@@ -1,5 +1,5 @@
-"""Simulators: fluid GPS, packetized WFQ (PGPS), baseline schedulers,
-multi-node networks and measurement utilities."""
+"""Simulators: fluid GPS, packet types and packet networks (PGPS),
+baseline schedulers, multi-node networks and measurement utilities."""
 
 from repro.sim.baselines import (
     FCFSServer,
@@ -29,7 +29,7 @@ from repro.sim.measurements import (
     tail_quantile,
 )
 from repro.sim.network_sim import FluidNetworkSimulator, NetworkSimResult
-from repro.sim.packet import Packet, ScheduledPacket, WFQResult, WFQServer
+from repro.sim.packet import Packet, ScheduledPacket
 from repro.sim.packet_network import (
     PacketNetworkResult,
     PacketNetworkSimulator,
@@ -78,8 +78,6 @@ __all__ = [
     "NetworkSimResult",
     "Packet",
     "ScheduledPacket",
-    "WFQResult",
-    "WFQServer",
     "packetize_trace",
     "packetize_trace_model",
     "packetize_traces",

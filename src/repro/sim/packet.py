@@ -1,40 +1,26 @@
-"""Packetized GPS (PGPS / Weighted Fair Queueing) simulator.
+"""Packet types of the packetized GPS (PGPS / WFQ) discipline.
 
 The paper analyzes the fluid GPS discipline and notes (Sections 2 and
 7) that the extension to the packet-by-packet version — PGPS, i.e.
-WFQ as introduced by Demers/Keshav/Shenker — "is not difficult".  This
-module implements that packet system exactly:
-
-* a continuous-time **virtual clock** ``V(t)`` advancing at rate
-  ``r / sum_{i in B(t)} phi_i`` over the GPS-busy set ``B(t)``;
-* per-packet virtual start/finish stamps
-  ``S_k = max(V(a_k), F_{prev})``, ``F_k = S_k + L_k / phi_i``;
-* a non-preemptive server transmitting, whenever it goes idle, the
-  queued packet with the smallest virtual finish stamp.
-
-The simulator also reconstructs each packet's departure time in the
-*fluid reference* system by inverting ``V(t)`` at ``F_k``, which lets
-tests verify Parekh & Gallager's coupling result
+WFQ as introduced by Demers/Keshav/Shenker — "is not difficult".
+:class:`repro.packet.engine.PacketEngine` schedules it; this module
+holds the input :class:`Packet` and the fully stamped
+:class:`ScheduledPacket` it produces, whose ``gps_finish`` (the
+departure in the fluid reference) lets tests verify Parekh &
+Gallager's coupling result
 
     pgps_finish_k <= gps_finish_k + L_max / r.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.utils.validation import check_positive, check_weights
-
 from repro.errors import ValidationError
+from repro.utils.validation import check_positive
 
-__all__ = ["Packet", "ScheduledPacket", "WFQResult", "WFQServer"]
-
-_EPS = 1e-12
+__all__ = ["Packet", "ScheduledPacket"]
 
 
 @dataclass(frozen=True)
@@ -77,296 +63,3 @@ class ScheduledPacket:
     def gps_delay(self) -> float:
         """Departure delay in the fluid reference system."""
         return self.gps_finish - self.packet.arrival_time
-
-
-@dataclass(frozen=True)
-class WFQResult:
-    """All scheduled packets, in PGPS departure order."""
-
-    packets: tuple[ScheduledPacket, ...]
-    rate: float
-    phis: tuple[float, ...]
-
-    def session_packets(self, session: int) -> list[ScheduledPacket]:
-        """Packets of one session, in arrival order."""
-        selected = [
-            p for p in self.packets if p.packet.session == session
-        ]
-        selected.sort(key=lambda p: p.packet.arrival_time)
-        return selected
-
-    def session_delays(self, session: int) -> np.ndarray:
-        """PGPS delays of one session's packets."""
-        return np.array(
-            [p.pgps_delay for p in self.session_packets(session)]
-        )
-
-    def max_pgps_gps_gap(self) -> float:
-        """``max_k (pgps_finish_k - gps_finish_k)``; Parekh & Gallager
-        bound this by ``L_max / r``."""
-        return max(
-            (p.pgps_finish - p.gps_finish for p in self.packets),
-            default=0.0,
-        )
-
-    def summary(self) -> dict:
-        """Scalar facts about the run (the :class:`SimResult` protocol)."""
-        delays = [p.pgps_delay for p in self.packets]
-        return {
-            "kind": "wfq_packet",
-            "num_packets": len(self.packets),
-            "num_sessions": len(self.phis),
-            "rate": self.rate,
-            "phis": list(self.phis),
-            "total_size": float(
-                sum(p.packet.size for p in self.packets)
-            ),
-            "mean_pgps_delay": (
-                float(np.mean(delays)) if delays else 0.0
-            ),
-            "max_pgps_delay": float(max(delays)) if delays else 0.0,
-            "max_pgps_gps_gap": float(self.max_pgps_gps_gap()),
-        }
-
-    def to_dict(self) -> dict:
-        """Full JSON-serializable dump: summary plus per-packet stamps."""
-        payload = self.summary()
-        payload["packets"] = [
-            {
-                "session": p.packet.session,
-                "size": p.packet.size,
-                "arrival_time": p.packet.arrival_time,
-                "virtual_start": p.virtual_start,
-                "virtual_finish": p.virtual_finish,
-                "pgps_start": p.pgps_start,
-                "pgps_finish": p.pgps_finish,
-                "gps_finish": p.gps_finish,
-            }
-            for p in self.packets
-        ]
-        return payload
-
-
-class _VirtualClock:
-    """Piecewise-linear virtual time with crossing-aware advancement.
-
-    The GPS-busy set is maintained *incrementally* as a sorted index
-    list: a session enters when a stamp pushes its last virtual finish
-    past ``V`` and leaves when ``V`` crosses that finish, so each slope
-    change costs O(busy) instead of rescanning the full φ vector.  All
-    busy-φ sums are exactly rounded (``math.fsum``), which makes the
-    slope — and therefore every breakpoint — a pure function of the
-    busy *set*, independent of summation order.  The streaming engine
-    in :mod:`repro.packet` relies on that to reproduce this clock bit
-    for bit from an incremental accumulator.
-    """
-
-    def __init__(self, rate: float, phis: np.ndarray) -> None:
-        self._rate = rate
-        self._phis = phis
-        self._time = 0.0
-        self._virtual = 0.0
-        # Largest assigned virtual finish per session; the session is
-        # GPS-busy while this exceeds V.
-        self._last_finish = np.zeros(phis.size)
-        # Sorted indices of the GPS-busy set, kept equal to
-        # {i : last_finish[i] > V + eps} across every mutation.
-        self._busy: list[int] = []
-        # Recorded (time, virtual) breakpoints for inversion.
-        self._segments: list[tuple[float, float]] = [(0.0, 0.0)]
-        # Cached virtual-value index for binary-search inversion.
-        self._index_values: list[float] | None = None
-
-    @property
-    def virtual_now(self) -> float:
-        return self._virtual
-
-    def _busy_sessions(self) -> np.ndarray:
-        return np.asarray(self._busy, dtype=np.intp)
-
-    def _drop_settled(self) -> None:
-        """Evict busy sessions whose last finish ``V`` has crossed."""
-        threshold = self._virtual + _EPS
-        last = self._last_finish
-        if any(last[k] <= threshold for k in self._busy):
-            self._busy = [
-                k for k in self._busy if last[k] > threshold
-            ]
-
-    def advance_to(self, target_time: float) -> None:
-        """Advance real time to ``target_time``, updating ``V``.
-
-        Between packet arrivals the GPS-busy set only shrinks, at the
-        moments ``V`` crosses a session's last virtual finish; each
-        crossing changes the slope of ``V``.
-        """
-        while self._time < target_time - _EPS:
-            busy = self._busy
-            if not busy:
-                # Idle: V holds its value.
-                self._time = target_time
-                self._segments.append((self._time, self._virtual))
-                return
-            slope = self._rate / math.fsum(
-                self._phis[k] for k in busy
-            )
-            next_finish = float(
-                min(self._last_finish[k] for k in busy)
-            )
-            crossing_dt = (next_finish - self._virtual) / slope
-            remaining = target_time - self._time
-            if crossing_dt <= remaining + _EPS:
-                self._time += crossing_dt
-                self._virtual = next_finish
-            else:
-                self._time = target_time
-                self._virtual += slope * remaining
-            self._drop_settled()
-            self._segments.append((self._time, self._virtual))
-
-    def stamp_packet(self, packet: Packet) -> tuple[float, float]:
-        """Assign virtual start/finish to an arriving packet (the clock
-        must already be advanced to the packet's arrival time)."""
-        i = packet.session
-        start = max(self._virtual, self._last_finish[i])
-        finish = start + packet.size / self._phis[i]
-        self._last_finish[i] = finish
-        if finish > self._virtual + _EPS:
-            pos = bisect.bisect_left(self._busy, i)
-            if pos == len(self._busy) or self._busy[pos] != i:
-                self._busy.insert(pos, i)
-        return start, finish
-
-    def drain(self) -> None:
-        """Run the clock forward until every session finishes in the
-        fluid reference (so all virtual finishes can be inverted)."""
-        while self._busy:
-            busy = self._busy
-            slope = self._rate / math.fsum(
-                self._phis[k] for k in busy
-            )
-            next_finish = float(
-                min(self._last_finish[k] for k in busy)
-            )
-            self._time += (next_finish - self._virtual) / slope
-            self._virtual = next_finish
-            self._drop_settled()
-            self._segments.append((self._time, self._virtual))
-
-    def real_time_of(self, virtual_value: float) -> float:
-        """Invert ``V(t)``: first real time at which ``V`` reaches the
-        value (defined because ``V`` is non-decreasing).
-
-        Binary search over the recorded breakpoints — the *first*
-        breakpoint whose value reaches the query resolves it, with
-        linear interpolation inside the segment.  A query within
-        ``eps`` above the final drained value resolves to the final
-        breakpoint (such a stamp never re-entered the busy set, so
-        ``V`` legitimately stops just short of it).  The breakpoint
-        index is built lazily on first use (after :meth:`drain`) and
-        reused for every packet — the inversion is called once per
-        packet, so anything slower makes the simulation quadratic.
-        """
-        if self._index_values is None or len(
-            self._index_values
-        ) != len(self._segments):
-            self._index_values = [v for _, v in self._segments]
-        segments = self._segments
-        k = bisect.bisect_left(self._index_values, virtual_value)
-        if k >= len(segments):
-            if virtual_value <= self._virtual + _EPS:
-                return segments[-1][0]
-            raise ValidationError(
-                f"virtual value {virtual_value} was never reached; "
-                "call drain() first"
-            )
-        if k == 0:
-            return segments[0][0]
-        t0, v0 = segments[k - 1]
-        t1, v1 = segments[k]
-        if v1 <= v0 + _EPS:
-            return t1
-        fraction = (virtual_value - v0) / (v1 - v0)
-        return t0 + fraction * (t1 - t0)
-
-
-class WFQServer:
-    """Non-preemptive packet-by-packet GPS (WFQ) server."""
-
-    def __init__(self, rate: float, phis) -> None:
-        check_positive("rate", rate)
-        self._phis = np.asarray(check_weights("phis", list(phis)))
-        self._rate = float(rate)
-
-    @property
-    def rate(self) -> float:
-        """Transmission rate (service units per time unit)."""
-        return self._rate
-
-    @property
-    def num_sessions(self) -> int:
-        """Number of sessions."""
-        return self._phis.size
-
-    def simulate(self, packets: list[Packet]) -> WFQResult:
-        """Schedule all packets; returns stamps in departure order."""
-        for packet in packets:
-            if packet.session >= self.num_sessions:
-                raise ValidationError(
-                    f"packet session {packet.session} out of range "
-                    f"(server has {self.num_sessions} sessions)"
-                )
-        pending = sorted(
-            packets, key=lambda p: (p.arrival_time, p.session)
-        )
-        clock = _VirtualClock(self._rate, self._phis)
-        # Heap of (virtual_finish, sequence, packet, virtual_start).
-        ready: list[tuple[float, int, Packet, float]] = []
-        scheduled: list[ScheduledPacket] = []
-        sequence = 0
-        server_free_at = 0.0
-        index = 0
-        stamps: list[tuple[Packet, float, float, float, float]] = []
-
-        while index < len(pending) or ready:
-            if not ready:
-                # Jump to the next arrival.
-                next_arrival = pending[index].arrival_time
-                server_free_at = max(server_free_at, next_arrival)
-            # Admit everything that has arrived by the time the server
-            # is free to choose.
-            while (
-                index < len(pending)
-                and pending[index].arrival_time <= server_free_at + _EPS
-            ):
-                packet = pending[index]
-                clock.advance_to(packet.arrival_time)
-                v_start, v_finish = clock.stamp_packet(packet)
-                heapq.heappush(
-                    ready, (v_finish, sequence, packet, v_start)
-                )
-                sequence += 1
-                index += 1
-            v_finish, _, packet, v_start = heapq.heappop(ready)
-            start = max(server_free_at, packet.arrival_time)
-            finish = start + packet.size / self._rate
-            stamps.append((packet, v_start, v_finish, start, finish))
-            server_free_at = finish
-
-        clock.drain()
-        for packet, v_start, v_finish, start, finish in stamps:
-            scheduled.append(
-                ScheduledPacket(
-                    packet=packet,
-                    virtual_start=v_start,
-                    virtual_finish=v_finish,
-                    pgps_start=start,
-                    pgps_finish=finish,
-                    gps_finish=clock.real_time_of(v_finish),
-                )
-            )
-        return WFQResult(
-            packets=tuple(scheduled),
-            rate=self._rate,
-            phis=tuple(self._phis.tolist()),
-        )

@@ -14,7 +14,7 @@ as comparison points for the PGPS results:
 
 Both share a tag-ordered non-preemptive engine; results expose
 per-packet start/finish times and per-session delays like
-:class:`repro.sim.packet.WFQResult`.
+:class:`repro.packet.results.PacketSimResult`.
 """
 
 from __future__ import annotations

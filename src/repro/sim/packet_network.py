@@ -1,8 +1,8 @@
 """Multi-node packetized (WFQ) networks.
 
-Chains the batch WFQ simulator across a feedforward network: each
-node's departure packets become arrival packets at the session's next
-hop.  This is the packet-level counterpart of
+Chains the PGPS engine across a feedforward network: each node's
+departure packets become arrival packets at the session's next hop.
+This is the packet-level counterpart of
 :class:`repro.sim.network_sim.FluidNetworkSimulator` and lets the
 PGPS corollaries (:mod:`repro.core.pgps`) be validated end to end: the
 fluid network bound plus one ``L_max / r`` per hop must dominate the
@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.faults.schedule import FaultSchedule, LinkFault
 from repro.network.topology import Network
-from repro.sim.packet import Packet, WFQServer
+from repro.sim.packet import Packet
 
 __all__ = ["PacketNetworkResult", "PacketNetworkSimulator"]
 
@@ -162,6 +162,10 @@ class PacketNetworkSimulator:
     ) -> PacketNetworkResult:
         """Simulate; ``ingress[session]`` are the session's packets
         with ``session`` indices ignored (reassigned per node)."""
+        # Imported here so that importing repro.sim does not load the
+        # packet engine (which itself imports repro.sim.packet).
+        from repro.packet.engine import PacketEngine
+
         network = self._network
         sessions = {s.name: s for s in network.sessions}
         if set(ingress) != set(sessions):
@@ -213,10 +217,10 @@ class PacketNetworkSimulator:
                     tags.append(session_name)
             if not node_packets:
                 continue
-            server = WFQServer(
-                network.nodes[node_name].rate, phis
-            )
-            result = server.simulate(node_packets)
+            node_packets.sort(key=lambda p: (p.arrival_time, p.session))
+            result = PacketEngine(
+                network.nodes[node_name].rate, phis, collect=True
+            ).run(node_packets)
             # Re-associate departures to sessions in arrival order.
             counters: dict[str, int] = {}
             for scheduled in sorted(

@@ -269,8 +269,8 @@ def packetize_traces(
 ) -> list[Packet]:
     """Packetize a ``(num_sessions, num_slots)`` fluid matrix.
 
-    Returns all packets merged in arrival order, ready for
-    :meth:`repro.sim.packet.WFQServer.simulate`.
+    Returns all packets merged in ``(arrival_time, session)`` order,
+    ready for :meth:`repro.packet.engine.PacketEngine.run`.
     """
     check_positive("packet_size", packet_size)
     return packetize_traces_model(traces, FixedSize(packet_size))
@@ -288,8 +288,7 @@ def packetize_traces_model(
     via ``SeedSequence(entropy=seed, spawn_key=(session,))`` — the
     workload for session ``i`` does not change when other sessions are
     added or removed.  Returns all packets merged in ``(arrival_time,
-    session)`` order, the canonical admission order of both
-    :meth:`repro.sim.packet.WFQServer.simulate` and
+    session)`` order, the canonical admission order of
     :class:`repro.packet.engine.PacketEngine`.
     """
     matrix = np.asarray(traces, dtype=float)

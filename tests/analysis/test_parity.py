@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import AnalysisContext, QoSTarget, admissible
+from repro.analysis.feasible import is_feasible_ordering
 from repro.core.ebb import EBB
 from repro.online.admission import AdmissionController
 
@@ -207,3 +208,45 @@ class TestDiagnosticsAtScale:
         assert fast.partition() == slow.partition()
         assert outcomes == {True, False}
         assert max(levels) >= 2, levels
+
+
+class TestRoundedRemainingWeight:
+    """Weights more than 2**53 apart: the eq. (4) scan's running
+    remaining weight rounds to 0.0 while sessions are still unscanned,
+    and both scans restart it from the unscanned weights' sum."""
+
+    TARGET = QoSTarget(d_max=10.0, epsilon=1e-3)
+    JOINS = [
+        ("a", EBB(0.05, 1.0, 1.0), 1.0),
+        ("b", EBB(1e-21, 1.0, 1.0), 1e-20),
+    ]
+
+    def test_is_feasible_ordering_survives(self):
+        assert is_feasible_ordering(
+            [0, 1], [0.05, 1e-21], [1.0, 1e-20], strict=True
+        )
+        assert not is_feasible_ordering(
+            [0, 1], [0.05, 1.0], [1.0, 1e-20], strict=True
+        )
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_two_joins_yield_matching_decisions(self, extra):
+        fast = AnalysisContext(1.0)
+        slow = AnalysisContext(1.0, incremental=False)
+        joins = self.JOINS + [
+            (f"t{k}", EBB(1e-22 * (k + 1), 1.0, 1.0), 1e-20 * 2.0**-k)
+            for k in range(extra)
+        ]
+        records = []
+        for name, ebb, phi in joins:
+            d1 = fast.decide_join(
+                name, ebb, phi, self.TARGET, diagnostics=True
+            )
+            d2 = slow.decide_join(
+                name, ebb, phi, self.TARGET, diagnostics=True
+            )
+            assert d1.to_record() == d2.to_record()
+            records.append(d1.to_record())
+        assert len(records) == len(joins)
+        assert records[0]["accepted"]
+        assert records[1]["details"]["feasible_ordering"] == ["a", "b"]

@@ -135,7 +135,8 @@ class TestConservationProperties:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_wfq_departure_count_and_order(self, data):
-        from repro.sim.packet import Packet, WFQServer
+        from repro.packet.engine import PacketEngine
+        from repro.sim.packet import Packet
 
         num_packets = data.draw(st.integers(1, 25))
         phis = [1.0, 2.0]
@@ -150,7 +151,8 @@ class TestConservationProperties:
                     clock,
                 )
             )
-        result = WFQServer(1.0, phis).simulate(packets)
+        packets.sort(key=lambda p: (p.arrival_time, p.session))
+        result = PacketEngine(1.0, phis, collect=True).run(packets)
         assert len(result.packets) == num_packets
         # non-preemptive single server: departures never overlap
         finishes = [p.pgps_finish for p in result.packets]

@@ -15,7 +15,7 @@ from repro.core.pgps import PacketizationPenalty, pgps_session_bounds
 from repro.analysis.single_node import theorem10_bounds
 from repro.markov.lnt94 import ebb_characterization
 from repro.markov.onoff import OnOffSource
-from repro.sim.packet import WFQServer
+from repro.packet.engine import PacketEngine
 from repro.sim.packetize import packetize_traces
 from repro.traffic.sources import OnOffTraffic
 
@@ -39,7 +39,7 @@ def packet_simulation():
         [OnOffTraffic(m).generate(NUM_SLOTS, rng) for m in models]
     )
     packets = packetize_traces(traces, PACKET_SIZE)
-    result = WFQServer(1.0, list(config.phis)).simulate(packets)
+    result = PacketEngine(1.0, config.phis, collect=True).run(packets)
     return config, result
 
 

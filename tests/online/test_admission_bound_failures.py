@@ -15,6 +15,13 @@ requests used to escape as non-``ReproError`` exceptions instead:
   delay target pushes the optimal Chernoff parameter to where the
   lower classes' summed ``sigma_hat`` make ``exp(log Lambda)``
   overflow (this raised ``OverflowError``).
+
+A third pair of valid joins crashed the diagnostics before any bound
+was evaluated:
+
+* **rounded-away weight** — weights more than ``2**53`` apart make the
+  eq. (4) scan's running remaining weight round to ``0.0`` while a
+  session is still unscanned (this raised ``ZeroDivisionError``).
 """
 
 import io
@@ -25,6 +32,7 @@ import pytest
 from repro.analysis import AnalysisContext, theorem11_family
 from repro.analysis.single_node import SessionBoundFamily
 from repro.analysis.admission import QoSTarget
+from repro.cli import main
 from repro.core.ebb import EBB
 from repro.core.gps import GPSConfig, Session
 from repro.errors import NumericalError
@@ -140,3 +148,34 @@ def test_overflowing_theorem11_bound_is_reported_as_null(incremental):
     assert decision.accepted
     assert decision.details["partition_level"] == 1
     assert decision.details["theorem11_probability"] is None
+
+
+def test_serve_admission_with_rounded_away_weight(tmp_path):
+    target = QoSTarget(d_max=10.0, epsilon=1e-3)
+    joins = [("a", 0.05, 1.0), ("b", 1e-21, 1e-20)]
+    path = tmp_path / "joins.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps(
+                event_to_record(
+                    SessionJoin(
+                        time=0.0,
+                        name=name,
+                        phi=phi,
+                        ebb=EBB(rho, 1.0, 1.0),
+                        target=target,
+                    )
+                )
+            )
+            + "\n"
+            for name, rho, phi in joins
+        )
+    )
+    out = tmp_path / "out.jsonl"
+    code = main(
+        ["serve", str(path), "--rate", "1.0", "--out", str(out), "--admission"]
+    )
+    assert code == 0
+    decisions = _decisions(out.read_text())
+    assert [d["session"] for d in decisions] == ["a", "b"]
+    assert decisions[1]["details"]["feasible_ordering"] == ["a", "b"]

@@ -2,9 +2,10 @@
 
 Three layers, in order of strength:
 
-1. **Bit-identity** with the batch :class:`repro.sim.packet.WFQServer`
-   oracle: every stamp column compared with ``np.array_equal`` on
-   hypothesis-generated traces (the engine is not an approximation).
+1. **Bit-identity** with the short reference schedule in
+   :mod:`tests.packet.oracle`: every stamp column compared with
+   ``np.array_equal`` on hypothesis-generated traces (the engine is
+   not an approximation).
 2. The **Parekh–Gallager coupling invariant** ``pgps_finish <=
    gps_finish + L_max / r`` on every packet, and the gap report's own
    violation counter staying at zero.
@@ -22,7 +23,8 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.packet.engine import PacketEngine
 from repro.packet.gap import GapAccumulator
-from repro.sim.packet import Packet, WFQServer
+from repro.sim.packet import Packet
+from tests.packet.oracle import wfq_schedule
 
 STAMP_FIELDS = (
     "virtual_start",
@@ -67,12 +69,15 @@ class TestBitIdentity:
     @given(traces())
     def test_engine_matches_oracle_exactly(self, trace):
         rate, phis, packets = trace
-        oracle = WFQServer(rate=rate, phis=phis).simulate(packets)
+        oracle = wfq_schedule(rate, phis, packets)
         result = PacketEngine(rate, phis, collect=True).run(packets)
-        assert result.num_packets == len(oracle.packets)
+        assert result.num_packets == len(oracle)
+        assert [p.packet for p in result.packets] == [
+            p.packet for p in oracle
+        ]
         for field in STAMP_FIELDS:
             assert np.array_equal(
-                stamps(oracle.packets, field),
+                stamps(oracle, field),
                 stamps(result.packets, field),
             ), field
 
@@ -80,12 +85,17 @@ class TestBitIdentity:
     @given(traces())
     def test_gap_report_matches_oracle_accumulation(self, trace):
         rate, phis, packets = trace
-        oracle = WFQServer(rate=rate, phis=phis).simulate(packets)
+        accumulator = GapAccumulator(rate)
+        for p in wfq_schedule(rate, phis, packets):
+            accumulator.observe(
+                p.packet.session,
+                p.packet.size,
+                p.packet.arrival_time,
+                p.pgps_finish,
+                p.gps_finish,
+            )
         result = PacketEngine(rate, phis).run(packets)
-        assert (
-            GapAccumulator.from_result(oracle).report()
-            == result.gap_report
-        )
+        assert accumulator.report() == result.gap_report
 
     def test_incremental_pushes_equal_run(self):
         rng = np.random.default_rng(0)
@@ -104,7 +114,7 @@ class TestBitIdentity:
         whole = PacketEngine(2.0, phis, collect=True).run(packets)
         engine = PacketEngine(2.0, phis, collect=True)
         for p in packets:
-            engine.push_packet(p)
+            engine.push(p.session, p.size, p.arrival_time)
         piecewise = engine.finish()
         assert whole.packets == piecewise.packets
         assert whole.gap_report == piecewise.gap_report
@@ -222,11 +232,11 @@ class TestSnapshotRoundTrip:
         whole = PacketEngine(rate, phis).run(packets)
         engine = PacketEngine(rate, phis)
         for p in packets[:cut]:
-            engine.push_packet(p)
+            engine.push(p.session, p.size, p.arrival_time)
         state = json.loads(json.dumps(engine.export_state()))
         resumed = PacketEngine.from_state(state)
         for p in packets[cut:]:
-            resumed.push_packet(p)
+            resumed.push(p.session, p.size, p.arrival_time)
         result = resumed.finish()
         assert result.gap_report == whole.gap_report
         assert result.summary() == whole.summary()

@@ -124,6 +124,46 @@ class TestInMemoryServing:
         record = engine.process(header)
         assert record["rate"] == 3.0 and engine.rate == 3.0
 
+    def test_malformed_lines_are_error_records(self):
+        """Bad numbers in a header or packet line are served as
+        ``error`` records; the good packets around them still run."""
+        header, packets, lines = make_lines(num_packets=6)
+        packet_lines = lines[1:]
+        bad_headers = [
+            '{"kind": "packet-trace-header", "version": 1, "phis": ["x"]}',
+            '{"kind": "packet-trace-header", "version": 1, "phis": [null]}',
+            '{"kind": "packet-trace-header", "version": 1, "phis": [true]}',
+        ]
+        bad_packets = [
+            '{"kind": "packet", "time": 9.0, "session": Infinity, "size": 1.0}',
+            '{"kind": "packet", "time": 9.0, "session": 1.7, "size": 1.0}',
+            '{"kind": "packet", "time": 9.0, "session": true, "size": 1.0}',
+            '{"kind": "packet", "time": 9.0, "session": 0, "size": "1"}',
+            '[1, 2]',
+        ]
+        stream = (
+            bad_headers
+            + [lines[0]]
+            + packet_lines[:3]
+            + bad_packets
+            + packet_lines[3:]
+        )
+        out = io.StringIO()
+        service = PacketOnlineService(
+            PacketStreamEngine(rate=2.0), sink=out
+        )
+        result = service.serve(iter(stream))
+        records = records_of(out)
+        errors = [r for r in records if r["kind"] == "error"]
+        assert len(errors) == len(bad_headers) + len(bad_packets)
+        assert all(r["error_type"] == "ValidationError" for r in errors)
+        assert records[-1]["kind"] == "summary"
+        assert records[-1]["summary"]["errors"] == len(errors)
+        assert service.errors == len(errors)
+        direct = PacketEngine(2.0, header.phis).run(packets)
+        assert result.num_packets == len(packets)
+        assert result.gap_report == direct.gap_report
+
     def test_shed_watermarks_are_rejected(self):
         with pytest.raises(ValidationError, match="shed"):
             PacketOnlineService(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.packet import Packet, WFQServer
+from repro.packet.engine import PacketEngine
+from repro.sim.packet import Packet
 from repro.sim.packet_baselines import SCFQServer, VirtualClockServer
 
 
@@ -54,7 +55,7 @@ class TestSCFQ:
         packets = random_workload(seed=1)
         phis = [1.0, 2.0, 0.5]
         scfq = SCFQServer(1.0, phis).simulate(packets)
-        wfq = WFQServer(1.0, phis).simulate(packets)
+        wfq = PacketEngine(1.0, phis, collect=True).run(packets)
         for session in range(3):
             a = scfq.session_delays(session).mean()
             b = wfq.session_delays(session).mean()

@@ -1,12 +1,13 @@
-"""Tests for the multi-node packet (WFQ) network simulator."""
+"""Tests for the multi-node packet (PGPS) network simulator."""
 
 import numpy as np
 import pytest
 
 from repro.core.ebb import EBB
 from repro.network.topology import Network, NetworkNode, NetworkSession
-from repro.sim.packet import Packet, WFQServer
+from repro.sim.packet import Packet
 from repro.sim.packet_network import PacketNetworkSimulator
+from tests.packet.oracle import wfq_schedule
 
 
 def tandem() -> Network:
@@ -44,21 +45,22 @@ class TestSingleNodeEquivalence:
             "y": poisson_packets(rng, 50),
         }
         result = PacketNetworkSimulator(network).run(ingress)
-        # direct WFQ with the same combined workload
+        # the reference schedule of the same combined workload
         combined = [
             Packet(0, p.size, p.arrival_time) for p in ingress["x"]
         ] + [
             Packet(1, p.size, p.arrival_time) for p in ingress["y"]
         ]
-        direct = WFQServer(1.0, [0.3, 0.6]).simulate(combined)
+        direct = wfq_schedule(1.0, [0.3, 0.6], combined)
         for name, session_index in (("x", 0), ("y", 1)):
-            network_delays = result.session_delays(name)
-            direct_delays = direct.session_delays(session_index)
-            np.testing.assert_allclose(
-                np.sort(network_delays),
-                np.sort(direct_delays),
-                atol=1e-9,
+            mine = sorted(
+                (p for p in direct if p.packet.session == session_index),
+                key=lambda p: p.packet.arrival_time,
             )
+            assert np.array_equal(
+                result.session_delays(name),
+                np.array([p.pgps_delay for p in mine]),
+            ), name
 
 
 class TestTandem:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.packet import WFQServer
+from repro.packet.engine import PacketEngine
 from repro.sim.packetize import packetize_trace, packetize_traces
 
 
@@ -65,7 +65,7 @@ class TestPacketizeTraces:
         rng = np.random.default_rng(1)
         traces = rng.uniform(0, 0.5, size=(2, 200))
         packets = packetize_traces(traces, 0.5)
-        result = WFQServer(1.0, [1.0, 1.0]).simulate(packets)
-        assert len(result.packets) == len(packets)
+        result = PacketEngine(1.0, [1.0, 1.0]).run(packets)
+        assert result.num_packets == len(packets)
         # PG coupling holds for the packetized stochastic workload
         assert result.max_pgps_gps_gap() <= 0.5 / 1.0 + 1e-6

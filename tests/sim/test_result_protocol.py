@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.sim.fluid import FluidGPSServer
-from repro.sim.packet import Packet, WFQServer
+from repro.packet.engine import PacketEngine
+from repro.sim.packet import Packet
 from repro.sim.packet_baselines import SCFQServer
 from repro.sim.results import SimResult, to_jsonable
 
@@ -25,7 +26,7 @@ def _all_results():
     rng = np.random.default_rng(0)
     arrivals = rng.uniform(0.0, 0.8, size=(2, 50))
     fluid = FluidGPSServer(rate=1.0, phis=[1.0, 1.0]).run(arrivals)
-    wfq = WFQServer(1.0, [1.0, 1.0]).simulate(_packets())
+    wfq = PacketEngine(1.0, [1.0, 1.0], collect=True).run(_packets())
     tagged = SCFQServer(1.0, [1.0, 1.0]).simulate(_packets())
 
     from repro.core.ebb import EBB
@@ -61,7 +62,7 @@ def _all_results():
     )
     return {
         "fluid_gps": fluid,
-        "wfq_packet": wfq,
+        "packet_engine": wfq,
         "tagged_packet": tagged,
         "fluid_network": net,
         "packet_network": pkt_net,

@@ -8,6 +8,7 @@ from repro.core.ebb import EBB
 from repro.errors import ValidationError
 from repro.faults.schedule import FaultSchedule, RateFault
 from repro.markov.onoff import OnOffSource
+from tests.packet.oracle import wfq_schedule
 from repro.traffic.sources import (
     BernoulliBurstTraffic,
     ConstantBitRateTraffic,
@@ -173,6 +174,30 @@ class TestSimulation:
         result = scenario.simulate_packets(packet_size=0.5)
         assert result.rate == scenario.rate
         assert result.phis == scenario.phis
+
+    def test_simulate_packets_matches_reference_schedule(self):
+        scenario = make_scenario(horizon=50)
+        result = scenario.simulate_packets(packet_size=0.5, trial=1)
+        reference = wfq_schedule(
+            scenario.rate,
+            scenario.phis,
+            scenario.packetize(packet_size=0.5, trial=1),
+        )
+        assert result.num_packets == len(reference) > 0
+        assert [p.packet for p in result.packets] == [
+            p.packet for p in reference
+        ]
+        for field in (
+            "virtual_start",
+            "virtual_finish",
+            "pgps_start",
+            "pgps_finish",
+            "gps_finish",
+        ):
+            assert np.array_equal(
+                [getattr(p, field) for p in result.packets],
+                [getattr(p, field) for p in reference],
+            ), field
 
 
 class TestAnalysisSide:
