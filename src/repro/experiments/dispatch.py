@@ -1,4 +1,4 @@
-"""Pluggable Monte-Carlo dispatch: serial, process-pickle, shared memory.
+"""Pluggable Monte-Carlo dispatch: serial, process-pickle, chunked batch.
 
 :class:`~repro.experiments.supervisor.SupervisedRunner` owns the
 campaign bookkeeping — deterministic per-trial seeds, retries with
@@ -14,16 +14,14 @@ backoff, checkpoint/resume, the fail-fast contract — and delegates
   swamps short trials, which is why ``BENCH_engine.json`` measured it
   at ~1.0× on 4 workers;
 * :class:`SharedMemoryDispatch` — the fast path for scenario
-  campaigns: the parent samples each trial's ``(N, T)`` arrival matrix
-  (the exact per-``(trial, attempt)`` seeds of the serial path),
-  stacks a chunk of trials into one ``(B, N, T)`` block in
-  ``multiprocessing.shared_memory``, and each worker attaches the
-  block zero-copy and runs it through
+  campaigns: each pool task is one chunk of trials, and the worker
+  samples the chunk's ``(B, N, T)`` arrival block itself (the exact
+  attempt-0 seeds of the serial path) and runs it through
   :class:`repro.sim.batch.BatchFluidGPSServer` — whose per-trial
   results are bit-for-bit those of the scalar engine, so
   ``manifest.completed`` is identical to a serial run.  One pickled
-  scenario and one shm segment per *chunk* instead of one pickle per
-  *trial*, and the simulation itself runs vectorized.
+  scenario per *chunk* instead of one pickle per *trial*, no sampling
+  in the parent, and the simulation itself runs vectorized.
 
 Chunk failures degrade, they do not abort: if a chunked batch raises
 (one bad trial poisons the whole block — the batch engine cannot tell
@@ -38,7 +36,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -221,88 +218,61 @@ class ProcessPickleDispatch(DispatchBackend):
 
 
 # ----------------------------------------------------------------------
-# shared-memory chunked batch dispatch
+# chunked batch dispatch
 # ----------------------------------------------------------------------
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker interference.
-
-    Before Python 3.13 every POSIX attach registers the segment with
-    the ``resource_tracker`` — under a forking pool that tracker is
-    *shared* with the creating parent, so the worker's registration
-    collides with the parent's and the segment is torn down (with
-    tracker errors) behind the parent's back.  3.13 grew
-    ``track=False``; on older interpreters the registration is
-    suppressed for the duration of the attach instead (the parent owns
-    the segment's lifecycle: it created it tracked and unlinks it when
-    the chunk completes).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - version-dependent
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
 def _sample_trial_block(
     scenario: "Scenario", seeds: Sequence[int]
 ) -> np.ndarray:
-    """Stack per-trial arrival matrices into one ``(B, N, T)`` block.
+    """Sample per-trial arrival matrices into one ``(B, N, T)`` block.
 
     Each trial's matrix is sampled exactly as
     :meth:`repro.scenario.Scenario.trial_result` samples it — same RNG
     construction, same per-source generate order, same fault
     adjustment — so the batched trial is bit-for-bit the serial one.
     """
-    rows = []
-    for seed in seeds:
+    block = np.empty(
+        (len(seeds), scenario.num_sessions, scenario.horizon), dtype=float
+    )
+    for row, seed in zip(block, seeds):
         rng = np.random.default_rng(seed)
-        arrivals = np.vstack(
-            [
-                source.generate(scenario.horizon, rng)
-                for source in scenario.sources
-            ]
-        )
-        rows.append(scenario._fault_adjusted(arrivals))
-    return np.ascontiguousarray(np.stack(rows), dtype=float)
+        for k, source in enumerate(scenario.sources):
+            row[k] = source.generate(scenario.horizon, rng)
+        row[:] = scenario._fault_adjusted(row)
+    return block
 
 
-def _run_shm_chunk(
-    shm_name: str,
-    shape: tuple[int, ...],
+def _run_chunk(
     scenario: "Scenario",
     trials: list[int],
+    seeds: list[int],
     capacities: Any,
 ) -> list[Any]:
-    """Worker: run one shared-memory block through the batch engine."""
-    shm = _attach_shm(shm_name)
-    try:
-        block = np.ndarray(shape, dtype=float, buffer=shm.buf)
-        result = scenario.batch_server().run(block, capacities=capacities)
-        payloads = []
-        for index, trial in enumerate(trials):
-            payload = result.trial(index).summary()
-            payload["trial"] = int(trial)
-            payloads.append(payload)
-        return payloads
-    finally:
-        shm.close()
+    """Worker: sample one chunk and run it through the batch engine."""
+    block = _sample_trial_block(scenario, seeds)
+    result = scenario.batch_server().run(block, capacities=capacities)
+    payloads = []
+    for index, trial in enumerate(trials):
+        payload = result.trial(index).summary()
+        payload["trial"] = int(trial)
+        payloads.append(payload)
+    return payloads
 
 
 class SharedMemoryDispatch(DispatchBackend):
-    """Chunked ``(B, N, T)`` batch dispatch through shared memory.
+    """Chunked ``(B, N, T)`` batch dispatch: workers sample and simulate.
 
-    Requires the runner to be scenario-backed (``scenario=``): the
-    backend needs the scenario's sources to sample arrivals in the
-    parent and its :meth:`~repro.scenario.Scenario.batch_server` to
-    run them.  ``chunk_size`` bounds both the shm block size and the
-    work granularity; the default splits the pending trials evenly
-    across the pool (one chunk per worker, capped at 128 trials).
+    Each pool task is one chunk of trials: the worker samples the
+    chunk's arrivals itself (attempt-0 seeds, so the block is the one
+    the serial path would sample) and runs it through the scenario's
+    :meth:`~repro.scenario.Scenario.batch_server`.  Requires the runner
+    to be scenario-backed (``scenario=``).  ``chunk_size`` bounds both
+    a worker's block size and the work granularity; the default splits
+    the pending trials evenly across the pool (one chunk per worker,
+    capped at 128 trials).
+
+    The name is historical: the parent once sampled every chunk and
+    handed it over in a shared-memory segment.  Now only the scenario,
+    the chunk's trial indices and its seeds are pickled per chunk.
     """
 
     name = "shared-memory"
@@ -345,8 +315,7 @@ class SharedMemoryDispatch(DispatchBackend):
         capacities = scenario._fault_capacities()
         queue = deque(self._chunks(indices, runner._max_workers))
         fallback: list[int] = []
-        inflight: dict[Any, tuple[list[int], shared_memory.SharedMemory]]
-        inflight = {}
+        inflight: dict[Any, list[int]] = {}
         with ProcessPoolExecutor(max_workers=runner._max_workers) as pool:
 
             def launch(chunk: list[int]) -> None:
@@ -354,34 +323,19 @@ class SharedMemoryDispatch(DispatchBackend):
                     trial_seed(runner._base_seed, trial, 0)
                     for trial in chunk
                 ]
-                block = _sample_trial_block(scenario, seeds)
-                shm = shared_memory.SharedMemory(
-                    create=True, size=block.nbytes
-                )
-                view = np.ndarray(
-                    block.shape, dtype=block.dtype, buffer=shm.buf
-                )
-                view[:] = block
                 future = pool.submit(
-                    _run_shm_chunk,
-                    shm.name,
-                    block.shape,
-                    scenario,
-                    list(chunk),
-                    capacities,
+                    _run_chunk, scenario, chunk, seeds, capacities
                 )
-                inflight[future] = (chunk, shm)
+                inflight[future] = chunk
 
             # Keep at most one chunk queued per worker beyond the ones
-            # running, bounding shared memory to O(workers) blocks.
+            # running, so the pool's task queue stays O(workers) long.
             while queue and len(inflight) <= runner._max_workers:
                 launch(queue.popleft())
             while inflight:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    chunk, shm = inflight.pop(future)
-                    shm.close()
-                    shm.unlink()
+                    chunk = inflight.pop(future)
                     error = future.exception()
                     if error is None:
                         for trial, payload in zip(chunk, future.result()):

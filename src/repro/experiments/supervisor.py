@@ -26,10 +26,10 @@ with the standard production defenses:
   (the reference), ``"process"`` (the legacy per-trial
   ``ProcessPoolExecutor`` pickle fan-out that ``max_workers > 1``
   selects by default), or ``"shared-memory"`` (scenario campaigns
-  only: chunked ``(B, N, T)`` arrival blocks in
-  ``multiprocessing.shared_memory``, executed through the batched
-  fluid engine — bit-identical per-trial results, one pickle and one
-  shm segment per chunk instead of per trial);
+  only: each worker samples a chunk of trials into one ``(B, N, T)``
+  arrival block and runs it through the batched fluid engine —
+  bit-identical per-trial results, one pickle per chunk instead of
+  per trial; the name is historical);
 * **graceful degradation** — trials that exhaust their retries are
   recorded in the manifest's ``failed`` map and the run continues
   (unless ``fail_fast``), so a 1000-trial campaign with three bad seeds
@@ -177,7 +177,7 @@ class SupervisedRunner:
         ``"shared-memory"`` requires ``scenario=`` (it samples and
         batches the scenario's arrivals itself).
     chunk_size:
-        Trials per shared-memory batch chunk (``dispatch=
+        Trials per worker batch chunk (``dispatch=
         "shared-memory"`` only); default splits the pending trials
         evenly across the pool.
     backoff_base, backoff_cap, jitter:

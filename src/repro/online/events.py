@@ -356,7 +356,7 @@ def event_from_record(record: dict[str, Any]) -> Event:
             f"event record must be a JSON object, got {type(record).__name__}"
         )
     kind = record.get("kind")
-    cls = _EVENT_TYPES.get(kind)
+    cls = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValidationError(f"unknown event kind: {kind!r}")
     try:

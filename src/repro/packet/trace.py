@@ -109,6 +109,11 @@ class PacketTraceHeader:
                     f"packet-trace header phis must be numbers, got "
                     f"{phi!r}"
                 )
+        rate = record.get("rate")
+        if rate is not None and not _is_number(rate):
+            raise ValidationError(
+                f"packet-trace header rate must be a number, got {rate!r}"
+            )
         names = record.get("names")
         if names is not None and not isinstance(names, list):
             raise ValidationError(
@@ -117,7 +122,7 @@ class PacketTraceHeader:
             )
         return cls(
             phis=tuple(phis),
-            rate=record.get("rate"),
+            rate=rate,
             names=None if names is None else tuple(names),
         )
 

@@ -206,7 +206,6 @@ class PacketNetworkSimulator:
                 sessions[s].phi_at(node_name) for s in local
             ]
             node_packets = []
-            tags = []
             for k, session_name in enumerate(local):
                 for arrival_time, size in sorted(
                     pending.pop((session_name, node_name), [])
@@ -214,7 +213,6 @@ class PacketNetworkSimulator:
                     node_packets.append(
                         Packet(k, size, arrival_time)
                     )
-                    tags.append(session_name)
             if not node_packets:
                 continue
             node_packets.sort(key=lambda p: (p.arrival_time, p.session))

@@ -35,6 +35,34 @@ __all__ = [
 ]
 
 
+def _onoff_states(
+    uniforms: np.ndarray, p: float, q: float, initial: "bool | np.ndarray"
+) -> np.ndarray:
+    """On-off chain states driven by ``uniforms`` along the last axis.
+
+    Equal, element for element, to stepping the chain one slot at a
+    time (from on: stay on iff ``u >= q``; from off: turn on iff
+    ``u < p``), starting from ``initial`` (a bool, or one per row with
+    a trailing length-1 axis).  Where the two rules agree the step
+    resets the chain to that value; where only ``u < p`` holds it flips
+    the chain; otherwise it keeps the state.  So each state is the value
+    at the last reset (or ``initial``) XOR the parity of the flips since.
+    """
+    from_on = uniforms >= q
+    from_off = uniforms < p
+    reset = from_on == from_off
+    flips = np.cumsum(from_off & ~from_on, axis=-1)
+    slots = np.arange(uniforms.shape[-1])
+    last = np.maximum.accumulate(np.where(reset, slots, -1), axis=-1)
+    seen = last >= 0
+    at = np.maximum(last, 0)
+    base = np.where(
+        seen, np.take_along_axis(from_on, at, axis=-1), initial
+    )
+    since = flips - np.where(seen, np.take_along_axis(flips, at, axis=-1), 0)
+    return base ^ (since & 1).astype(bool)
+
+
 class TrafficSource(ABC):
     """A stationary discrete-time traffic source."""
 
@@ -89,37 +117,27 @@ class OnOffTraffic(TrafficSource):
     ) -> np.ndarray:
         if num_slots <= 0:
             raise ValidationError(f"num_slots must be positive, got {num_slots}")
-        p, q = self.model.p, self.model.q
         uniforms = rng.random(num_slots)
-        states = np.empty(num_slots, dtype=bool)
-        state = bool(rng.random() < self.model.on_probability)
-        for t in range(num_slots):
-            if state:
-                state = uniforms[t] >= q  # stay on with prob 1 - q
-            else:
-                state = uniforms[t] < p  # turn on with prob p
-            states[t] = state
+        initial = rng.random() < self.model.on_probability
+        states = _onoff_states(uniforms, self.model.p, self.model.q, initial)
         return np.where(states, self.model.peak_rate, 0.0)
 
     def generate_batch(
         self, num_trials: int, num_slots: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Vectorized across trials: one chain step per slot for the
-        whole ``(num_trials,)`` state vector."""
+        """Vectorized across trials: every row is one chain, sampled by
+        :func:`_onoff_states` along the slot axis."""
         if num_trials <= 0:
             raise ValidationError(
                 f"num_trials must be positive, got {num_trials}"
             )
         if num_slots <= 0:
             raise ValidationError(f"num_slots must be positive, got {num_slots}")
-        p, q = self.model.p, self.model.q
-        state = rng.random(num_trials) < self.model.on_probability
+        initial = rng.random(num_trials) < self.model.on_probability
         uniforms = rng.random((num_trials, num_slots))
-        states = np.empty((num_trials, num_slots), dtype=bool)
-        for t in range(num_slots):
-            u = uniforms[:, t]
-            state = np.where(state, u >= q, u < p)
-            states[:, t] = state
+        states = _onoff_states(
+            uniforms, self.model.p, self.model.q, initial[:, None]
+        )
         return np.where(states, self.model.peak_rate, 0.0)
 
     @property

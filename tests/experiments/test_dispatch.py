@@ -21,6 +21,7 @@ from repro.experiments.dispatch import (
     make_dispatch_backend,
 )
 from repro.experiments.supervisor import SupervisedRunner
+from repro.faults import BurstFault, FaultSchedule, RateFault
 from repro.markov.onoff import OnOffSource
 from repro.scenario import Scenario
 from repro.traffic.sources import BernoulliBurstTraffic, OnOffTraffic
@@ -144,6 +145,45 @@ class TestSharedMemoryIdentity:
         ).run()
         assert shm.completed == serial.completed
 
+    def test_remainder_chunk_matches_serial(self):
+        scenario = make_scenario()
+        serial = SupervisedRunner(
+            scenario=scenario, num_trials=7, dispatch="serial"
+        ).run()
+        shm = SupervisedRunner(
+            scenario=scenario,
+            num_trials=7,
+            max_workers=2,
+            dispatch="shared-memory",
+            chunk_size=3,
+        ).run()
+        assert shm.completed == serial.completed
+        assert shm.attempts == serial.attempts
+
+    def test_faulted_scenario_matches_serial(self):
+        scenario = make_scenario(
+            names=("voice", "data"),
+            faults=FaultSchedule(
+                [
+                    RateFault(node="server", start=40, end=120, factor=0.5),
+                    BurstFault(
+                        session="voice", start=60, end=90, multiplier=2.0
+                    ),
+                ]
+            ),
+        )
+        serial = SupervisedRunner(
+            scenario=scenario, num_trials=5, dispatch="serial"
+        ).run()
+        shm = SupervisedRunner(
+            scenario=scenario,
+            num_trials=5,
+            max_workers=2,
+            dispatch="shared-memory",
+        ).run()
+        assert shm.completed == serial.completed
+        assert shm.attempts == serial.attempts
+
     def test_poisoned_chunk_falls_back_to_serial(self):
         reference = SupervisedRunner(
             scenario=make_scenario(), num_trials=4, dispatch="serial"
@@ -185,11 +225,13 @@ class TestSharedMemoryIdentity:
 
         def explode(*args, **kwargs):
             raise AssertionError(
-                "resume must not resample completed trials"
+                "resume must not resubmit completed trials"
             )
 
+        # Workers sample their own chunks, so any chunk submitted at
+        # all would open a pool; the serial fallback cannot absorb this.
         monkeypatch.setattr(
-            dispatch_module, "_sample_trial_block", explode
+            dispatch_module, "ProcessPoolExecutor", explode
         )
         resumed = SupervisedRunner(
             scenario=scenario,

@@ -121,3 +121,91 @@ def test_boolean_amount_stays_accepted():
     records = _records(out.getvalue())
     assert not any(r["kind"] == "error" for r in records)
     assert [r["amount"] for r in records if r["kind"] == "arrival"] == [True]
+
+
+#: Lines whose ``kind`` is not a string: each once raised ``TypeError:
+#: unhashable type`` (list, object) out of the event-kind lookup.
+BAD_KINDS = [
+    '{"kind":[],"time":1.0}',
+    '{"kind":{"a":1},"time":1.0}',
+    '{"kind":3,"time":1.0}',
+    '{"kind":true,"time":1.0}',
+]
+
+_GOOD = [
+    _JOIN,
+    '{"kind":"arrival","time":1.0,"session":"a","amount":0.5}',
+    '{"kind":"arrival","time":2.0,"session":"a","amount":1.5}',
+    '{"kind":"leave","time":5.0,"name":"a"}',
+]
+
+
+def _interleaved():
+    """The good lines with one bad-kind line after each of the first
+    four, so the bad lines land between events."""
+    lines = []
+    for good, bad in zip(_GOOD, BAD_KINDS):
+        lines.extend((good, bad))
+    return lines
+
+
+def _serving_records(records):
+    """Records minus errors, line numbers and the error counts."""
+    kept = []
+    for record in records:
+        if record["kind"] == "error":
+            continue
+        record = {k: v for k, v in record.items() if k != "line"}
+        if record["kind"] == "summary":
+            record["summary"] = {
+                k: v for k, v in record["summary"].items() if k != "errors"
+            }
+        kept.append(record)
+    return kept
+
+
+def _serve_single(lines):
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest(lines)
+    service.shutdown()
+    return _records(out.getvalue())
+
+
+def _serve_cluster(path, lines):
+    out = io.StringIO()
+    cluster, _ = ShardedOnlineCluster.open(
+        path,
+        mode="create",
+        num_shards=2,
+        rate=1.0,
+        sink=JsonlSink(out),
+        snapshot_every=0,
+    )
+    for line in lines:
+        cluster.ingest((line,))
+    cluster.shutdown()
+    return _records(out.getvalue())
+
+
+def _assert_bad_kinds_isolated(records, clean):
+    errors = [r for r in records if r["kind"] == "error"]
+    assert len(errors) == len(BAD_KINDS)
+    assert all(r["error_type"] == "ValidationError" for r in errors)
+    assert all("unknown event kind" in r["error"] for r in errors)
+    summaries = [r["summary"] for r in records if r["kind"] == "summary"]
+    assert sum(s["errors"] for s in summaries) == len(BAD_KINDS)
+    assert _serving_records(records) == _serving_records(clean)
+
+
+def test_non_string_kind_is_an_error_record_on_a_single_service():
+    _assert_bad_kinds_isolated(
+        _serve_single(_interleaved()), _serve_single(_GOOD)
+    )
+
+
+def test_non_string_kind_is_an_error_record_on_a_cluster(tmp_path):
+    _assert_bad_kinds_isolated(
+        _serve_cluster(tmp_path / "bad", _interleaved()),
+        _serve_cluster(tmp_path / "clean", _GOOD),
+    )

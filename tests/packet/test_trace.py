@@ -52,6 +52,17 @@ class TestHeader:
         with pytest.raises(ValidationError, match="version"):
             PacketTraceHeader.from_record(record)
 
+    @pytest.mark.parametrize("rate", [True, False, "1.0", [1.0]])
+    def test_rejects_non_number_rate(self, rate):
+        record = {
+            "kind": "packet-trace-header",
+            "version": 1,
+            "phis": [0.5],
+            "rate": rate,
+        }
+        with pytest.raises(ValidationError, match="rate must be a number"):
+            PacketTraceHeader.from_record(record)
+
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(ValidationError, match="names"):
             PacketTraceHeader(phis=(0.5, 0.5), names=("only-one",))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.markov.chain import DTMC
 from repro.markov.mmpp import MarkovModulatedSource
@@ -13,6 +15,7 @@ from repro.traffic.sources import (
     MarkovModulatedTraffic,
     OnOffTraffic,
     UniformNoiseTraffic,
+    _onoff_states,
 )
 
 
@@ -144,3 +147,102 @@ class TestCompoundTraffic:
         )
         trace = gen.generate(200_000, rng(8))
         assert trace.mean() == pytest.approx(gen.mean_rate, rel=0.03)
+
+
+# ----------------------------------------------------------------------
+# the loop-free on-off sampler against the per-slot chain walk
+# ----------------------------------------------------------------------
+def _walk(uniforms, p, q, state):
+    """The chain stepped one slot at a time: the reference."""
+    states = np.empty(len(uniforms), dtype=bool)
+    for t, u in enumerate(uniforms):
+        state = u >= q if state else u < p
+        states[t] = state
+    return states
+
+
+def _loop_generate(model, num_slots, rng):
+    """``OnOffTraffic.generate`` as a per-slot loop (same draw order)."""
+    uniforms = rng.random(num_slots)
+    state = bool(rng.random() < model.on_probability)
+    return np.where(
+        _walk(uniforms, model.p, model.q, state), model.peak_rate, 0.0
+    )
+
+
+def _loop_generate_batch(model, num_trials, num_slots, rng):
+    """``OnOffTraffic.generate_batch`` as a per-slot loop over the
+    whole state vector (same draw order)."""
+    state = rng.random(num_trials) < model.on_probability
+    uniforms = rng.random((num_trials, num_slots))
+    states = np.empty((num_trials, num_slots), dtype=bool)
+    for t in range(num_slots):
+        u = uniforms[:, t]
+        state = np.where(state, u >= model.q, u < model.p)
+        states[:, t] = state
+    return np.where(states, model.peak_rate, 0.0)
+
+
+_prob = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_seed = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestLoopFreeOnOff:
+    @given(_prob, _prob, st.integers(1, 400), _seed)
+    @example(1.0, 0.3, 50, 1)
+    @example(0.3, 1.0, 50, 2)
+    @example(1.0, 1.0, 50, 3)
+    @example(0.3, 0.7, 200, 4)
+    @example(0.999999, 1e-9, 200, 5)
+    @example(1e-9, 1e-9, 200, 6)
+    @example(5e-324, 0.5, 20, 7)
+    @example(0.5, 0.5, 1, 8)
+    def test_generate_equals_the_loop(self, p, q, num_slots, seed):
+        model = OnOffSource(p, q, 0.7)
+        expected = _loop_generate(model, num_slots, rng(seed))
+        got = OnOffTraffic(model).generate(num_slots, rng(seed))
+        assert np.array_equal(got, expected)
+
+    @given(
+        _prob, _prob, st.integers(1, 6), st.integers(1, 120), _seed
+    )
+    @example(1.0, 0.3, 3, 50, 1)
+    @example(0.3, 1.0, 3, 50, 2)
+    @example(1.0, 1.0, 3, 50, 3)
+    @example(0.3, 0.7, 4, 100, 4)
+    @example(1e-9, 1e-9, 2, 100, 5)
+    @example(0.5, 0.5, 5, 1, 6)
+    def test_generate_batch_equals_the_loop(
+        self, p, q, num_trials, num_slots, seed
+    ):
+        model = OnOffSource(p, q, 0.7)
+        expected = _loop_generate_batch(
+            model, num_trials, num_slots, rng(seed)
+        )
+        got = OnOffTraffic(model).generate_batch(
+            num_trials, num_slots, rng(seed)
+        )
+        assert np.array_equal(got, expected)
+
+    @given(
+        _prob,
+        _prob,
+        st.booleans(),
+        st.lists(
+            st.sampled_from(["p", "q", "zero", "free"]), min_size=1
+        ),
+        _seed,
+    )
+    def test_ties_at_p_and_q_follow_the_walk(
+        self, p, q, initial, picks, seed
+    ):
+        """Uniforms exactly at ``p`` or ``q`` take the walk's branch."""
+        free = rng(seed).random(len(picks))
+        values = {"p": p, "q": q, "zero": 0.0}
+        uniforms = np.array(
+            [values.get(pick, f) for pick, f in zip(picks, free)]
+        )
+        assert np.array_equal(
+            _onoff_states(uniforms, p, q, initial),
+            _walk(uniforms, p, q, initial),
+        )
