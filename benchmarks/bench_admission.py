@@ -3,32 +3,37 @@
 
 Measures sustained membership-event throughput (events per second) of
 :class:`repro.analysis.context.AnalysisContext` as the admitted
-population grows from one hundred to ten thousand sessions, in both
-gate modes:
+population grows from one hundred to ten thousand sessions:
 
-* **incremental** (the default ``O(log N)`` path) — each event patches
-  the sorted ``rho_i/phi_i`` order and the exact aggregate-rate
-  accumulator, and the gate compares the common RPPS share multiplier
-  against cached per-session critical rates;
-* **full recompute** (``incremental=False``) — the reference path: a
-  from-scratch stability + Theorem 10/15 scan over every admitted
-  session per decision;
-* **diagnostics** — the incremental gate plus the feasible-ordering,
+* **gate only** — each event patches the sorted ``rho_i/phi_i`` order
+  and the exact aggregate-rate accumulator in ``O(log N)``, and the
+  gate compares the common RPPS share multiplier against cached
+  per-session critical rates;
+* **diagnostics** — the same gate plus the feasible-ordering,
   feasible-partition and Theorem 11 details an
   ``AdmissionController(diagnostics=True)`` (the serving default)
-  attaches to every decision, run for as many events as the full
-  recompute.  ``diagnostics_ratio`` is its throughput over the
-  gate-only incremental throughput.
+  attaches to every decision.
+
+Each row reports two machine-independent views of the diagnostics
+cost:
+
+* ``diagnostics_ratio`` — diagnostics-on over gate-only throughput.  A
+  change that speeds up (or slows down) both alike leaves it where it
+  was;
+* ``diagnostics_vs_reference_loop`` — diagnostics-on throughput over
+  the rate of a fixed pure-Python loop timed in the same process
+  (``reference_loop_per_sec``, iterations per second).  The loop never
+  changes, so this moves with the diagnostics alone while still
+  cancelling most of the difference between machines.
 
 The event mix is the controller's worst realistic churn: leave + join
 pairs (the joining declaration jittered ±5% in rate, so admission
 thresholds cannot be reused) interleaved with weight-only
-renegotiations.  Decisions are byte-identical between the two modes
-(see ``tests/analysis/test_parity.py``); the load-bearing number is
-``speedup_at_10k`` — the acceptance floor is 5x.  Writes
+renegotiations.  Decisions are byte-identical to a from-scratch
+reference (``tests/analysis/test_parity.py``).  Writes
 ``BENCH_admission.json`` (see ``--out``); the CI bench job uploads it
-as a non-gating artifact so regressions are visible without blocking
-merges.
+as a non-gating artifact and warns on both diagnostics views at 1,000
+sessions, so regressions are visible without blocking merges.
 
 Run:  PYTHONPATH=src python benchmarks/bench_admission.py
 """
@@ -73,8 +78,8 @@ def _declaration(num_sessions: int) -> tuple[EBB, QoSTarget]:
     return ebb, QoSTarget(d_max=d_max, epsilon=_EPSILON)
 
 
-def _build(num_sessions: int, incremental: bool) -> AnalysisContext:
-    context = AnalysisContext(_RATE, incremental=incremental)
+def _build(num_sessions: int) -> AnalysisContext:
+    context = AnalysisContext(_RATE)
     ebb, target = _declaration(num_sessions)
     for k in range(num_sessions):
         context.add(f"s{k}", ebb, 1.0, target)
@@ -90,7 +95,7 @@ def churn(
 ) -> tuple[int, float]:
     """Drive leave+join pairs and weight renegotiations; returns
     ``(events, seconds)``.  Every decision must accept — the population
-    is sized so churn never tips a target — keeping the modes on
+    is sized so churn never tips a target — keeping both modes on
     identical state trajectories.
     """
     rng = np.random.default_rng(seed)
@@ -130,32 +135,51 @@ def churn(
     return events, time.perf_counter() - start
 
 
+def reference_loop_rate(
+    iterations: int = 100_000, repeats: int = 5
+) -> float:
+    """Iterations per second of a fixed pure-Python loop (float
+    arithmetic, a list append and a dict store per iteration), best of
+    ``repeats``: the interpreter speed of this process, which the
+    diagnostics rate is divided by.  Never change this loop — that
+    would move every ``diagnostics_vs_reference_loop`` reading."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        acc = 0.0
+        values: list[float] = []
+        table: dict[int, float] = {}
+        for k in range(iterations):
+            acc = acc * 0.5 + k / (k + 1.0)
+            values.append(acc)
+            table[k & 1023] = acc
+        best = min(best, time.perf_counter() - start)
+    return iterations / best
+
+
 def bench_population(
-    num_sessions: int, num_events: int, scratch_events: int
+    num_sessions: int, num_events: int, diagnostics_events: int
 ) -> dict:
-    """Churn throughput at one population size: both gate modes, and
-    the incremental gate with diagnostics."""
-    fast = _build(num_sessions, incremental=True)
-    events, seconds = churn(fast, num_events)
-    incremental_eps = events / seconds
+    """Churn throughput at one population size, gate only and with
+    diagnostics, and the reference loop's rate beside them."""
+    gated = _build(num_sessions)
+    events, seconds = churn(gated, num_events)
+    gate_eps = events / seconds
 
-    slow = _build(num_sessions, incremental=False)
-    events, seconds = churn(slow, scratch_events)
-    full_eps = events / seconds
-
-    diagnosed = _build(num_sessions, incremental=True)
-    events, seconds = churn(diagnosed, scratch_events, diagnostics=True)
+    reference = reference_loop_rate()
+    diagnosed = _build(num_sessions)
+    events, seconds = churn(diagnosed, diagnostics_events, diagnostics=True)
     diagnostics_eps = events / seconds
 
     return {
         "num_sessions": num_sessions,
         "num_churn_events": num_events,
-        "num_full_recompute_events": scratch_events,
-        "incremental_events_per_sec": incremental_eps,
-        "full_recompute_events_per_sec": full_eps,
+        "num_diagnostics_events": diagnostics_events,
+        "incremental_events_per_sec": gate_eps,
         "diagnostics_events_per_sec": diagnostics_eps,
-        "speedup": incremental_eps / full_eps,
-        "diagnostics_ratio": diagnostics_eps / incremental_eps,
+        "reference_loop_per_sec": reference,
+        "diagnostics_ratio": diagnostics_eps / gate_eps,
+        "diagnostics_vs_reference_loop": diagnostics_eps / reference,
     }
 
 
@@ -172,7 +196,7 @@ def main() -> int:
         "--events",
         type=int,
         default=1_500,
-        help="churn events per sweep point (incremental mode)",
+        help="gate-only churn events per sweep point",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
@@ -181,19 +205,19 @@ def main() -> int:
 
     rows = []
     for num_sessions in args.session_counts:
-        # the full-recompute and diagnostics modes are O(N) per event;
-        # cap their share of the run so the sweep stays fast at 10k
-        scratch = max(30, min(args.events, 300_000 // num_sessions))
-        row = bench_population(num_sessions, args.events, scratch)
+        # diagnostics are O(N) per event; cap their share of the run
+        # so the sweep stays fast at 10k
+        diagnosed = max(30, min(args.events, 300_000 // num_sessions))
+        row = bench_population(num_sessions, args.events, diagnosed)
         rows.append(row)
         print(
             f"admission N={num_sessions:6,d}: "
             f"{row['incremental_events_per_sec']:,.0f} events/s "
-            f"incremental, "
-            f"{row['full_recompute_events_per_sec']:,.0f} events/s "
-            f"full recompute ({row['speedup']:.1f}x), "
+            f"gate only, "
             f"{row['diagnostics_events_per_sec']:,.0f} events/s with "
-            f"diagnostics ({row['diagnostics_ratio']:.3f}x gate-only)"
+            f"diagnostics ({row['diagnostics_ratio']:.3f}x gate-only, "
+            f"{row['diagnostics_vs_reference_loop']:.2e}x the reference "
+            f"loop's {row['reference_loop_per_sec']:,.0f}/s)"
         )
 
     payload = {
@@ -203,7 +227,6 @@ def main() -> int:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "throughput": rows,
-        "speedup_at_max_sessions": rows[-1]["speedup"] if rows else None,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -5,21 +5,19 @@ is the single stateful entry point to the paper's analytic machinery:
 
 * **membership** — :meth:`AnalysisContext.add`,
   :meth:`AnalysisContext.remove` and :meth:`AnalysisContext.update`
-  maintain the population under join / leave / renegotiate events.  In
-  the default incremental mode each event patches the sorted
-  ``rho_i / phi_i`` ratio order of eq. (36) and the aggregate-rate
-  accumulator in ``O(log N)`` (Lemma 9's rate-inflation argument makes
-  most renegotiations an ``O(1)`` in-place rewrite), instead of paying
-  the from-scratch ``O(N log N)`` sort per event;
+  maintain the population under join / leave / renegotiate events.
+  Each event patches the sorted ``rho_i / phi_i`` ratio order of
+  eq. (36) and the exact aggregate-rate accumulator in ``O(log N)``
+  (Lemma 9's rate-inflation argument makes most renegotiations an
+  ``O(1)`` in-place rewrite);
 * **admission gate** — :meth:`AnalysisContext.gate` re-checks the
   stability condition (eq. 4) and every session's RPPS share against
-  its Theorem 10/15 delay target.  Incrementally this is ``O(1)`` per
-  decision: each session's *critical guaranteed rate* (the float-exact
-  threshold where its bound starts meeting the target) is cached, and
-  the population passes iff the common share multiplier clears the
-  largest cached ``threshold_i / rho_i``.  Decisions are byte-identical
-  to the from-scratch scan (``incremental=False``), which is itself
-  condition-for-condition :func:`repro.analysis.admission.admissible`;
+  its Theorem 10/15 delay target in ``O(1)`` per decision: each
+  session's *critical guaranteed rate* (the float-exact threshold where
+  its bound starts meeting the target) is cached, and the population
+  passes iff the common share multiplier clears the largest cached
+  ``threshold_i / rho_i``.  Condition for condition this is
+  :func:`repro.analysis.admission.admissible`;
 * **theorem caches** — :meth:`AnalysisContext.partition` (eqs. 37-39),
   :meth:`AnalysisContext.gps_config`,
   :meth:`AnalysisContext.theorem10_bounds`,
@@ -27,16 +25,23 @@ is the single stateful entry point to the paper's analytic machinery:
   :meth:`AnalysisContext.theorem12_family` memoize the feasible
   partition and per-session bound families keyed on the population
   version, so repeated bound evaluations between membership changes
-  are free.  Incrementally, the eq. (4) feasibility scan and the
-  partition are C-level passes (numpy accumulations and selections,
-  builtin sums) over per-session columns kept beside the maintained
-  ratio order, and the Theorem 11/12 families read the session's place
-  in the partition off them: a diagnosed decision runs no per-session
-  interpreted loop.  The partition cache is keyed on
-  the *geometry* version, which only advances when some ``rho_i`` or
-  ``phi_i`` actually changes — renegotiating a QoS target, or
-  re-declaring an identical contract, keeps every structural cache
-  warm.
+  are free.  The eq. (4) feasibility scan and the partition are
+  C-level passes (numpy accumulations and selections, builtin sums)
+  over per-session columns kept beside the maintained ratio order, and
+  the Theorem 11/12 families read the session's place in the partition
+  off them: a diagnosed decision runs no per-session interpreted loop.
+  The partition cache is keyed on the *geometry* version, which only
+  advances when some ``rho_i`` or ``phi_i`` actually changes —
+  renegotiating a QoS target, or re-declaring an identical contract,
+  keeps every structural cache warm.
+
+Every answer equals the paper's pure functions
+(:func:`~repro.analysis.admission.meets_target`,
+:func:`~repro.analysis.feasible.find_feasible_ordering`,
+:func:`~repro.analysis.feasible.feasible_partition`,
+:func:`~repro.analysis.single_node.theorem11_family`) evaluated from
+scratch on the same population, bit for bit; the tests check this
+against a from-scratch reference context.
 
 The context is deliberately decision-procedure-shaped rather than
 simulation-shaped: :meth:`AnalysisContext.decide_join` and
@@ -49,7 +54,6 @@ controller exposes.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -61,14 +65,8 @@ from repro.analysis.admission import (
     AdmissionDecision,
     QoSTarget,
     critical_guaranteed_rate,
-    meets_target,
 )
-from repro.analysis.feasible import (
-    FeasibleOrderingError,
-    FeasiblePartition,
-    feasible_partition,
-    is_feasible_ordering,
-)
+from repro.analysis.feasible import FeasibleOrderingError, FeasiblePartition
 from repro.analysis.incremental import ExactSum, SortedRatioOrder, _ArrayColumn
 from repro.analysis.single_node import (
     SessionBoundFamily,
@@ -78,8 +76,6 @@ from repro.analysis.single_node import (
     _theorem11,
     _theorem12,
     theorem10_bounds,
-    theorem11_family,
-    theorem12_family,
 )
 from repro.core.ebb import EBB
 from repro.core.gps import GPSConfig, Session
@@ -308,28 +304,15 @@ class AnalysisContext:
         the slotted simulators and the online controller do; pass
         ``False`` for the continuous-time forms used by the network
         recursion.
-    incremental:
-        Maintain the ratio order, the exact aggregate-rate accumulator
-        and per-session admission thresholds under membership events
-        (the ``O(log N)`` path).  ``False`` recomputes everything from
-        scratch on demand — the reference implementation the parity
-        tests compare against.
     """
 
-    def __init__(
-        self,
-        rate: float,
-        *,
-        discrete: bool = True,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, rate: float, *, discrete: bool = True) -> None:
         check_positive("rate", rate)
         self._rate = float(rate)
         self._discrete = bool(discrete)
-        self._incremental = bool(incremental)
         self._sessions: dict[str, _SessionState] = {}
         self._next_seq = 0
-        # incremental structures ---------------------------------------
+        # maintained structures ----------------------------------------
         self._total = ExactSum()
         self._order = SortedRatioOrder()
         self._heap: list[tuple[float, int]] = []  # (-scale, seq), lazy deletion
@@ -341,7 +324,6 @@ class AnalysisContext:
         self._threshold_cache: dict[tuple[EBB, QoSTarget], float] = {}
         self._ranks_cache: tuple[int, np.ndarray, np.ndarray] | None = None
         self._layout_cache: tuple[int, _Layout] | None = None
-        self._partition_cache: tuple[int, FeasiblePartition] | None = None
         self._ordering_cache: tuple[int, dict[str, Any]] | None = None
         self._config_cache: tuple[int, GPSConfig] | None = None
         self._family_version = -1
@@ -362,11 +344,6 @@ class AnalysisContext:
         return self._discrete
 
     @property
-    def incremental(self) -> bool:
-        """Whether the incremental maintenance path is active."""
-        return self._incremental
-
-    @property
     def version(self) -> int:
         """Population version; advances on every effective change."""
         return self._version
@@ -379,9 +356,7 @@ class AnalysisContext:
     @property
     def total_rho(self) -> float:
         """Exact (correctly rounded) aggregate upper rate."""
-        if self._incremental:
-            return self._total.value
-        return math.fsum(s.ebb.rho for s in self._sessions.values())
+        return self._total.value
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -403,11 +378,7 @@ class AnalysisContext:
     def ratio_ordering(self) -> list[str]:
         """Session names sorted by ``rho_i / phi_i`` (stable in join
         order) — the canonical feasible-ordering candidate of eq. (36)."""
-        if self._incremental:
-            return self._ratio_names()
-        states = list(self._sessions.values())
-        order = sorted(range(len(states)), key=lambda i: states[i].ratio)
-        return [states[i].name for i in order]
+        return self._ratio_names()
 
     # ------------------------------------------------------------------
     # membership
@@ -440,20 +411,21 @@ class AnalysisContext:
         if name in self._sessions:
             raise AdmissionError(f"session {name!r} is already admitted")
         check_positive("phi", phi)
-        threshold = (
-            self._admission_threshold(ebb, target) if self._incremental else 0.0
-        )
         state = _SessionState(
-            name, self._next_seq, ebb, float(phi), target, threshold
+            name,
+            self._next_seq,
+            ebb,
+            float(phi),
+            target,
+            self._admission_threshold(ebb, target),
         )
         self._next_seq += 1
         self._sessions[name] = state
-        if self._incremental:
-            self._total.add(state.ebb.rho)
-            self._order.insert(state.ratio, state.seq)
-            heapq.heappush(self._heap, (-state.scale, state.seq))
-            self._seq_state[state.seq] = state
-            self._columns.append(state)
+        self._total.add(state.ebb.rho)
+        self._order.insert(state.ratio, state.seq)
+        heapq.heappush(self._heap, (-state.scale, state.seq))
+        self._seq_state[state.seq] = state
+        self._columns.append(state)
         self._version += 1
         self._geometry += 1
 
@@ -463,11 +435,10 @@ class AnalysisContext:
         if state is None:
             raise AdmissionError(f"cannot remove unknown session {name!r}")
         del self._sessions[name]
-        if self._incremental:
-            self._total.remove(state.ebb.rho)
-            self._order.remove(state.ratio, state.seq)
-            del self._seq_state[state.seq]  # heap entries go stale lazily
-            self._columns.remove(state.seq)
+        self._total.remove(state.ebb.rho)
+        self._order.remove(state.ratio, state.seq)
+        del self._seq_state[state.seq]  # heap entries go stale lazily
+        self._columns.remove(state.seq)
         self._version += 1
         self._geometry += 1
         return state.declaration()
@@ -515,38 +486,36 @@ class AnalysisContext:
         phi: float,
         target: QoSTarget | None,
     ) -> None:
-        """Apply an exact new contract, patching incremental state.
+        """Apply an exact new contract, patching the maintained state.
 
         A no-op contract (bit-identical to the current one) returns
         without advancing any version counter, keeping every cache
         warm — load-bearing for the network recursion, which re-declares
         each hop's input E.B.B. per session and only occasionally
-        changes it.
+        changes it.  An invalid contract raises before anything changes.
         """
         check_positive("phi", phi)
         if ebb == state.ebb and phi == state.phi and target == state.target:
             return
         geometry_changed = ebb.rho != state.ebb.rho or phi != state.phi
-        if self._incremental:
-            if ebb.rho != state.ebb.rho:
-                self._total.remove(state.ebb.rho)
-                self._total.add(ebb.rho)
-            new_ratio = ebb.rho / phi
-            if new_ratio != state.ratio:
-                self._order.replace(state.ratio, new_ratio, state.seq)
-            if ebb != state.ebb or target != state.target:
-                threshold = self._admission_threshold(ebb, target)
-                state.threshold = threshold
-                state.scale = 0.0 if threshold == 0.0 else threshold / ebb.rho
-                heapq.heappush(self._heap, (-state.scale, state.seq))
         if ebb != state.ebb or phi != state.phi:
-            state.session = Session(state.name, ebb, phi)
+            state.session = Session(state.name, ebb, phi)  # validates
+        if ebb.rho != state.ebb.rho:
+            self._total.remove(state.ebb.rho)
+            self._total.add(ebb.rho)
+        new_ratio = ebb.rho / phi
+        if new_ratio != state.ratio:
+            self._order.replace(state.ratio, new_ratio, state.seq)
+        if ebb != state.ebb or target != state.target:
+            threshold = self._admission_threshold(ebb, target)
+            state.threshold = threshold
+            state.scale = 0.0 if threshold == 0.0 else threshold / ebb.rho
+            heapq.heappush(self._heap, (-state.scale, state.seq))
         state.ebb = ebb
         state.phi = phi
         state.target = target
-        state.ratio = ebb.rho / phi
-        if self._incremental:
-            self._columns.set(state)
+        state.ratio = new_ratio
+        self._columns.set(state)
         self._version += 1
         if geometry_changed:
             self._geometry += 1
@@ -622,29 +591,19 @@ class AnalysisContext:
     ) -> tuple[_SessionState, float] | None:
         """First session (in admission order) whose RPPS share misses
         its delay target, or ``None`` when all targets are met."""
-        if self._incremental:
-            ceiling = self._max_scale()
-            multiplier = self._rate / total
-            if ceiling is None or multiplier * (1.0 - _FAST_PATH_MARGIN) > ceiling:
-                # O(1) accept: every share clears its threshold with a
-                # margin larger than the share-expression rounding.
-                return None
-            for state in self._sessions.values():
-                if state.target is None:
-                    continue
-                granted = state.ebb.rho / total * self._rate
-                # granted >= threshold  <=>  meets_target(granted), by
-                # the float-exact bisection in critical_guaranteed_rate
-                if granted < state.threshold:
-                    return state, granted
+        ceiling = self._max_scale()
+        multiplier = self._rate / total
+        if ceiling is None or multiplier * (1.0 - _FAST_PATH_MARGIN) > ceiling:
+            # O(1) accept: every share clears its threshold with a
+            # margin larger than the share-expression rounding.
             return None
         for state in self._sessions.values():
             if state.target is None:
                 continue
             granted = state.ebb.rho / total * self._rate
-            if not meets_target(
-                state.ebb, granted, state.target, discrete=self._discrete
-            ):
+            # granted >= threshold  <=>  meets_target(granted), by
+            # the float-exact bisection in critical_guaranteed_rate
+            if granted < state.threshold:
                 return state, granted
         return None
 
@@ -667,7 +626,7 @@ class AnalysisContext:
     # diagnostics (feasible ordering / partition / Theorem 11)
     # ------------------------------------------------------------------
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, rank)`` in incremental mode, cached per geometry:
+        """``(order, rank)``, cached per geometry:
         ``order[r]`` is the column (insertion) index of the ``r``-th
         session in ratio order and ``rank[i]`` the ratio position of
         column ``i``.
@@ -692,11 +651,11 @@ class AnalysisContext:
     def _ordering_diagnostics(self) -> dict[str, Any]:
         """Feasible-ordering diagnostics, cached on the geometry version.
 
-        In incremental mode the maintained ratio order *is* the
-        canonical candidate ordering, so only the strict eq. (4) scan
-        is paid, as numpy passes over the rate and weight columns
-        gathered into that order; the output (including the failure
-        message) is bit-identical to
+        The maintained ratio order *is* the canonical candidate
+        ordering, so only the strict eq. (4) scan is paid, as numpy
+        passes over the rate and weight columns gathered into that
+        order; the output (including the failure message) is
+        bit-identical to
         :func:`repro.analysis.feasible.find_feasible_ordering`.
         """
         if (
@@ -704,31 +663,17 @@ class AnalysisContext:
             and self._ordering_cache[0] == self._geometry
         ):
             return dict(self._ordering_cache[1])
-        if self._incremental:
-            order, _ = self._ranks()
-            columns = self._columns
-            feasible = _strict_scan(
-                columns.rho_floats.view()[order],
-                columns.phi_floats.view()[order],
-                sum(columns.phis.view()[order].tolist()),
-                self._rate,
-            )
-            names = self._ratio_names() if feasible else []
-        else:
-            states = list(self._sessions.values())
-            rhos = [s.ebb.rho for s in states]
-            phis = [s.phi for s in states]
-            order = sorted(
-                range(len(states)), key=lambda i: rhos[i] / phis[i]
-            )
-            ordered = [states[i] for i in order]
-            feasible = is_feasible_ordering(
-                order, rhos, phis, server_rate=self._rate, strict=True
-            )
-            names = [s.name for s in ordered]
+        order, _ = self._ranks()
+        columns = self._columns
+        feasible = _strict_scan(
+            columns.rho_floats.view()[order],
+            columns.phi_floats.view()[order],
+            sum(columns.phis.view()[order].tolist()),
+            self._rate,
+        )
         out: dict[str, Any]
         if feasible:
-            out = {"feasible_ordering": names}
+            out = {"feasible_ordering": self._ratio_names()}
         else:
             error = FeasibleOrderingError(
                 "no feasible ordering exists: the ratio-sorted ordering "
@@ -747,11 +692,17 @@ class AnalysisContext:
         """Feasible ordering / partition / Theorem 11 diagnostics for a
         request, matching the online controller's decision details.
 
-        In incremental mode no step visits the sessions one by one in
-        interpreted code: the ordering and the partition are column
-        passes, the request's level comes from its rank in the ratio
-        order, and its Theorem 11 family reads the class sums the
-        partition formed.
+        No step visits the sessions one by one in interpreted code: the
+        ordering and the partition are column passes, the request's
+        level comes from its rank in the ratio order, and its Theorem 11
+        family reads the class sums the partition formed.
+
+        A population the gate finds stable can still defeat the float
+        partition construction (its builtin rate sum rounds up to the
+        server rate where the exact sum stays below).  Like an
+        infeasible ordering, that is reported as data:
+        ``"feasible_partition": None`` with a
+        ``"feasible_partition_error"`` message.
         """
         state = self._sessions.get(request_name)
         if state is None:
@@ -759,18 +710,14 @@ class AnalysisContext:
         out = self._ordering_diagnostics()
         if out.get("feasible_ordering") is None:
             return out
-        if self._incremental:
+        try:
             layout = self._layout()
-            out["feasible_partition"] = [list(names) for names in layout.names]
-            out["partition_level"] = self._level(state)
-        else:
-            partition = self.partition()
-            names = list(self._sessions)
-            out["feasible_partition"] = [
-                list(map(names.__getitem__, members))
-                for members in partition.classes
-            ]
-            out["partition_level"] = partition.level(names.index(request_name))
+        except FeasibleOrderingError as error:
+            out["feasible_partition"] = None
+            out["feasible_partition_error"] = str(error)
+            return out
+        out["feasible_partition"] = [list(names) for names in layout.names]
+        out["partition_level"] = self._level(state)
         out["theorem11_probability"] = self._theorem11_probability(state)
         return out
 
@@ -792,32 +739,20 @@ class AnalysisContext:
     def partition(self) -> FeasiblePartition:
         """The feasible partition of eqs. (37)-(39), cached per geometry.
 
-        In incremental mode it is read off the maintained ratio order:
-        every class is a contiguous run of that order (the sessions of
-        the remaining suffix whose ratio is below the class threshold),
-        listed by insertion index.  The float sums are evaluated in the
-        same order as :func:`repro.analysis.feasible.feasible_partition`
-        (the remaining weights by ascending insertion index, each
-        class's rates over its sorted members), so the result is equal
-        to it field for field.
+        It is read off the maintained ratio order: every class is a
+        contiguous run of that order (the sessions of the remaining
+        suffix whose ratio is below the class threshold), listed by
+        insertion index.  The float sums are evaluated in the same order
+        as :func:`repro.analysis.feasible.feasible_partition` (the
+        remaining weights by ascending insertion index, each class's
+        rates over its sorted members), so the result is equal to it
+        field for field.
         """
-        if self._incremental:
-            return self._layout().partition(self._rate)
-        cache = self._partition_cache
-        if cache is not None and cache[0] == self._geometry:
-            return cache[1]
-        states = list(self._sessions.values())
-        partition = feasible_partition(
-            [s.ebb.rho for s in states],
-            [s.phi for s in states],
-            server_rate=self._rate,
-        )
-        self._partition_cache = (self._geometry, partition)
-        return partition
+        return self._layout().partition(self._rate)
 
     def _layout(self) -> _Layout:
-        """The partition's classes read off the ratio order
-        (incremental mode), cached per geometry.
+        """The partition's classes read off the ratio order, cached per
+        geometry.
 
         Each class costs one ``bisect`` for its end in the ratio order,
         numpy selections of its members' column positions, and builtin
@@ -871,14 +806,14 @@ class AnalysisContext:
         return layout
 
     def _level(self, state: _SessionState) -> int:
-        """A session's partition level, from its rank in the ratio order
-        (incremental mode): classes are contiguous runs of that order."""
+        """A session's partition level, from its rank in the ratio order:
+        classes are contiguous runs of that order."""
         rank = self._order.rank(state.ratio, state.seq)
         return bisect_right(self._layout().ends, rank)
 
     def _placement(self, state: _SessionState) -> _Placement:
         """What Theorems 11/12 need about one session's class and the
-        classes below it, read off the layout (incremental mode).
+        classes below it, read off the layout.
 
         Every float is the one the ``GPSConfig``/``FeasiblePartition``
         route computes: ``psi`` divides by the partition's suffix
@@ -956,27 +891,15 @@ class AnalysisContext:
         family = cache.get(key)
         if family is not None:
             return family
-        if self._incremental:
-            state = self._sessions.get(name)
-            if state is None:
-                raise KeyError(f"no session named {name!r}")
-            placement = self._placement(state)
-            if kind == "t11":
-                family = _theorem11(placement, xi=xi, discrete=self._discrete)
-            else:
-                family = _theorem12(
-                    placement, xi=xi, paper_form=False, discrete=self._discrete
-                )
+        state = self._sessions.get(name)
+        if state is None:
+            raise KeyError(f"no session named {name!r}")
+        placement = self._placement(state)
+        if kind == "t11":
+            family = _theorem11(placement, xi=xi, discrete=self._discrete)
         else:
-            config = self.gps_config()
-            index = config.index_of(name)
-            build = theorem11_family if kind == "t11" else theorem12_family
-            family = build(
-                config,
-                index,
-                xi=xi,
-                partition=self.partition(),
-                discrete=self._discrete,
+            family = _theorem12(
+                placement, xi=xi, paper_form=False, discrete=self._discrete
             )
         cache[key] = family
         return family
@@ -1006,7 +929,6 @@ class AnalysisContext:
         return {
             "rate": self._rate,
             "discrete": self._discrete,
-            "incremental": self._incremental,
             "next_seq": self._next_seq,
             "version": self._version,
             "geometry": self._geometry,
@@ -1042,13 +964,11 @@ class AnalysisContext:
         The restored context is observationally bit-identical to the
         exported one: same gate decisions, same ``total_rho`` rounding,
         same version counters (so version-keyed caches rebuilt after
-        restore stay coherent with pre-snapshot consumers).
+        restore stay coherent with pre-snapshot consumers).  Snapshots
+        written while a from-scratch mode existed carry an
+        ``"incremental"`` key; it is ignored.
         """
-        out = cls(
-            float(state["rate"]),
-            discrete=bool(state["discrete"]),
-            incremental=bool(state["incremental"]),
-        )
+        out = cls(float(state["rate"]), discrete=bool(state["discrete"]))
         for record in state["sessions"]:
             ebb = EBB(
                 rho=float(record["ebb"]["rho"]),
@@ -1072,17 +992,15 @@ class AnalysisContext:
                 float(record["threshold"]),
             )
             out._sessions[session.name] = session
-            if out._incremental:
-                out._order.insert(session.ratio, session.seq)
-                heapq.heappush(out._heap, (-session.scale, session.seq))
-                out._seq_state[session.seq] = session
-                out._columns.append(session)
-                if target is not None:
-                    out._threshold_cache[(ebb, target)] = session.threshold
-        if out._incremental:
-            out._total = ExactSum.from_partials(
-                float(p) for p in state["total_partials"]
-            )
+            out._order.insert(session.ratio, session.seq)
+            heapq.heappush(out._heap, (-session.scale, session.seq))
+            out._seq_state[session.seq] = session
+            out._columns.append(session)
+            if target is not None:
+                out._threshold_cache[(ebb, target)] = session.threshold
+        out._total = ExactSum.from_partials(
+            float(p) for p in state["total_partials"]
+        )
         out._next_seq = int(state["next_seq"])
         out._version = int(state["version"])
         out._geometry = int(state["geometry"])
@@ -1119,11 +1037,17 @@ class AnalysisContext:
         *,
         diagnostics: bool = False,
     ) -> AdmissionDecision:
-        """Gate a join request; commits the session iff accepted."""
+        """Gate a join request; commits the session iff accepted.
+
+        A rejected or raising decision leaves the population as it was.
+        """
         self.add(name, ebb, phi, target)
-        decision = self._decision("join", name, diagnostics=diagnostics)
-        if not decision.accepted:
-            self.remove(name)
+        decision = None
+        try:
+            decision = self._decision("join", name, diagnostics=diagnostics)
+        finally:
+            if decision is None or not decision.accepted:
+                self.remove(name)
         return decision
 
     def decide_update(
@@ -1137,11 +1061,15 @@ class AnalysisContext:
     ) -> AdmissionDecision:
         """Gate a renegotiation; commits the new contract iff accepted.
 
-        A rejected renegotiation restores the previous contract."""
+        A rejected or raising decision restores the previous contract.
+        """
         previous = self.update(name, ebb=ebb, phi=phi, target=target)
-        decision = self._decision(
-            "renegotiate", name, diagnostics=diagnostics
-        )
-        if not decision.accepted:
-            self.restore(previous)
+        decision = None
+        try:
+            decision = self._decision(
+                "renegotiate", name, diagnostics=diagnostics
+            )
+        finally:
+            if decision is None or not decision.accepted:
+                self.restore(previous)
         return decision

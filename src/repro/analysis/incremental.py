@@ -8,7 +8,7 @@ from scratch:
   aggregate rate ``sum_i rho_i``.  Its :attr:`ExactSum.value` is
   *bit-identical* to ``math.fsum`` over the current multiset of
   addends, no matter in which order sessions joined and left, which is
-  what makes the incremental and from-scratch gates byte-identical.
+  what keeps the gate byte-identical to a from-scratch evaluation.
 * :class:`SortedRatioOrder` — the ``rho_i / phi_i`` ratio order of
   eq. (36) maintained under insertions, deletions and renegotiations.
   Ties break by insertion sequence number, reproducing the stable

@@ -191,15 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--full-recompute",
-        action="store_true",
-        help=(
-            "re-run the full admission scan on every request instead "
-            "of the O(log N) incremental gate (reference path; "
-            "decisions are identical)"
-        ),
-    )
-    serve.add_argument(
         "--strict",
         action="store_true",
         help=(
@@ -576,7 +567,6 @@ def _run_serve(args) -> int:
                     cluster_heartbeat_every=args.heartbeat_every,
                     admission=args.admission,
                     diagnostics=not args.no_diagnostics,
-                    incremental=not args.full_recompute,
                     strict=args.strict,
                     drain_slots=args.drain_slots,
                     max_errors=args.max_errors,
@@ -609,7 +599,6 @@ def _run_serve(args) -> int:
                     packet=args.packet,
                     admission=args.admission,
                     diagnostics=not args.no_diagnostics,
-                    incremental=not args.full_recompute,
                     strict=args.strict,
                     drain_slots=args.drain_slots,
                     max_errors=args.max_errors,
@@ -641,7 +630,6 @@ def _run_serve(args) -> int:
                     admission = AdmissionController(
                         rate=args.rate,
                         diagnostics=not args.no_diagnostics,
-                        incremental=not args.full_recompute,
                     )
                 engine = StreamingGPSServer(
                     rate=args.rate, admission=admission

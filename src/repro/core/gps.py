@@ -10,6 +10,7 @@ in :mod:`repro.sim`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -34,7 +35,8 @@ class Session:
         The ``(rho, Lambda, alpha)``-E.B.B. characterization of the
         session's source traffic.
     phi:
-        The session's GPS weight ``phi_i > 0``.
+        The session's GPS weight ``phi_i > 0``, large enough that the
+        ordering key ``rho_i / phi_i`` of eq. (36) is a finite float.
     """
 
     name: str
@@ -45,6 +47,11 @@ class Session:
         check_positive("phi", self.phi)
         if not self.name:
             raise ValidationError("session name must be non-empty")
+        if not math.isfinite(self.arrival.rho / self.phi):
+            raise ValidationError(
+                f"session {self.name!r}: phi={self.phi!r} is too small for "
+                f"rho={self.arrival.rho!r}; the ratio rho/phi overflows"
+            )
 
     @property
     def rho(self) -> float:

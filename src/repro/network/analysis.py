@@ -101,9 +101,7 @@ def node_contexts(
     """
     contexts: dict[str, AnalysisContext] = {}
     for node_name, node in network.nodes.items():
-        context = AnalysisContext(
-            node.rate, discrete=discrete, incremental=False
-        )
+        context = AnalysisContext(node.rate, discrete=discrete)
         for session in network.sessions_at(node_name):
             context.add(
                 session.name, session.arrival, session.phi_at(node_name)

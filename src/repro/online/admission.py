@@ -10,13 +10,13 @@ the admitted declarations and runs the decision machinery:
 
 * the accept/reject *gate* is condition for condition
   :func:`repro.analysis.admission.admissible` (stability, then each
-  session's RPPS share against its Theorem 10/15 delay bound).  In the
-  default incremental mode the context answers each request in
-  ``O(log N)`` — it patches the ratio ordering and the exact
-  aggregate-rate accumulator per membership event and compares the
-  common RPPS share multiplier against cached per-session critical
-  rates — with decisions byte-identical to the from-scratch scan
-  (``incremental=False``);
+  session's RPPS share against its Theorem 10/15 delay bound).  The
+  context answers each request in ``O(log N)``: it patches the ratio
+  ordering and the exact aggregate-rate accumulator per membership
+  event and compares the common RPPS share multiplier against cached
+  per-session critical rates.  The tests check every decision record
+  byte for byte against a from-scratch reference
+  (``tests/analysis/oracle.py``);
 * the *diagnostics* derive the feasible ordering (eq. 4) and the
   feasible partition with the joining session's Theorem 11 tail bound
   (the sharper partition-based bound of Section 5), attached to every
@@ -57,18 +57,12 @@ class AdmissionController:
         :func:`repro.analysis.admission.meets_target`.
     diagnostics:
         Attach feasible-ordering / feasible-partition / Theorem 11
-        details to every decision.  In incremental mode this costs a
-        few C-level passes over the context's columns (the eq. (4)
-        check and the partition) plus one Theorem 11 bound optimization
-        per request: a decision takes about 0.4-0.5 ms at 1,000
-        sessions, against about 0.1 ms for the gate alone.
-        Switch off for very large populations where only the gate
-        matters.
-    incremental:
-        Maintain the context's ``O(log N)`` incremental gate state
-        (default).  ``False`` re-runs the full stability + Theorem
-        10/15 scan from scratch on every request — the reference path
-        the parity tests compare against.
+        details to every decision.  This costs a few C-level passes
+        over the context's columns (the eq. (4) check and the
+        partition) plus one Theorem 11 bound optimization per request:
+        a decision takes about 0.4-0.5 ms at 1,000 sessions, against
+        about 0.1 ms for the gate alone.  Switch off for very large
+        populations where only the gate matters.
     """
 
     def __init__(
@@ -77,12 +71,9 @@ class AdmissionController:
         rate: float,
         discrete: bool = True,
         diagnostics: bool = True,
-        incremental: bool = True,
     ) -> None:
         check_positive("rate", rate)
-        self._context = AnalysisContext(
-            rate, discrete=discrete, incremental=incremental
-        )
+        self._context = AnalysisContext(rate, discrete=discrete)
         self._diagnostics = bool(diagnostics)
         self._decisions = 0
         self._accepted = 0

@@ -61,7 +61,6 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
     "packet": False,
     "admission": False,
     "diagnostics": True,
-    "incremental": True,
     "record_traces": False,
     "strict": False,
     "drain_slots": 100_000,
@@ -132,6 +131,8 @@ def _read_meta(directory: Path) -> dict[str, Any]:
             "format; refusing to guess the serving configuration"
         )
     config = dict(_CONFIG_DEFAULTS)
+    # Keys no longer read ride along unused: metadata written while the
+    # admission gate had a from-scratch mode records "incremental".
     config.update(document.get("config", {}))
     if config["rate"] is None:
         raise RecoveryError(
@@ -494,7 +495,6 @@ def _build_engine(config: dict[str, Any]) -> Any:
         admission = AdmissionController(
             rate=float(config["rate"]),
             diagnostics=bool(config["diagnostics"]),
-            incremental=bool(config["incremental"]),
         )
     return StreamingGPSServer(
         rate=float(config["rate"]),

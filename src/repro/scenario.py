@@ -502,7 +502,6 @@ class Scenario:
         targets: "Sequence[QoSTarget] | None" = None,
         *,
         discrete: bool = True,
-        incremental: bool = True,
     ) -> "AnalysisContext":
         """A :class:`repro.analysis.context.AnalysisContext` seeded with
         this scenario's sessions.
@@ -526,9 +525,7 @@ class Scenario:
                 f"got {self.num_sessions} sessions but {len(targets)} "
                 "QoS targets"
             )
-        context = AnalysisContext(
-            self.rate, discrete=discrete, incremental=incremental
-        )
+        context = AnalysisContext(self.rate, discrete=discrete)
         for k, name in enumerate(self.names):
             context.add(
                 name,

@@ -21,6 +21,8 @@ from repro.errors import AdmissionError, ValidationError
 from repro.scenario import Scenario
 from repro.traffic.sources import ConstantBitRateTraffic
 
+from tests.analysis.oracle import ReferenceContext
+
 
 def _scenario(**overrides):
     defaults = dict(
@@ -54,8 +56,8 @@ def _tight_target():
     return QoSTarget(d_max=2.0, epsilon=1e-9)
 
 
-def _populated(incremental=True):
-    context = AnalysisContext(1.0, incremental=incremental)
+def _populated(production=True):
+    context = (AnalysisContext if production else ReferenceContext)(1.0)
     context.add("a", _voice(), 1.0, _lax_target())
     context.add("b", _video(), 2.0, _lax_target())
     context.add("c", _voice(), 0.5, _lax_target())
@@ -121,18 +123,19 @@ class TestMembership:
             "a", _voice(), 1.0, _lax_target()
         )
 
-    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("production", [True, False])
     @pytest.mark.parametrize("diagnostics", [True, False])
     @pytest.mark.parametrize("phi", [0.0, -1.0])
     def test_nonpositive_phi_update_rejected(
-        self, incremental, diagnostics, phi
+        self, production, diagnostics, phi
     ):
         """Renegotiating to a non-positive weight fails at the
-        membership boundary; nothing downstream sees it."""
-        context = _populated(incremental=incremental)
+        membership boundary; nothing downstream sees it (the reference
+        keeps no version counter)."""
+        context = _populated(production=production)
         context.diagnose("a")  # warm the caches
         before = context.declarations()
-        version = context.version
+        version = getattr(context, "version", None)
         with pytest.raises(ValidationError, match="phi"):
             context.update("a", phi=phi)
         with pytest.raises(ValidationError, match="phi"):
@@ -140,7 +143,7 @@ class TestMembership:
         with pytest.raises(ValidationError, match="phi"):
             context.update("a", ebb=_video(), phi=phi)
         assert context.declarations() == before
-        assert context.version == version
+        assert getattr(context, "version", None) == version
         assert context.total_rho == pytest.approx(0.7)
         decision = context.decide_update(
             "a", phi=3.0, diagnostics=diagnostics
@@ -157,7 +160,7 @@ class TestMembership:
         context = _populated()
         # ratios: a=0.2, b=0.15, c=0.4
         assert context.ratio_ordering() == ["b", "a", "c"]
-        scratch = _populated(incremental=False)
+        scratch = _populated(production=False)
         assert scratch.ratio_ordering() == ["b", "a", "c"]
 
 
@@ -343,7 +346,7 @@ class TestScenarioConstructor:
         assert context.names == ("a", "b")
         assert context.declaration("b").phi == 2.0
         assert context.declaration("b").target is None
-        assert context.discrete and context.incremental
+        assert context.discrete
 
     def test_scenario_targets_attached(self):
         target = _lax_target()

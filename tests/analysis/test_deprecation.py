@@ -19,13 +19,24 @@ import repro.core
 import repro.online
 import repro.online.cluster
 import repro.sim
+from repro.analysis import AnalysisContext
 from repro.cli import main
 from repro.core.ebb import EBB
 from repro.experiments.supervisor import SupervisedRunner
 from repro.network.builders import ring_network, tandem_network, tree_network
+from repro.online.admission import AdmissionController
+from repro.scenario import Scenario
 from repro.sim.fluid import FluidGPSServer
+from repro.traffic.sources import ConstantBitRateTraffic
 
 _ARRIVAL = EBB(0.2, 1.0, 1.5)
+_SCENARIO = Scenario(
+    rate=1.0,
+    phis=(1.0,),
+    sources=(ConstantBitRateTraffic(rate=0.1),),
+    horizon=10,
+    ebbs=(_ARRIVAL,),
+)
 
 
 def _trial(trial, seed):
@@ -91,6 +102,18 @@ REMOVED_FORMS = [
         lambda: repro.sim.batch_gps_slot_allocation, AttributeError,
         id="batch-slot-allocation",
     ),
+    pytest.param(
+        lambda: AnalysisContext(1.0, incremental=False), TypeError,
+        id="context-incremental",
+    ),
+    pytest.param(
+        lambda: AdmissionController(rate=1.0, incremental=False), TypeError,
+        id="controller-incremental",
+    ),
+    pytest.param(
+        lambda: _SCENARIO.analysis_context(incremental=False), TypeError,
+        id="scenario-context-incremental",
+    ),
 ]
 
 
@@ -98,6 +121,15 @@ REMOVED_FORMS = [
 def test_removed_form_raises(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_serve_full_recompute_flag_is_a_usage_error(tmp_path, capsys):
+    lines = tmp_path / "empty.jsonl"
+    lines.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(lines), "--rate", "1.0", "--full-recompute"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --full-recompute" in capsys.readouterr().err
 
 
 def test_eager_core_names_do_not_warn():

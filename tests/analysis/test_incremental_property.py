@@ -12,8 +12,8 @@ recompute —
   :func:`repro.analysis.feasible.feasible_partition` recomputed from
   the surviving declarations — also near saturation, where ratio ties
   and three or more classes are common, together with
-  :meth:`AnalysisContext.diagnose` matching the ``incremental=False``
-  context's,
+  :meth:`AnalysisContext.diagnose` matching the from-scratch reference
+  of ``tests/analysis/oracle.py``,
 
 plus the same exactness properties for the two underlying containers
 (:class:`ExactSum`, :class:`SortedRatioOrder`) in isolation.
@@ -43,6 +43,8 @@ from repro.analysis import (  # noqa: E402
 )
 from repro.core.ebb import EBB  # noqa: E402
 
+from tests.analysis.oracle import ReferenceContext  # noqa: E402
+
 _SERVER_RATE = 100.0  # large: any population below stays stable
 
 _rhos = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
@@ -62,7 +64,7 @@ def _event_sequences(draw, max_events=30):
 
 def _apply(events):
     """Drive a context and a plain-dict mirror from one event stream."""
-    context = AnalysisContext(_SERVER_RATE, incremental=True)
+    context = AnalysisContext(_SERVER_RATE)
     mirror: dict[str, tuple[float, float]] = {}
     next_id = 0
     for kind, rho, phi, pick in events:
@@ -174,7 +176,7 @@ class TestPartitionFromRatioOrder:
             return
         rate = math.fsum(rho for rho, _ in survivors.values()) / load
         fast = AnalysisContext(rate)
-        slow = AnalysisContext(rate, incremental=False)
+        slow = ReferenceContext(rate)
         _drive(fast, events)
         _drive(slow, events)
         rhos = [rho for rho, _ in survivors.values()]
@@ -306,7 +308,7 @@ class TestScanAtSaturation:
         phis = [phi for _, phi in survivors.values()]
         rate = math.fsum(rhos) * (1.0 + gap)
         fast = AnalysisContext(rate)
-        slow = AnalysisContext(rate, incremental=False)
+        slow = ReferenceContext(rate)
         _drive(fast, events)
         _drive(slow, events)
         order = sorted(range(len(rhos)), key=lambda i: rhos[i] / phis[i])
@@ -316,5 +318,5 @@ class TestScanAtSaturation:
         event(f"feasible={feasible}")
         # the ordering part of diagnose(), cached per geometry
         ordering = fast._ordering_diagnostics()
-        assert ordering == slow._ordering_diagnostics()
+        assert ordering == slow.ordering_diagnostics()
         assert (ordering["feasible_ordering"] is not None) == feasible

@@ -147,7 +147,6 @@ class TestNodeContexts:
         assert set(contexts) == {"n1", "n2", "n3"}
         assert contexts["n1"].names == ("s1", "s2")
         assert contexts["n3"].names == ("s1", "s2", "s3", "s4")
-        assert not contexts["n1"].incremental
 
     def test_seeded_with_source_characterizations(self):
         network = rpps_tree()

@@ -4,12 +4,14 @@ Two independent contracts, fuzzed over randomized event sequences:
 
 * the ``O(log N)`` incremental context produces decisions (records,
   reasons, diagnostics — the full ``to_record()`` payload)
-  byte-identical to the from-scratch reference scan
-  (``incremental=False``);
+  byte-identical to the from-scratch reference in
+  ``tests/analysis/oracle.py``;
 * every decision's accept/reject flag agrees with the offline
   procedure :func:`repro.analysis.admission.admissible` evaluated on
   the candidate population.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +20,14 @@ from repro.analysis import AnalysisContext, QoSTarget, admissible
 from repro.analysis.feasible import is_feasible_ordering
 from repro.core.ebb import EBB
 from repro.online.admission import AdmissionController
+
+from tests.analysis.oracle import ReferenceContext, reference_controller
+
+
+def _bytes(record):
+    """A record as the JSONL sink writes it: equal bytes, not just
+    equal values (``-0.0``, NaN)."""
+    return json.dumps(record)
 
 
 def _random_request(rng):
@@ -58,7 +68,7 @@ def _drive(rng, fast, slow, num_events=120):
                 name, ebb=ebb, phi=phi, target=target,
                 diagnostics=diagnostics,
             )
-            assert d1.to_record() == d2.to_record()
+            assert _bytes(d1.to_record()) == _bytes(d2.to_record())
             outcomes.add(d1.accepted)
         else:
             name = f"s{next_id}"
@@ -70,7 +80,7 @@ def _drive(rng, fast, slow, num_events=120):
             d2 = slow.decide_join(
                 name, ebb, phi, target, diagnostics=diagnostics
             )
-            assert d1.to_record() == d2.to_record()
+            assert _bytes(d1.to_record()) == _bytes(d2.to_record())
             outcomes.add(d1.accepted)
             if d1.accepted:
                 admitted.append(name)
@@ -84,18 +94,18 @@ class TestIncrementalParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 42, 1234])
     def test_decisions_byte_identical(self, seed):
         rng = np.random.default_rng(seed)
-        fast = AnalysisContext(1.0, incremental=True)
-        slow = AnalysisContext(1.0, incremental=False)
+        fast = AnalysisContext(1.0)
+        slow = ReferenceContext(1.0)
         outcomes = _drive(rng, fast, slow)
         # the stream must exercise both gate outcomes, not vacuously pass
         assert outcomes == {True, False}, seed
 
 
 class TestAgreementWithOffline:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_joins_match_admissible(self, incremental):
+    @pytest.mark.parametrize("production", [True, False])
+    def test_joins_match_admissible(self, production):
         rng = np.random.default_rng(7)
-        context = AnalysisContext(1.0, incremental=incremental)
+        context = (AnalysisContext if production else ReferenceContext)(1.0)
         admitted: list[tuple[EBB, QoSTarget]] = []
         outcomes = set()
         for k in range(40):
@@ -116,17 +126,17 @@ class TestAgreementWithOffline:
 
 class TestControllerParity:
     def test_controller_modes_agree(self):
-        """The public controller wires ``incremental`` straight through."""
+        """The public controller decides as the reference does."""
         rng = np.random.default_rng(3)
-        fast = AdmissionController(rate=1.0, incremental=True)
-        slow = AdmissionController(rate=1.0, incremental=False)
+        fast = AdmissionController(rate=1.0)
+        slow = reference_controller(1.0)
         outcomes = set()
         names: list[str] = []
         for k in range(60):
             ebb, phi, target = _random_request(rng)
             d1 = fast.request_join(f"s{k}", ebb=ebb, phi=phi, target=target)
             d2 = slow.request_join(f"s{k}", ebb=ebb, phi=phi, target=target)
-            assert d1.to_record() == d2.to_record()
+            assert _bytes(d1.to_record()) == _bytes(d2.to_record())
             outcomes.add(d1.accepted)
             if d1.accepted:
                 names.append(f"s{k}")
@@ -170,7 +180,7 @@ class TestDiagnosticsAtScale:
         population = [self._contract(rng) for _ in range(2_000)]
         rate = sum(ebb.rho for ebb, _ in population) / 0.97
         fast = AnalysisContext(rate)
-        slow = AnalysisContext(rate, incremental=False)
+        slow = ReferenceContext(rate)
         for k, (ebb, phi) in enumerate(population):
             fast.add(f"s{k}", ebb, phi, self.TARGET)
             slow.add(f"s{k}", ebb, phi, self.TARGET)
@@ -200,11 +210,11 @@ class TestDiagnosticsAtScale:
                 phi = float(rng.choice([0.1, 0.25, 0.5, 1.0, 2.0]))
                 d1 = fast.decide_update(name, phi=phi, diagnostics=True)
                 d2 = slow.decide_update(name, phi=phi, diagnostics=True)
-            assert d1.to_record() == d2.to_record()
+            assert _bytes(d1.to_record()) == _bytes(d2.to_record())
             levels.add(d1.details["partition_level"])
             outcomes.add(d1.accepted)
             if name in fast:  # a refused join never enters
-                assert fast.diagnose(name) == slow.diagnose(name)
+                assert _bytes(fast.diagnose(name)) == _bytes(slow.diagnose(name))
         assert fast.partition() == slow.partition()
         assert outcomes == {True, False}
         assert max(levels) >= 2, levels
@@ -232,7 +242,7 @@ class TestRoundedRemainingWeight:
     @pytest.mark.parametrize("extra", [0, 3])
     def test_two_joins_yield_matching_decisions(self, extra):
         fast = AnalysisContext(1.0)
-        slow = AnalysisContext(1.0, incremental=False)
+        slow = ReferenceContext(1.0)
         joins = self.JOINS + [
             (f"t{k}", EBB(1e-22 * (k + 1), 1.0, 1.0), 1e-20 * 2.0**-k)
             for k in range(extra)
@@ -245,7 +255,7 @@ class TestRoundedRemainingWeight:
             d2 = slow.decide_join(
                 name, ebb, phi, self.TARGET, diagnostics=True
             )
-            assert d1.to_record() == d2.to_record()
+            assert _bytes(d1.to_record()) == _bytes(d2.to_record())
             records.append(d1.to_record())
         assert len(records) == len(joins)
         assert records[0]["accepted"]

@@ -22,6 +22,20 @@ was evaluated:
 * **rounded-away weight** — weights more than ``2**53`` apart make the
   eq. (4) scan's running remaining weight round to ``0.0`` while a
   session is still unscanned (this raised ``ZeroDivisionError``).
+
+Two more requests broke the decision cycle itself:
+
+* **subnormal weight** — ``phi=5e-324`` makes ``rho / phi`` overflow to
+  ``inf``, the partition construction stalled and raised out of the
+  decision, and the uncommitted session stayed in the context, so every
+  later join failed too.  Such a weight is now refused when the
+  contract is declared, and a decision that raises for any reason
+  leaves the population as it was;
+* **unbuildable partition** — near saturation the exact aggregate rate
+  (the gate's) stays below the server rate while the builtin sum the
+  partition construction uses rounds up to it.  The diagnostics report
+  ``"feasible_partition": null`` with the error, like an infeasible
+  ordering.
 """
 
 import io
@@ -35,11 +49,13 @@ from repro.analysis.admission import QoSTarget
 from repro.cli import main
 from repro.core.ebb import EBB
 from repro.core.gps import GPSConfig, Session
-from repro.errors import NumericalError
+from repro.errors import NumericalError, ValidationError
 from repro.online import OnlineService, StreamingGPSServer
 from repro.online.admission import AdmissionController
 from repro.online.durability import DurableOnlineService
-from repro.online.events import SessionJoin, event_to_record
+from repro.online.events import Renegotiate, SessionJoin, event_to_record
+
+from tests.analysis.oracle import ReferenceContext, reference_controller
 
 RATE = 1.0
 TARGET = QoSTarget(d_max=1e6, epsilon=0.5)
@@ -133,9 +149,9 @@ def test_prefactor_overflow_raises_numerical_error():
         family.output_ebb(0.5)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_overflowing_theorem11_bound_is_reported_as_null(incremental):
-    context = AnalysisContext(RATE, incremental=incremental)
+@pytest.mark.parametrize("production", [True, False])
+def test_overflowing_theorem11_bound_is_reported_as_null(production):
+    context = (AnalysisContext if production else ReferenceContext)(RATE)
     for k in range(200):
         context.add(f"s{k}", EBB(0.004, 2.0, 1.0), 1.0)
     decision = context.decide_join(
@@ -179,3 +195,142 @@ def test_serve_admission_with_rounded_away_weight(tmp_path):
     decisions = _decisions(out.read_text())
     assert [d["session"] for d in decisions] == ["a", "b"]
     assert decisions[1]["details"]["feasible_ordering"] == ["a", "b"]
+
+
+SUBNORMAL = 5e-324
+LAX = QoSTarget(d_max=50.0, epsilon=0.01)
+
+
+def _wire(event):
+    return json.dumps(event_to_record(event)) + "\n"
+
+
+def _join(name, phi):
+    return _wire(
+        SessionJoin(
+            time=0.0, name=name, phi=phi, ebb=EBB(0.1, 1.0, 1.0), target=LAX
+        )
+    )
+
+
+#: (lines with one bad line, the same lines without it)
+SUBNORMAL_STREAMS = {
+    "join": (
+        [_join("a", 1.0), _join("b", SUBNORMAL), _join("c", 1.0),
+         _join("d", 1.0)],
+        [_join("a", 1.0), _join("c", 1.0), _join("d", 1.0)],
+    ),
+    "renegotiate": (
+        [_join("a", 1.0), _join("b", 1.0),
+         _wire(Renegotiate(time=0.0, name="a", phi=SUBNORMAL)),
+         _join("c", 1.0)],
+        [_join("a", 1.0), _join("b", 1.0), _join("c", 1.0)],
+    ),
+}
+
+
+def _serve(tmp_path, lines):
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(lines))
+    out = tmp_path / "out.jsonl"
+    main(["serve", str(path), "--rate", "1.0", "--out", str(out),
+          "--admission"])
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("kind", sorted(SUBNORMAL_STREAMS))
+def test_serve_subnormal_weight_is_one_error_record(tmp_path, kind):
+    bad, clean = SUBNORMAL_STREAMS[kind]
+    got = _serve(tmp_path, bad)
+    want = _serve(tmp_path, clean)
+    errors = [r for r in got if r["kind"] == "error"]
+    assert len(errors) == 1
+    assert errors[0]["error_type"] == "ValidationError"
+    assert "overflows" in errors[0]["error"]
+    assert [r["decision"] for r in got if "decision" in r] == [
+        r["decision"] for r in want if "decision" in r
+    ]
+    assert got[-1]["summary"]["errors"] == 1
+    assert got[-1]["summary"]["admission_accepted"] == (
+        want[-1]["summary"]["admission_accepted"]
+    )
+
+
+@pytest.mark.parametrize("production", [True, False])
+def test_controller_refuses_subnormal_weight(production):
+    def controller():
+        if production:
+            return AdmissionController(rate=RATE)
+        return reference_controller(RATE)
+
+    bad, clean = controller(), controller()
+    for c in (bad, clean):
+        c.request_join("a", ebb=EBB(0.1, 1.0, 1.0), phi=1.0, target=LAX)
+    with pytest.raises(ValidationError, match="overflows"):
+        bad.request_join(
+            "b", ebb=EBB(0.1, 1.0, 1.0), phi=SUBNORMAL, target=LAX
+        )
+    with pytest.raises(ValidationError, match="overflows"):
+        bad.request_renegotiate("a", phi=SUBNORMAL)
+    assert bad.admitted_names == ("a",)
+    assert bad.declarations() == clean.declarations()
+    assert bad.summary() == clean.summary()
+    for name in ("b", "c"):
+        d1, d2 = (
+            c.request_join(name, ebb=EBB(0.1, 1.0, 1.0), phi=1.0, target=LAX)
+            for c in (bad, clean)
+        )
+        assert json.dumps(d1.to_record()) == json.dumps(d2.to_record())
+
+
+def test_raising_decision_leaves_population_unchanged(monkeypatch):
+    def populated():
+        context = AnalysisContext(RATE)
+        context.add("a", EBB(0.1, 1.0, 1.0), 1.0, LAX)
+        context.add("b", EBB(0.2, 1.0, 1.0), 2.0, LAX)
+        return context
+
+    context, clean = populated(), populated()
+
+    def fail(self, name):
+        raise RuntimeError("diagnostics failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AnalysisContext, "diagnose", fail)
+        with pytest.raises(RuntimeError):
+            context.decide_join(
+                "c", EBB(0.1, 1.0, 1.0), 1.0, LAX, diagnostics=True
+            )
+        with pytest.raises(RuntimeError):
+            context.decide_update("a", phi=3.0, diagnostics=True)
+    assert context.declarations() == clean.declarations()
+    assert context.ratio_ordering() == clean.ratio_ordering()
+    assert context.export_state()["total_partials"] == (
+        clean.export_state()["total_partials"]
+    )
+    d1, d2 = (
+        c.decide_join("c", EBB(0.3, 1.0, 1.0), 0.5, LAX, diagnostics=True)
+        for c in (context, clean)
+    )
+    assert json.dumps(d1.to_record()) == json.dumps(d2.to_record())
+
+
+def test_unbuildable_partition_is_reported_as_data():
+    """The exact rate sum is below 1.1; the builtin one rounds to 1.1."""
+    joins = [("a", 0.7, 3.0), ("b", 0.3, 2.0), ("c", 0.05, 3.0)]
+    records = []
+    for context in (AnalysisContext(1.1), ReferenceContext(1.1)):
+        for name, rho, phi in joins:
+            context.add(name, EBB(rho, 1.0, 1.0), phi, LAX)
+        decision = context.decide_join(
+            "d", EBB(0.05, 1.0, 1.0), 3.0, LAX, diagnostics=True
+        )
+        assert context.names == ("a", "b", "c")
+        records.append(json.dumps(decision.to_record()))
+        details = decision.details
+        assert details["feasible_ordering"] == ["c", "d", "b", "a"]
+        assert details["feasible_partition"] is None
+        assert details["feasible_partition_error"].startswith(
+            "stability requires sum(rho) < server rate"
+        )
+    assert records[0] == records[1]

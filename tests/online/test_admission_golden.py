@@ -11,7 +11,9 @@ refused.  The feasible partition reaches three and four classes.
 ``records.jsonl`` is the record stream ``OnlineService`` +
 ``JsonlSink`` wrote for it when the context rebuilt the feasible
 ordering and partition from scratch for every decision.  Deriving them
-from the maintained ratio order must not change a byte.
+from the maintained ratio order must not change a byte, and the
+from-scratch reference of ``tests/analysis/oracle.py`` still writes
+the same stream.
 
 The same stream checks the engine's retained decision log: it keeps
 every decision without the two population-sized lists
@@ -28,7 +30,11 @@ import pytest
 
 from repro.online import OnlineService, StreamingGPSServer
 from repro.online.admission import AdmissionController
+from repro.online.durability import DurableOnlineService
+from repro.online.durability.snapshot import _decode, _encode
 from repro.online.records import JsonlSink
+
+from tests.analysis.oracle import reference_controller
 
 FIXTURE = Path(__file__).parent / "data" / "admission_churn"
 RATE = 1.0
@@ -43,9 +49,9 @@ def _records():
     return [json.loads(line) for line in (FIXTURE / "records.jsonl").open()]
 
 
-def _service(out):
+def _service(out, admission=None):
     engine = StreamingGPSServer(
-        rate=RATE, admission=AdmissionController(rate=RATE)
+        rate=RATE, admission=admission or AdmissionController(rate=RATE)
     )
     return OnlineService(engine, sink=JsonlSink(out))
 
@@ -61,6 +67,12 @@ def served():
 def test_record_stream_is_byte_identical(served):
     _, stream = served
     assert stream == (FIXTURE / "records.jsonl").read_text()
+
+
+def test_reference_stream_is_byte_identical():
+    out = io.StringIO()
+    _service(out, reference_controller(RATE)).serve(iter(_lines()))
+    assert out.getvalue() == (FIXTURE / "records.jsonl").read_text()
 
 
 def test_fixture_covers_the_churn():
@@ -132,3 +144,44 @@ def test_snapshot_with_full_decisions_loads_to_retained_form(served, cut):
     assert json.dumps(engine.export_state()) == json.dumps(
         uninterrupted.export_state()
     )
+
+
+def _set_incremental_key(directory, value):
+    """Write the key that metadata and admission snapshots carried while
+    the gate had a from-scratch mode."""
+    meta = directory / "meta.json"
+    document = _decode(meta.read_bytes())
+    document["config"]["incremental"] = value
+    meta.write_bytes(_encode(document))
+    snapshots = sorted(directory.glob("snap-*.json"))
+    assert snapshots
+    for path in snapshots:
+        document = _decode(path.read_bytes())
+        document["engine"]["admission"]["context"]["incremental"] = value
+        path.write_bytes(_encode(document))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_state_with_incremental_key_recovers(tmp_path, served, value):
+    uninterrupted, stream = served
+    lines = [line + "\n" for line in _lines()]
+    cut = 75
+    directory = tmp_path / "state"
+    head, _ = DurableOnlineService.open(
+        directory, mode="create", rate=RATE, admission=True,
+        snapshot_every=50, sink=io.StringIO(),
+    )
+    head.ingest(lines[:cut])
+    head.wal.close()  # crash: a snapshot at line 50 and a WAL tail
+    _set_incremental_key(directory, value)
+
+    out = io.StringIO()
+    recovered, report = DurableOnlineService.open(
+        directory, mode="recover", sink=out
+    )
+    assert report.snapshot_seq == 50 and report.replayed == cut - 50
+    recovered.serve(iter(lines[cut:]))
+    tail = out.getvalue().splitlines(keepends=True)
+    assert len(tail) > len(lines) - cut
+    assert tail == stream.splitlines(keepends=True)[-len(tail):]
+    assert recovered.engine.export_state() == uninterrupted.export_state()

@@ -26,6 +26,7 @@ from repro.cli import main
 from repro.errors import ValidationError
 from repro.online import OnlineService, StreamingGPSServer
 from repro.online.durability import DurableOnlineService, SnapshotStore
+from repro.online.durability.snapshot import _decode, _encode
 from repro.online.session import SessionRegistry
 
 FIXTURE = Path(__file__).parent / "data" / "old_layout"
@@ -89,6 +90,21 @@ def test_recover_matches_an_uninterrupted_run(state, uninterrupted):
     _assert_same_registry(
         recovered.engine._registry, uninterrupted._registry
     )
+    assert recovered.engine.export_state() == uninterrupted.export_state()
+    recovered.wal.close()
+
+
+def test_meta_with_incremental_false_recovers(state, uninterrupted):
+    """``meta.json`` once recorded the admission gate's mode; a
+    directory served with ``"incremental": false`` recovers like any
+    other (the key is ignored)."""
+    meta = state / "meta.json"
+    document = _decode(meta.read_bytes())
+    assert document["config"]["incremental"] is True
+    document["config"]["incremental"] = False
+    meta.write_bytes(_encode(document))
+    recovered, report = DurableOnlineService.open(state, mode="recover")
+    assert report.snapshot_seq == 30
     assert recovered.engine.export_state() == uninterrupted.export_state()
     recovered.wal.close()
 
