@@ -5,7 +5,9 @@ Measures three throughputs on the same workload (a heterogeneous
 on-off / Bernoulli / CBR session mix sampled from one ``Scenario``):
 
 * **scalar** — ``FluidGPSServer.run`` once per trial; the baseline
-  slot rate (trial-slots per second);
+  slot rate (trial-slots per second).  That call is the ``B = 1`` run
+  of ``BatchFluidGPSServer`` (same slot loop, same kernel), so the
+  speedup is what stacking ``B`` trials into one loop buys;
 * **batched** — ``BatchFluidGPSServer.run`` over the whole ``(B, N,
   T)`` stack; the tentpole speedup this PR exists to demonstrate;
 * **supervised** — ``SupervisedRunner`` trial throughput under each

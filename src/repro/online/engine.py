@@ -13,7 +13,7 @@ explicitly requested.
 Each slot is served by the *same* water-filling kernel as the offline
 engines (``repro.sim.fluid._batch_water_fill`` through the identical
 ``work = backlog + arrivals`` / ``clip(work - served, 0, None)``
-sequence of ``FluidGPSServer._step_fast``), so replaying an event
+sequence of ``FluidGPSServer.step`` and the batch slot loop), so replaying an event
 stream produced by :meth:`repro.scenario.Scenario.to_event_stream`
 reproduces the offline backlog/served trajectories *bit for bit* —
 ``np.array_equal``, not ``allclose`` — which the equivalence suite in
@@ -321,7 +321,7 @@ class StreamingGPSServer:
             # trace block below still needs this slot's gather order.
             busy = busy.copy()
         if busy.size:
-            # Mirrors FluidGPSServer._step_fast operation for
+            # Mirrors FluidGPSServer.step operation for
             # operation; same kernel, same clip — the bit-for-bit
             # equivalence guarantee rests on this block.
             work = registry.backlog[busy] + registry.pending[busy]

@@ -12,7 +12,6 @@ from repro.sim.decay import DecayFit, estimate_decay_rate
 from repro.sim.fluid_exact import (
     FluidTrajectory,
     RateSegment,
-    gps_rate_allocation as gps_rate_allocation_exact,
     simulate_exact_gps,
 )
 from repro.sim.fluid import (
@@ -95,7 +94,6 @@ __all__ = [
     "dominance_check",
     "FluidTrajectory",
     "RateSegment",
-    "gps_rate_allocation_exact",
     "simulate_exact_gps",
     "DecayFit",
     "estimate_decay_rate",

@@ -22,7 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.fluid import GPSSimResult
-from repro.utils.validation import check_positive, check_weights
+from repro.utils.validation import (
+    check_arrivals,
+    check_positive,
+    check_weights,
+)
 
 from repro.errors import ValidationError
 
@@ -36,7 +40,10 @@ _EPS = 1e-12
 
 
 class _SlotServer:
-    """Shared batch-run plumbing for the slot-stepped baselines."""
+    """Shared plumbing for the slot-stepped baselines: construction,
+    the arrival checks and the batch run.  Subclasses implement
+    :meth:`reset`, :meth:`_advance` (one slot on checked arrivals)
+    and :meth:`_backlog_snapshot`."""
 
     def __init__(self, rate: float, num_sessions: int) -> None:
         check_positive("rate", rate)
@@ -59,12 +66,25 @@ class _SlotServer:
         """Reset scheduler state; subclasses extend."""
         raise NotImplementedError
 
-    def step(self, arrivals: np.ndarray) -> np.ndarray:
-        """Advance one slot; subclasses implement."""
+    def _advance(self, arrivals: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _backlog_snapshot(self) -> np.ndarray:
         raise NotImplementedError
 
     def _weights_record(self) -> tuple[float, ...]:
         return tuple([1.0] * self._num_sessions)
+
+    def step(self, arrivals) -> np.ndarray:
+        """Advance one slot; returns per-session service amounts."""
+        arr = np.asarray(arrivals, dtype=float)
+        if arr.shape != (self._num_sessions,):
+            raise ValidationError(
+                f"expected {self._num_sessions} arrival entries, got "
+                f"shape {arr.shape}"
+            )
+        check_arrivals(arr)
+        return self._advance(arr)
 
     def run(self, arrivals: np.ndarray) -> GPSSimResult:
         """Simulate a whole arrival matrix; see FluidGPSServer.run."""
@@ -74,11 +94,14 @@ class _SlotServer:
                 f"arrivals must have shape ({self._num_sessions}, T), "
                 f"got {arr.shape}"
             )
+        if arr.shape[1] == 0:
+            raise ValidationError("need at least one slot, got 0")
+        check_arrivals(arr)
         self.reset()
         served = np.zeros_like(arr)
         backlog = np.zeros_like(arr)
         for t in range(arr.shape[1]):
-            served[:, t] = self.step(arr[:, t])
+            served[:, t] = self._advance(arr[:, t])
             backlog[:, t] = self._backlog_snapshot()
         return GPSSimResult(
             arrivals=arr,
@@ -87,9 +110,6 @@ class _SlotServer:
             rate=self._rate,
             phis=self._weights_record(),
         )
-
-    def _backlog_snapshot(self) -> np.ndarray:
-        raise NotImplementedError
 
 
 class FCFSServer(_SlotServer):
@@ -108,10 +128,9 @@ class FCFSServer(_SlotServer):
     def reset(self) -> None:
         self._queue = []
 
-    def step(self, arrivals: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arrivals, dtype=float)
+    def _advance(self, arr: np.ndarray) -> np.ndarray:
         if float(arr.sum()) > _EPS:
-            self._queue.append(arr.astype(float).copy())
+            self._queue.append(arr.copy())
         capacity = self._rate
         served = np.zeros(self._num_sessions)
         while self._queue and capacity > _EPS:
@@ -145,8 +164,7 @@ class StaticPriorityServer(_SlotServer):
     def reset(self) -> None:
         self._backlog = np.zeros(self._num_sessions)
 
-    def step(self, arrivals: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arrivals, dtype=float)
+    def _advance(self, arr: np.ndarray) -> np.ndarray:
         work = self._backlog + arr
         served = np.zeros_like(work)
         capacity = self._rate
@@ -189,8 +207,7 @@ class WeightedRoundRobinServer(_SlotServer):
     def _weights_record(self) -> tuple[float, ...]:
         return tuple(self._phis.tolist())
 
-    def step(self, arrivals: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arrivals, dtype=float)
+    def _advance(self, arr: np.ndarray) -> np.ndarray:
         work = self._backlog + arr
         served = np.zeros_like(work)
         capacity = self._rate

@@ -8,11 +8,13 @@ into ``(B, N, T)`` arrays and applies the *same* water-filling kernel
 across the whole batch at once, so the interpreter cost is paid ``T``
 times regardless of ``B``.
 
-Because the scalar server is the ``B = 1`` slice of the shared kernel
-(``repro.sim.fluid._batch_water_fill``), the batched traces
-are bit-for-bit identical to running the scalar server on each trial —
-the equivalence suite in ``tests/sim/test_batch.py`` asserts exact
-equality, not closeness.
+This is the one fluid slot loop in the library:
+:meth:`repro.sim.fluid.FluidGPSServer.run` is its ``B = 1`` case, and
+both servers share their construction and the water-filling kernel
+(``repro.sim.fluid._batch_water_fill``), which treats every row
+independently.  So each trial of a batched run is bit-for-bit a
+``FluidGPSServer.step`` loop over that trial — the equivalence suite
+in ``tests/sim/test_batch.py`` asserts exact equality, not closeness.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.sim.fluid import GPSSimResult, _batch_water_fill
-from repro.utils.validation import check_positive, check_weights
+from repro.sim.fluid import GPSSimResult, _FluidServer, _batch_water_fill
+from repro.utils.validation import check_arrivals
 
 __all__ = ["BatchFluidGPSServer", "BatchGPSSimResult"]
 
@@ -166,10 +168,16 @@ class BatchGPSSimResult:
         return payload
 
 
-class BatchFluidGPSServer:
+def _check_capacities(caps: np.ndarray) -> None:
+    # One pass per comparison; NaN fails both.
+    if not ((caps >= 0.0) & (caps < np.inf)).all():
+        raise ValidationError("capacity must be finite and non-negative")
+
+
+class BatchFluidGPSServer(_FluidServer):
     """Vectorized fluid GPS server over ``B`` independent trials.
 
-    Keyword-only construction, mirroring
+    Keyword-only construction, shared with
     :class:`repro.sim.fluid.FluidGPSServer`::
 
         BatchFluidGPSServer(rate=1.0, phis=[2.0, 1.0])
@@ -181,44 +189,6 @@ class BatchFluidGPSServer:
     injection.  Validation happens at construction and once per
     :meth:`run`; the slot loop runs on the no-copy float64 kernel.
     """
-
-    def __init__(
-        self,
-        *,
-        rate: float | None = None,
-        phis=None,
-        scenario=None,
-    ) -> None:
-        if scenario is not None:
-            if rate is not None or phis is not None:
-                raise ValidationError(
-                    "pass either scenario= or explicit rate=/phis=, "
-                    "not both"
-                )
-            rate = scenario.rate
-            phis = scenario.phis
-        if rate is None or phis is None:
-            raise ValidationError(
-                "BatchFluidGPSServer requires rate= and phis= "
-                "(or scenario=)"
-            )
-        check_positive("rate", rate)
-        self._phis = np.ascontiguousarray(
-            check_weights("phis", list(phis)), dtype=float
-        )
-        self._rate = float(rate)
-        self._backlog: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def rate(self) -> float:
-        """Server capacity per slot."""
-        return self._rate
-
-    @property
-    def num_sessions(self) -> int:
-        """Number of sessions."""
-        return self._phis.size
 
     @property
     def backlog(self) -> np.ndarray | None:
@@ -251,8 +221,7 @@ class BatchFluidGPSServer:
                 f"arrivals must have shape (B, {self.num_sessions}), "
                 f"got {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        check_arrivals(arr)
         if self._backlog is None:
             self._backlog = np.zeros_like(arr)
         elif self._backlog.shape != arr.shape:
@@ -266,10 +235,7 @@ class BatchFluidGPSServer:
             caps = np.broadcast_to(
                 np.asarray(capacity, dtype=float), (arr.shape[0],)
             ).copy()
-            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
-                raise ValidationError(
-                    "capacity must be finite and non-negative"
-                )
+            _check_capacities(caps)
         return self._step_fast(arr, caps)
 
     def _step_fast(
@@ -294,9 +260,9 @@ class BatchFluidGPSServer:
         common fault-injection case), shape ``(B, T)`` sets per-trial
         traces.
 
-        Trial ``b`` of the result is bit-for-bit
-        ``FluidGPSServer(rate=..., phis=...).run(arrivals[b],
-        capacities=...)``.
+        This is the one fluid slot loop: ``FluidGPSServer.run`` is its
+        ``B = 1`` case, and trial ``b`` of the result is bit-for-bit a
+        ``FluidGPSServer.step`` loop over ``arrivals[b]``.
         """
         arr = np.ascontiguousarray(arrivals, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != self.num_sessions:
@@ -304,8 +270,7 @@ class BatchFluidGPSServer:
                 f"arrivals must have shape (B, {self.num_sessions}, T), "
                 f"got {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        check_arrivals(arr)
         num_trials, _, num_slots = arr.shape
         if num_trials == 0 or num_slots == 0:
             raise ValidationError(
@@ -323,19 +288,14 @@ class BatchFluidGPSServer:
                     f"capacities must have shape ({num_slots},) or "
                     f"({num_trials}, {num_slots}), got {caps.shape}"
                 )
-            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
-                raise ValidationError(
-                    "capacities must be finite and non-negative"
-                )
+            _check_capacities(caps)
         self.reset(num_trials)
         served = np.zeros_like(arr)
         backlog = np.zeros_like(arr)
         full_rate = np.full(num_trials, self._rate)
         for t in range(num_slots):
             slot_caps = full_rate if caps is None else caps[:, t]
-            served[:, :, t] = self._step_fast(
-                np.ascontiguousarray(arr[:, :, t]), slot_caps
-            )
+            served[:, :, t] = self._step_fast(arr[:, :, t], slot_caps)
             backlog[:, :, t] = self._backlog
         return BatchGPSSimResult(
             arrivals=arr,

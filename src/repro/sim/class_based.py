@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.fluid import GPSSimResult, gps_slot_allocation
-from repro.utils.validation import check_positive, check_weights
+from repro.sim.baselines import _SlotServer
+from repro.sim.fluid import gps_slot_allocation
+from repro.utils.validation import check_weights
 
 from repro.errors import ValidationError
 
@@ -73,7 +74,7 @@ class _ClassQueue:
         return served
 
 
-class ClassBasedGPSServer:
+class ClassBasedGPSServer(_SlotServer):
     """GPS across classes, FCFS within each class.
 
     Parameters
@@ -93,7 +94,6 @@ class ClassBasedGPSServer:
         class_members: list[list[int]],
         class_phis,
     ) -> None:
-        check_positive("rate", rate)
         phis = check_weights("class_phis", list(class_phis))
         if len(phis) != len(class_members):
             raise ValidationError(
@@ -108,24 +108,12 @@ class ClassBasedGPSServer:
                 "class_members must partition the session indices "
                 f"0..{len(flat) - 1}, got {class_members}"
             )
-        self._rate = float(rate)
+        super().__init__(rate, len(flat))
         self._phis = np.asarray(phis)
-        self._num_sessions = len(flat)
-        self._class_members = [list(m) for m in class_members]
         self._queues = [
             _ClassQueue(members=list(m), batches=[])
             for m in class_members
         ]
-
-    @property
-    def rate(self) -> float:
-        """Server capacity per slot."""
-        return self._rate
-
-    @property
-    def num_sessions(self) -> int:
-        """Total session count across classes."""
-        return self._num_sessions
 
     @property
     def num_classes(self) -> int:
@@ -137,16 +125,7 @@ class ClassBasedGPSServer:
         for queue in self._queues:
             queue.batches = []
 
-    def step(self, arrivals) -> np.ndarray:
-        """Advance one slot; returns per-session service amounts."""
-        arr = np.asarray(arrivals, dtype=float)
-        if arr.shape != (self._num_sessions,):
-            raise ValidationError(
-                f"expected {self._num_sessions} arrival entries, got "
-                f"shape {arr.shape}"
-            )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+    def _advance(self, arr: np.ndarray) -> np.ndarray:
         for queue in self._queues:
             queue.push(arr[queue.members])
         class_work = np.array(
@@ -160,34 +139,18 @@ class ClassBasedGPSServer:
             served += queue.drain(float(capacity), self._num_sessions)
         return served
 
-    def run(self, arrivals: np.ndarray) -> GPSSimResult:
-        """Simulate a whole arrival matrix; see FluidGPSServer.run."""
-        arr = np.asarray(arrivals, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != self._num_sessions:
-            raise ValidationError(
-                f"arrivals must have shape ({self._num_sessions}, T), "
-                f"got {arr.shape}"
-            )
-        self.reset()
-        served = np.zeros_like(arr)
-        backlog = np.zeros_like(arr)
-        for t in range(arr.shape[1]):
-            served[:, t] = self.step(arr[:, t])
-            snapshot = np.zeros(self._num_sessions)
-            for queue in self._queues:
-                snapshot += queue.member_backlog(self._num_sessions)
-            backlog[:, t] = snapshot
-        # record per-session weights as the class weight share
+    def _backlog_snapshot(self) -> np.ndarray:
+        snapshot = np.zeros(self._num_sessions)
+        for queue in self._queues:
+            snapshot += queue.member_backlog(self._num_sessions)
+        return snapshot
+
+    def _weights_record(self) -> tuple[float, ...]:
+        # Each member records an equal part of its class weight.
         weights = np.zeros(self._num_sessions)
         for queue, phi in zip(self._queues, self._phis):
             weights[queue.members] = phi / max(len(queue.members), 1)
-        return GPSSimResult(
-            arrivals=arr,
-            served=served,
-            backlog=backlog,
-            rate=self._rate,
-            phis=tuple(weights.tolist()),
-        )
+        return tuple(weights.tolist())
 
     def class_backlogs(self) -> np.ndarray:
         """Current per-class backlog totals."""

@@ -10,28 +10,35 @@ slot's capacity is allocated by exact proportional *water-filling*
 within the slot.
 
 The server is a stateful stepper (so it can sit inside a multi-node
-network simulation) with a batch :meth:`FluidGPSServer.run` convenience
-returning a :class:`GPSSimResult` with per-session served/backlog
-traces and the paper's delay process ``D_i(t)`` (the time for the
-session-``i`` backlog present at ``t`` to clear).
+network simulation) whose :meth:`FluidGPSServer.run` returns a
+:class:`GPSSimResult` with per-session served/backlog traces and the
+paper's delay process ``D_i(t)`` (the time for the session-``i``
+backlog present at ``t`` to clear).
 
 The water-filling itself is implemented once, as a *batched* kernel
-over stacked ``(B, N)`` work matrices (``_batch_water_fill``); the
-scalar server is the ``B = 1`` slice of that kernel, so the batched
-engine in :mod:`repro.sim.batch` is bit-for-bit identical to stepping
-this server trial by trial.  :func:`gps_slot_allocation` is the one
-validating entry point, :func:`busy_gps_slot_allocation` the unchecked
-one the streaming engine calls on its gathered busy slice.
+over stacked ``(B, N)`` work matrices (``_batch_water_fill``), and so
+is the slot loop: :meth:`FluidGPSServer.run` is the ``B = 1`` run of
+:class:`repro.sim.batch.BatchFluidGPSServer`, and :meth:`FluidGPSServer.step`
+is the ``B = 1`` slice of the kernel.  The exact continuous-time
+engine (:mod:`repro.sim.fluid_exact`) calls the same kernel with
+``inf`` work for backlogged sessions.  :func:`gps_slot_allocation` is
+the one validating entry point, :func:`busy_gps_slot_allocation` the
+unchecked one the streaming engine calls on its gathered busy slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_weights
+from repro.utils.validation import (
+    check_arrivals,
+    check_positive,
+    check_weights,
+)
 
 from repro.errors import ValidationError
 
@@ -90,13 +97,15 @@ def _batch_water_fill(
         live = (remaining > _EPS) & active.any(axis=1)
         if not live.any():
             break
-        total_phi = _row_sum(np.where(active, phis, 0.0))
-        # Inactive-only rows would divide by zero; their shares are
-        # masked out, the guard merely keeps the arithmetic finite.
+        # Inactive sessions carry weight 0 in both the sum and the
+        # shares, so a finished session's weight never meets a
+        # subnormal denominator (no overflow on phi ratios ~1e308).
+        active_phis = np.where(active, phis, 0.0)
+        total_phi = _row_sum(active_phis)
+        # Inactive-only rows would divide by zero; the guard merely
+        # keeps their (all-zero) shares finite.
         denom = np.where(total_phi > 0.0, total_phi, 1.0)
-        shares = np.where(
-            active, remaining[:, None] * phis / denom[:, None], 0.0
-        )
+        shares = remaining[:, None] * active_phis / denom[:, None]
         deficit = work - served
         finishing = active & (deficit <= shares + _EPS) & live[:, None]
         granting = finishing.any(axis=1)
@@ -315,28 +324,15 @@ def clearing_delays(
     return delays
 
 
-class FluidGPSServer:
-    """Stateful slot-stepped fluid GPS server.
+class _FluidServer:
+    """Construction shared by the scalar and the batched fluid server.
 
-    Construction is keyword-only::
-
-        FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
-        FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
-
-    Parameters
-    ----------
-    rate:
-        Server capacity per slot.
-    phis:
-        GPS weights, one per session.
-    scenario:
-        A :class:`repro.scenario.Scenario` (or any object exposing
-        ``rate`` and ``phis``); mutually exclusive with the explicit
-        parameters.
-
-    All argument validation happens here, at construction time; the
-    per-slot stepping then runs on a fast no-copy path for contiguous
-    float64 arrays.
+    Keyword-only: ``rate=`` (server capacity per slot) and ``phis=``
+    (GPS weights, one per session), or ``scenario=`` — a
+    :class:`repro.scenario.Scenario`, or any object exposing ``rate``
+    and ``phis`` — instead of both.  All argument validation happens
+    here, at construction time; subclasses define :meth:`reset`,
+    which starts them empty.
     """
 
     def __init__(
@@ -356,16 +352,16 @@ class FluidGPSServer:
             phis = scenario.phis
         if rate is None or phis is None:
             raise ValidationError(
-                "FluidGPSServer requires rate= and phis= (or scenario=)"
+                f"{type(self).__name__} requires rate= and phis= "
+                "(or scenario=)"
             )
         check_positive("rate", rate)
         self._phis = np.ascontiguousarray(
             check_weights("phis", list(phis)), dtype=float
         )
         self._rate = float(rate)
-        self._backlog = np.zeros(self._phis.size)
+        self.reset()
 
-    # ------------------------------------------------------------------
     @property
     def rate(self) -> float:
         """Server capacity per slot."""
@@ -376,6 +372,20 @@ class FluidGPSServer:
         """Number of sessions."""
         return self._phis.size
 
+
+class FluidGPSServer(_FluidServer):
+    """Stateful slot-stepped fluid GPS server.
+
+    Construction is keyword-only::
+
+        FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
+        FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
+
+    :meth:`step` is the per-slot hot path (the network simulator calls
+    it once per node per slot); :meth:`run` is the ``B = 1`` run of
+    :class:`repro.sim.batch.BatchFluidGPSServer`.
+    """
+
     @property
     def backlog(self) -> np.ndarray:
         """Current per-session backlog (copy)."""
@@ -383,22 +393,7 @@ class FluidGPSServer:
 
     def reset(self) -> None:
         """Empty all queues."""
-        self._backlog[:] = 0.0
-
-    def _step_fast(self, arrivals: np.ndarray, capacity: float) -> np.ndarray:
-        """One slot on the validated hot path.
-
-        ``arrivals`` must be a float64 ``(N,)`` array of non-negative
-        entries and ``capacity`` a finite non-negative float — the
-        checks were hoisted to the callers (:meth:`step` validates per
-        call, :meth:`run` validates the whole matrix once).
-        """
-        work = self._backlog + arrivals
-        served = _batch_water_fill(
-            work[None, :], self._phis, np.array([capacity])
-        )[0]
-        self._backlog = np.clip(work - served, 0.0, None)
-        return served
+        self._backlog = np.zeros(self._phis.size)
 
     def step(self, arrivals, *, capacity: float | None = None) -> np.ndarray:
         """Advance one slot; returns per-session service amounts.
@@ -413,15 +408,19 @@ class FluidGPSServer:
                 f"expected {self._backlog.size} arrival entries, got "
                 f"shape {arr.shape}"
             )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
+        check_arrivals(arr)
         if capacity is None:
             capacity = self._rate
-        elif not np.isfinite(capacity) or capacity < 0.0:
+        elif not 0.0 <= capacity < math.inf:
             raise ValidationError(
                 f"capacity must be finite and non-negative, got {capacity}"
             )
-        return self._step_fast(arr, float(capacity))
+        work = self._backlog + arr
+        served = _batch_water_fill(
+            work[None, :], self._phis, np.array([float(capacity)])
+        )[0]
+        self._backlog = np.clip(work - served, 0.0, None)
+        return served
 
     def run(
         self,
@@ -431,48 +430,21 @@ class FluidGPSServer:
     ) -> GPSSimResult:
         """Simulate a whole arrival matrix ``(num_sessions, num_slots)``.
 
-        The server state is reset first, so ``run`` is reproducible.
-        ``capacities`` (length ``num_slots``) overrides the per-slot
-        server capacity, e.g. a degraded-rate window produced by
+        The server state is reset first, so ``run`` is reproducible;
+        afterwards it holds the final backlog.  ``capacities`` (length
+        ``num_slots``) overrides the per-slot server capacity, e.g. a
+        degraded-rate window produced by
         :meth:`repro.faults.FaultSchedule.node_capacities`.
 
-        Validation happens once, up front, on the whole matrix (no
-        per-slot re-checks); an already-contiguous float64 input is
-        used as-is, without a copy.
+        This is ``BatchFluidGPSServer.run(arrivals[None],
+        capacities=capacities).trial(0)``: one slot loop, one set of
+        checks, and the same zero-slot rule (a ``ValidationError``).
         """
-        arr = np.ascontiguousarray(arrivals, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != self.num_sessions:
-            raise ValidationError(
-                f"arrivals must have shape ({self.num_sessions}, T), got "
-                f"{arr.shape}"
-            )
-        if np.any(arr < 0.0):
-            raise ValidationError("arrivals must be non-negative")
-        self.reset()
-        num_slots = arr.shape[1]
-        caps = None
-        if capacities is not None:
-            caps = np.ascontiguousarray(capacities, dtype=float)
-            if caps.shape != (num_slots,):
-                raise ValidationError(
-                    f"capacities must have shape ({num_slots},), got "
-                    f"{caps.shape}"
-                )
-            if np.any(~np.isfinite(caps)) or np.any(caps < 0.0):
-                raise ValidationError(
-                    "capacities must be finite and non-negative"
-                )
-        served = np.zeros_like(arr)
-        backlog = np.zeros_like(arr)
-        for t in range(num_slots):
-            capacity = self._rate if caps is None else caps[t]
-            served[:, t] = self._step_fast(arr[:, t], float(capacity))
-            backlog[:, t] = self._backlog
-        return GPSSimResult(
-            arrivals=arr,
-            served=served,
-            backlog=backlog,
-            rate=self._rate,
-            phis=tuple(self._phis.tolist()),
-            capacities=caps,
+        from repro.sim.batch import BatchFluidGPSServer
+
+        batch = BatchFluidGPSServer(rate=self._rate, phis=self._phis).run(
+            np.asarray(arrivals, dtype=float)[None],
+            capacities=capacities,
         )
+        self._backlog = batch.backlog[0, :, -1].copy()
+        return batch.trial(0)

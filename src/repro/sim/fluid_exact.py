@@ -16,7 +16,10 @@ yielding exact per-session piecewise-linear backlog curves.
 Within an instant, the service rate allocation is the fluid
 water-filling fixed point: backlogged sessions demand unbounded rate,
 idle sessions demand their input rate; capacity is assigned in weight
-proportion with redistribution of unused shares.
+proportion with redistribution of unused shares.  That is the slotted
+simulator's water-fill with ``inf`` work for backlogged sessions and
+the input rate as the work of idle ones, so this engine runs on the
+same batch kernel (:func:`repro.sim.fluid.busy_gps_slot_allocation`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.sim.fluid import busy_gps_slot_allocation
 from repro.utils.validation import check_positive, check_weights
 
 from repro.errors import ValidationError
@@ -33,7 +37,6 @@ from repro.errors import ValidationError
 __all__ = [
     "RateSegment",
     "FluidTrajectory",
-    "gps_rate_allocation",
     "simulate_exact_gps",
 ]
 
@@ -100,42 +103,6 @@ class FluidTrajectory:
         return float(self.backlog[:, session].max())
 
 
-def gps_rate_allocation(
-    backlogged: np.ndarray,
-    input_rates: np.ndarray,
-    phis: np.ndarray,
-    capacity: float,
-) -> np.ndarray:
-    """Instantaneous GPS service-rate allocation.
-
-    Backlogged sessions absorb any rate; idle sessions are capped at
-    their input rate.  Water-filling: offer capacity in weight
-    proportion among unsatisfied sessions; idle sessions whose input
-    rate is below their offer are pinned there and release the excess.
-    """
-    num = phis.size
-    allocation = np.zeros(num)
-    demand = np.where(backlogged, np.inf, input_rates)
-    remaining = float(capacity)
-    active = demand > _EPS
-    # Sessions with zero demand stay at zero allocation.
-    for _ in range(num + 1):
-        if remaining <= _EPS or not active.any():
-            break
-        total_phi = phis[active].sum()
-        shares = np.zeros(num)
-        shares[active] = remaining * phis[active] / total_phi
-        capped = active & (demand <= shares + _EPS)
-        if capped.any():
-            allocation[capped] = demand[capped]
-            remaining -= float(demand[capped].sum())
-            active &= ~capped
-        else:
-            allocation[active] += shares[active]
-            remaining = 0.0
-    return allocation
-
-
 def simulate_exact_gps(
     rate: float,
     phis: Sequence[float],
@@ -183,8 +150,8 @@ def simulate_exact_gps(
         # may in turn starve another idle session; iterate (at most N
         # promotions are possible).
         while True:
-            allocation = gps_rate_allocation(
-                backlogged, rates, phi_arr, rate
+            allocation = busy_gps_slot_allocation(
+                np.where(backlogged, np.inf, rates), phi_arr, rate
             )
             drift = rates - allocation
             promote = (~backlogged) & (drift > _EPS)

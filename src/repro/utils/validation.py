@@ -21,6 +21,7 @@ __all__ = [
     "check_in_open_interval",
     "check_same_length",
     "check_finite",
+    "check_arrivals",
 ]
 
 
@@ -83,6 +84,15 @@ def check_same_length(name_a: str, a: Sized, name_b: str, b: Sized) -> None:
             f"{name_a} (length {len(a)}) and {name_b} (length {len(b)}) "
             "must have the same length"
         )
+
+
+def check_arrivals(arrivals) -> None:
+    """Raise :class:`ValidationError` unless every entry of a float
+    array of arrivals is ``>= 0`` — one pass, and it rejects NaN too
+    (``nan >= 0.0`` is false).  The one arrival check of every
+    slot-stepped server."""
+    if not (arrivals >= 0.0).all():
+        raise ValidationError("arrivals must be non-negative and not NaN")
 
 
 def check_weights(name: str, weights: Sequence[float]) -> list[float]:

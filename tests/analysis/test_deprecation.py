@@ -103,6 +103,17 @@ REMOVED_FORMS = [
         id="batch-slot-allocation",
     ),
     pytest.param(
+        lambda: repro.sim.gps_rate_allocation_exact, AttributeError,
+        id="exact-rate-allocation",
+    ),
+    pytest.param(
+        lambda: importlib.import_module(
+            "repro.sim.fluid_exact"
+        ).gps_rate_allocation,
+        AttributeError,
+        id="exact-rate-allocation-module",
+    ),
+    pytest.param(
         lambda: AnalysisContext(1.0, incremental=False), TypeError,
         id="context-incremental",
     ),

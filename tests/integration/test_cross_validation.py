@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fluid import FluidGPSServer, gps_slot_allocation
-from repro.sim.fluid_exact import (
-    RateSegment,
-    gps_rate_allocation,
-    simulate_exact_gps,
+from repro.sim.fluid import (
+    FluidGPSServer,
+    busy_gps_slot_allocation,
+    gps_slot_allocation,
 )
+from repro.sim.fluid_exact import RateSegment, simulate_exact_gps
 
 small_floats = st.floats(0.0, 2.0)
 weights = st.floats(0.1, 5.0)
@@ -84,11 +84,10 @@ class TestSlottedVsExactEngines:
         )
         work = np.full(num_sessions, 100.0)
         slot = gps_slot_allocation(work, phis, 1.0)
-        instantaneous = gps_rate_allocation(
-            np.full(num_sessions, True),
-            np.zeros(num_sessions),
-            phis,
-            1.0,
+        # The exact engine's instantaneous rates: every session
+        # backlogged is ``inf`` work for the kernel.
+        instantaneous = busy_gps_slot_allocation(
+            np.full(num_sessions, np.inf), phis, 1.0
         )
         np.testing.assert_allclose(slot, instantaneous, atol=1e-9)
 

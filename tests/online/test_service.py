@@ -58,6 +58,22 @@ class TestOnlineService:
         assert result.drained is True
         assert service.errors == 0
 
+    def test_subnormal_weight_serves_without_overflow(self):
+        """Once ``a`` is done, the slot's second water-fill round
+        shares among ``b`` alone, whose total weight is subnormal."""
+        events = [
+            SessionJoin(time=0.0, name="a", phi=1.0),
+            SessionJoin(time=0.0, name="b", phi=5e-324),
+            ArrivalEvent(time=0.0, session="a", amount=0.3),
+            ArrivalEvent(time=0.0, session="b", amount=0.5),
+        ]
+        service = OnlineService(StreamingGPSServer(rate=1.0))
+        result = service.serve(_lines(events))
+        assert service.errors == 0
+        assert result.session_stats["a"]["served"] == 0.3
+        assert result.session_stats["b"]["served"] == 0.5
+        assert result.drained is True
+
     def test_blank_lines_ignored(self):
         service = OnlineService(StreamingGPSServer(rate=1.0))
         result = service.serve(["\n", "   \n"])

@@ -8,7 +8,35 @@ from repro.sim.baselines import (
     StaticPriorityServer,
     WeightedRoundRobinServer,
 )
+from repro.errors import ValidationError
+from repro.sim.class_based import ClassBasedGPSServer
 from repro.sim.fluid import FluidGPSServer
+
+SLOT_SERVERS = {
+    "fluid-gps": lambda: FluidGPSServer(rate=1.0, phis=[1.0, 1.0]),
+    "fcfs": lambda: FCFSServer(1.0, 2),
+    "static-priority": lambda: StaticPriorityServer(1.0, 2),
+    "wrr": lambda: WeightedRoundRobinServer(1.0, [1.0, 1.0]),
+    "class-based": lambda: ClassBasedGPSServer(1.0, [[0], [1]], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+@pytest.mark.parametrize("name", sorted(SLOT_SERVERS))
+def test_every_slot_server_rejects_negative_and_nan_arrivals(name, bad):
+    server = SLOT_SERVERS[name]()
+    with pytest.raises(ValidationError, match="non-negative"):
+        server.run(np.array([[0.2, bad], [0.1, 0.1]]))
+    with pytest.raises(ValidationError, match="non-negative"):
+        server.step(np.array([bad, 0.1]))
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_SERVERS))
+def test_every_slot_server_rejects_a_zero_slot_run(name):
+    """Same rule as the batch server: a run needs one slot (a
+    zero-slot result has no final backlog to summarize)."""
+    with pytest.raises(ValidationError, match="one slot"):
+        SLOT_SERVERS[name]().run(np.zeros((2, 0)))
 
 
 class TestFCFS:

@@ -1,9 +1,11 @@
 """Tests for the batched fluid GPS engine.
 
 The load-bearing property is *bit-for-bit* equivalence: row ``b`` of a
-batched run must equal an independent scalar run on the same sample
-path, with ``==`` on floats, not ``allclose``.  Both paths share one
-water-filling kernel, so any divergence is a real regression.
+batched run must equal a scalar ``FluidGPSServer.step`` loop over the
+same sample path, with ``==`` on floats, not ``allclose``.  Both paths
+share one water-filling kernel, so any divergence is a real
+regression.  (``FluidGPSServer.run`` is itself the ``B = 1`` batch
+run, so it cannot serve as the independent side.)
 """
 
 import numpy as np
@@ -26,6 +28,19 @@ def _random_batch(
     rng: np.random.Generator, num_trials: int, num_sessions: int, num_slots: int
 ) -> np.ndarray:
     return rng.uniform(0.0, 0.6, size=(num_trials, num_sessions, num_slots))
+
+
+def _step_loop(phis, arrivals, capacities=None, *, rate=1.0):
+    """Served and backlog traces of a scalar server stepped slot by
+    slot over one ``(N, T)`` arrival matrix."""
+    server = FluidGPSServer(rate=rate, phis=phis)
+    served = np.zeros_like(arrivals)
+    backlog = np.zeros_like(arrivals)
+    for t in range(arrivals.shape[1]):
+        capacity = None if capacities is None else capacities[t]
+        served[:, t] = server.step(arrivals[:, t], capacity=capacity)
+        backlog[:, t] = server.backlog
+    return served, backlog
 
 
 def _water_fill(work, phis, capacity) -> np.ndarray:
@@ -95,18 +110,17 @@ class TestBatchFluidGPSServer:
 
     def test_run_matches_scalar_server_bitwise(self):
         """The headline equivalence: every trial of a batched run is
-        byte-identical to a scalar run of the same sample path."""
+        byte-identical to stepping a scalar server along the same
+        sample path."""
         rng = np.random.default_rng(7)
         phis = [2.0, 1.0, 1.0, 0.5]
         arrivals = _random_batch(rng, 16, len(phis), 300)
         batch = BatchFluidGPSServer(rate=1.0, phis=phis).run(arrivals)
         for b in range(arrivals.shape[0]):
-            scalar = FluidGPSServer(rate=1.0, phis=phis).run(
-                arrivals[b]
-            )
-            assert np.array_equal(batch.served[b], scalar.served)
-            assert np.array_equal(batch.backlog[b], scalar.backlog)
-            assert np.array_equal(batch.arrivals[b], scalar.arrivals)
+            served, backlog = _step_loop(phis, arrivals[b])
+            assert np.array_equal(batch.served[b], served)
+            assert np.array_equal(batch.backlog[b], backlog)
+            assert np.array_equal(batch.arrivals[b], arrivals[b])
 
     def test_run_matches_scalar_with_time_varying_capacity(self):
         rng = np.random.default_rng(11)
@@ -117,11 +131,9 @@ class TestBatchFluidGPSServer:
             arrivals, capacities=capacities
         )
         for b in range(8):
-            scalar = FluidGPSServer(rate=1.0, phis=phis).run(
-                arrivals[b], capacities=capacities
-            )
-            assert np.array_equal(batch.served[b], scalar.served)
-            assert np.array_equal(batch.backlog[b], scalar.backlog)
+            served, backlog = _step_loop(phis, arrivals[b], capacities)
+            assert np.array_equal(batch.served[b], served)
+            assert np.array_equal(batch.backlog[b], backlog)
 
     def test_trial_view_is_gps_sim_result(self):
         rng = np.random.default_rng(3)
@@ -214,16 +226,16 @@ class TestFaultCapacityEquivalence:
         )
         assert batch.capacities is not None
         for b in range(6):
-            scalar = FluidGPSServer(rate=1.0, phis=phis).run(
-                arrivals[b], capacities=capacities[b]
+            served, backlog = _step_loop(
+                phis, arrivals[b], capacities[b]
             )
-            assert np.array_equal(batch.served[b], scalar.served)
-            assert np.array_equal(batch.backlog[b], scalar.backlog)
+            assert np.array_equal(batch.served[b], served)
+            assert np.array_equal(batch.backlog[b], backlog)
 
     def test_fault_schedule_capacities_match_scalar(self):
         """The fault-injection path: a RateFault window becomes the
         shared capacity trace, and every trial still matches its
-        scalar run exactly."""
+        scalar step loop exactly."""
         from repro.faults import FaultSchedule, RateFault
         from repro.scenario import Scenario
         from repro.traffic.sources import BernoulliBurstTraffic
@@ -257,11 +269,14 @@ class TestFaultCapacityEquivalence:
             arrivals, capacities=capacities
         )
         for b in range(4):
-            scalar = FluidGPSServer(
-                rate=scenario.rate, phis=list(scenario.phis)
-            ).run(arrivals[b], capacities=capacities)
-            assert np.array_equal(batch.served[b], scalar.served)
-            assert np.array_equal(batch.backlog[b], scalar.backlog)
+            served, backlog = _step_loop(
+                list(scenario.phis),
+                arrivals[b],
+                capacities,
+                rate=scenario.rate,
+            )
+            assert np.array_equal(batch.served[b], served)
+            assert np.array_equal(batch.backlog[b], backlog)
 
 
 class TestBatchGPSSimResultValidation:

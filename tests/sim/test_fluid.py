@@ -49,6 +49,12 @@ class TestGpsSlotAllocation:
         )
         np.testing.assert_allclose(served, [0.05, 0.2, 0.75])
 
+    def test_subnormal_weight_does_not_overflow(self):
+        """An idle session's weight never meets the subnormal total
+        weight of the busy ones (RuntimeWarnings are errors here)."""
+        served = gps_slot_allocation([0.0, 1.0], [1.0, 5e-324], 1.0)
+        assert np.array_equal(served, [0.0, 1.0])
+
     @given(
         st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8),
         st.data(),
@@ -107,6 +113,11 @@ class TestFluidGPSServer:
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         with pytest.raises(ValueError):
             server.step([1.0])
+
+    def test_run_leaves_final_backlog(self):
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
+        result = server.run(np.array([[3.0, 0.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(server.backlog, result.backlog[:, -1])
 
     def test_run_traces(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])

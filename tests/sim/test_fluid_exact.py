@@ -2,18 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.fluid import FluidGPSServer
-from repro.sim.fluid_exact import (
-    RateSegment,
-    gps_rate_allocation,
-    simulate_exact_gps,
-)
+from repro.sim.fluid import FluidGPSServer, busy_gps_slot_allocation
+from repro.sim.fluid_exact import RateSegment, simulate_exact_gps
+from tests.sim.oracle import gps_rate_allocation as reference_allocation
+
+
+def kernel_allocation(backlogged, input_rates, phis, capacity):
+    """The exact engine's instantaneous allocation: the one water-fill
+    kernel with ``inf`` work for backlogged sessions."""
+    return busy_gps_slot_allocation(
+        np.where(backlogged, np.inf, input_rates),
+        np.asarray(phis, dtype=float),
+        capacity,
+    )
 
 
 class TestGpsRateAllocation:
     def test_backlogged_sessions_split_by_weight(self):
-        allocation = gps_rate_allocation(
+        allocation = kernel_allocation(
             np.array([True, True]),
             np.array([0.0, 0.0]),
             np.array([1.0, 3.0]),
@@ -22,7 +31,7 @@ class TestGpsRateAllocation:
         np.testing.assert_allclose(allocation, [0.25, 0.75])
 
     def test_idle_session_capped_at_input_rate(self):
-        allocation = gps_rate_allocation(
+        allocation = kernel_allocation(
             np.array([False, True]),
             np.array([0.1, 0.0]),
             np.array([1.0, 1.0]),
@@ -31,7 +40,7 @@ class TestGpsRateAllocation:
         np.testing.assert_allclose(allocation, [0.1, 0.9])
 
     def test_underloaded_idle_system(self):
-        allocation = gps_rate_allocation(
+        allocation = kernel_allocation(
             np.array([False, False]),
             np.array([0.2, 0.3]),
             np.array([1.0, 1.0]),
@@ -43,7 +52,7 @@ class TestGpsRateAllocation:
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 6))
-            allocation = gps_rate_allocation(
+            allocation = kernel_allocation(
                 rng.random(n) > 0.5,
                 rng.uniform(0, 2, n),
                 rng.uniform(0.1, 3, n),
@@ -51,6 +60,41 @@ class TestGpsRateAllocation:
             )
             assert allocation.sum() <= 1.0 + 1e-9
             assert np.all(allocation >= -1e-12)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_reference_loop(self, data):
+        """The kernel with ``inf`` work agrees with the direct loop to
+        within one ulp of the capacity (only the summation order
+        differs)."""
+        num = data.draw(st.integers(1, 11))
+        weight = (
+            st.integers(1, 5).map(float)
+            if data.draw(st.booleans())
+            else st.floats(0.1, 5.0)
+        )
+        phis = np.array(
+            data.draw(st.lists(weight, min_size=num, max_size=num))
+        )
+        backlogged = np.array(
+            data.draw(st.lists(st.booleans(), min_size=num, max_size=num))
+        )
+        rates = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                    min_size=num,
+                    max_size=num,
+                )
+            )
+        )
+        capacity = data.draw(st.floats(0.1, 4.0))
+        np.testing.assert_allclose(
+            kernel_allocation(backlogged, rates, phis, capacity),
+            reference_allocation(backlogged, rates, phis, capacity),
+            rtol=0.0,
+            atol=np.finfo(float).eps * capacity,
+        )
 
 
 class TestSimulateExactGps:
