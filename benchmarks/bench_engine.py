@@ -10,16 +10,18 @@ on-off / Bernoulli / CBR session mix sampled from one ``Scenario``):
   speedup is what stacking ``B`` trials into one loop buys;
 * **batched** — ``BatchFluidGPSServer.run`` over the whole ``(B, N,
   T)`` stack; the tentpole speedup this PR exists to demonstrate;
-* **supervised** — ``SupervisedRunner`` trial throughput under each
-  dispatch backend: ``serial`` (the reference), ``process`` (the
-  legacy per-trial pickle fan-out) and ``shared-memory`` (chunked
-  ``(B, N, T)`` blocks through the batch engine) — the manifest of
-  the shared-memory run is asserted bit-identical to the serial one.
+* **supervised** — ``SupervisedRunner`` trial throughput under the
+  ``serial`` (reference) and ``process`` dispatch backends, for two
+  campaign shapes: a scenario campaign (``scenario=``; the process
+  backend runs chunked ``(B, N, T)`` blocks through the batch engine)
+  and a ``trial_fn`` campaign shaped like ``repro simulate`` (a
+  ``functools.partial`` of a module-level trial; one trial per pool
+  task).  Every manifest is asserted bit-identical to the serial one.
 
 Writes ``BENCH_engine.json`` (see ``--out``) with raw timings and the
 derived speedups; the CI bench job runs the ``--quick`` variant as a
-regression gate (shared-memory must beat serial by >= 2x at 4
-workers — see ci.yml).
+regression gate (the scenario campaign's ``process`` run must beat
+serial by >= 2x at 4 workers — see ci.yml).
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine.py
 """
@@ -27,6 +29,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_engine.py
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -110,18 +113,27 @@ def bench_fluid(
     }
 
 
+def scenario_trial(scenario: Scenario, trial: int, seed: int) -> dict:
+    """One scalar trial; bound with ``functools.partial`` as the CLI
+    binds ``simulation_trial``."""
+    return scenario.trial_result(trial, seed)
+
+
 def bench_supervised(
     scenario: Scenario, num_trials: int, workers: int
 ) -> dict:
-    """Trial throughput of SupervisedRunner under each dispatch backend."""
+    """Trial throughput of SupervisedRunner under each dispatch backend,
+    for a scenario campaign and a ``trial_fn`` campaign."""
     from repro.experiments.supervisor import SupervisedRunner
 
-    def timed(dispatch: str, max_workers: int | None):
+    trial_fn = functools.partial(scenario_trial, scenario)
+
+    def timed(dispatch: str, max_workers: int | None, **campaign):
         runner = SupervisedRunner(
-            scenario=scenario,
             num_trials=num_trials,
             max_workers=max_workers,
             dispatch=dispatch,
+            **campaign,
         )
         start = time.perf_counter()
         manifest = runner.run()
@@ -129,29 +141,39 @@ def bench_supervised(
         assert manifest.num_completed == num_trials
         return elapsed, manifest
 
-    serial_s, serial_manifest = timed("serial", None)
-    process_s, _ = timed("process", workers)
-    shm_s, shm_manifest = timed("shared-memory", workers)
-    # The headline guarantee: the shared-memory fast path is
-    # bit-for-bit the serial reference.
-    assert shm_manifest.completed == serial_manifest.completed
+    serial_s, serial_manifest = timed("serial", None, scenario=scenario)
+    process_s, process_manifest = timed(
+        "process", workers, scenario=scenario
+    )
+    fn_serial_s, fn_serial_manifest = timed(
+        "serial", None, trial_fn=trial_fn
+    )
+    fn_process_s, fn_process_manifest = timed(
+        "process", workers, trial_fn=trial_fn
+    )
+    # The headline guarantee: every run is bit-for-bit the scenario
+    # campaign's serial reference.
+    for manifest in (
+        process_manifest,
+        fn_serial_manifest,
+        fn_process_manifest,
+    ):
+        assert manifest.completed == serial_manifest.completed
     return {
         "num_trials": num_trials,
         "num_slots": scenario.horizon,
         "workers": workers,
         "serial_seconds": serial_s,
         "process_seconds": process_s,
-        "shared_memory_seconds": shm_s,
         "serial_trials_per_sec": num_trials / serial_s,
         "process_trials_per_sec": num_trials / process_s,
-        "shared_memory_trials_per_sec": num_trials / shm_s,
         "process_speedup": serial_s / process_s,
-        "shared_memory_speedup": serial_s / shm_s,
+        "trial_fn_serial_seconds": fn_serial_s,
+        "trial_fn_process_seconds": fn_process_s,
+        "trial_fn_serial_trials_per_sec": num_trials / fn_serial_s,
+        "trial_fn_process_trials_per_sec": num_trials / fn_process_s,
+        "trial_fn_process_speedup": fn_serial_s / fn_process_s,
         "bit_identical": True,
-        # Back-compat aliases (pre-dispatch schema).
-        "parallel_seconds": process_s,
-        "parallel_trials_per_sec": num_trials / process_s,
-        "speedup": serial_s / process_s,
     }
 
 
@@ -188,13 +210,13 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep for CI (<60s total, same comparisons)",
+        help="small sweep for CI (about a minute on 2 CPUs, same comparisons)",
     )
     args = parser.parse_args()
     if args.quick:
         # Shrinks the fluid sweep but keeps the supervised trial count:
-        # the shared-memory speedup the CI gate checks needs enough
-        # trials per worker for chunked batching to amortize.
+        # the process speedup the CI gate checks needs enough trials
+        # per worker for chunked batching to amortize.
         args.slots = min(args.slots, 1_000)
         args.batch_sizes = [16, 64]
         args.repeats = 1
@@ -219,12 +241,13 @@ def main() -> int:
     )
     print(
         f"supervised n={supervised['num_trials']} "
-        f"({supervised['workers']} workers): serial "
+        f"({supervised['workers']} workers): scenario serial "
         f"{supervised['serial_trials_per_sec']:.2f} trials/s, process "
         f"{supervised['process_trials_per_sec']:.2f} trials/s "
-        f"({supervised['process_speedup']:.1f}x), shared-memory "
-        f"{supervised['shared_memory_trials_per_sec']:.2f} trials/s "
-        f"({supervised['shared_memory_speedup']:.1f}x)"
+        f"({supervised['process_speedup']:.1f}x); trial_fn serial "
+        f"{supervised['trial_fn_serial_trials_per_sec']:.2f} trials/s, "
+        f"process {supervised['trial_fn_process_trials_per_sec']:.2f} "
+        f"trials/s ({supervised['trial_fn_process_speedup']:.1f}x)"
     )
 
     payload = {

@@ -32,9 +32,8 @@ from repro.experiments.runner import (
 from repro.experiments.dispatch import (
     DISPATCH_BACKENDS,
     DispatchBackend,
-    ProcessPickleDispatch,
+    ProcessDispatch,
     SerialDispatch,
-    SharedMemoryDispatch,
     make_dispatch_backend,
 )
 from repro.experiments.supervisor import (
@@ -79,8 +78,7 @@ __all__ = [
     "DISPATCH_BACKENDS",
     "DispatchBackend",
     "SerialDispatch",
-    "ProcessPickleDispatch",
-    "SharedMemoryDispatch",
+    "ProcessDispatch",
     "make_dispatch_backend",
     "RhoTradeoffPoint",
     "rho_tradeoff_curve",

@@ -1,4 +1,4 @@
-"""Pluggable Monte-Carlo dispatch: serial, process-pickle, chunked batch.
+"""Pluggable Monte-Carlo dispatch: serial or a chunked process pool.
 
 :class:`~repro.experiments.supervisor.SupervisedRunner` owns the
 campaign bookkeeping — deterministic per-trial seeds, retries with
@@ -7,28 +7,22 @@ backoff, checkpoint/resume, the fail-fast contract — and delegates
 
 * :class:`SerialDispatch` — one trial at a time on the calling thread;
   the reference semantics every other backend must reproduce;
-* :class:`ProcessPickleDispatch` — the legacy fan-out: each trial is a
-  ``ProcessPoolExecutor`` task, pickling the trial function (and any
-  ``Scenario`` it closes over) per submission.  General — it runs any
-  picklable ``trial_fn`` — but the per-task pickle/unpickle overhead
-  swamps short trials, which is why ``BENCH_engine.json`` measured it
-  at ~1.0× on 4 workers;
-* :class:`SharedMemoryDispatch` — the fast path for scenario
-  campaigns: each pool task is one chunk of trials, and the worker
-  samples the chunk's ``(B, N, T)`` arrival block itself (the exact
-  attempt-0 seeds of the serial path) and runs it through
-  :class:`repro.sim.batch.BatchFluidGPSServer` — whose per-trial
-  results are bit-for-bit those of the scalar engine, so
-  ``manifest.completed`` is identical to a serial run.  One pickled
-  scenario per *chunk* instead of one pickle per *trial*, no sampling
-  in the parent, and the simulation itself runs vectorized.
+* :class:`ProcessDispatch` — a ``ProcessPoolExecutor`` whose tasks are
+  chunks of trials at their attempt-0 seeds.  A scenario campaign
+  splits its trials evenly across the pool and each worker samples its
+  chunk's ``(B, N, T)`` arrival block and runs it through
+  :class:`repro.sim.batch.BatchFluidGPSServer` — per-trial results
+  bit-for-bit those of the scalar engine, one pickled scenario per
+  chunk, no sampling in the parent.  An arbitrary ``trial_fn``
+  campaign sends one trial per chunk.  Checkpoints are written once per
+  completed chunk: per chunk of trials for a scenario campaign, per
+  trial for a ``trial_fn`` campaign.
 
-Chunk failures degrade, they do not abort: if a chunked batch raises
-(one bad trial poisons the whole block — the batch engine cannot tell
-which), every trial of that chunk is re-run through the serial
-attempt/retry loop, starting from attempt 0 with the same seeds, so
-outcomes (results, attempt counts, fail-fast behavior) still match the
-serial reference exactly.
+Chunk failures degrade, they do not abort: if a chunk raises (one bad
+trial poisons the whole batch — the batch engine cannot tell which),
+every trial of that chunk is re-run through the serial attempt/retry
+loop, starting from attempt 0 with the same seeds, so outcomes
+(results, attempt counts, failures) still match the serial reference.
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -49,18 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DispatchBackend",
     "SerialDispatch",
-    "ProcessPickleDispatch",
-    "SharedMemoryDispatch",
+    "ProcessDispatch",
     "DISPATCH_BACKENDS",
     "make_dispatch_backend",
 ]
 
 #: Names accepted by ``SupervisedRunner(dispatch=...)``.
-DISPATCH_BACKENDS: tuple[str, ...] = (
-    "serial",
-    "process",
-    "shared-memory",
-)
+DISPATCH_BACKENDS: tuple[str, ...] = ("serial", "process")
 
 
 class DispatchBackend:
@@ -148,77 +138,8 @@ class SerialDispatch(DispatchBackend):
         return manifest
 
 
-class ProcessPickleDispatch(DispatchBackend):
-    """The legacy process-pool fan-out: one pickled task per trial.
-
-    Seeds are the same per-``(trial, attempt)`` values the serial path
-    uses, so ``manifest.completed`` is identical to a serial run.
-    Retryable failures re-enter the submission queue immediately (no
-    backoff sleep — the pool's other workers keep the wall clock
-    busy); checkpoints are written as completions arrive.
-    """
-
-    name = "process"
-
-    def execute(
-        self,
-        runner: "SupervisedRunner",
-        manifest: "RunManifest",
-        indices: list[int],
-    ) -> "RunManifest":
-        from repro.experiments.supervisor import trial_seed
-
-        aborted = False
-        attempts: dict[int, int] = {trial: 0 for trial in indices}
-        with ProcessPoolExecutor(max_workers=runner._max_workers) as pool:
-
-            def submit(trial: int):
-                attempt = attempts[trial]
-                attempts[trial] += 1
-                seed = trial_seed(runner._base_seed, trial, attempt)
-                return pool.submit(runner._trial_fn, trial, seed)
-
-            pending = {submit(trial): trial for trial in indices}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    trial = pending.pop(future)
-                    if aborted:
-                        if trial not in manifest.failed:
-                            manifest.skipped.append(trial)
-                        continue
-                    error = future.exception()
-                    if error is None:
-                        manifest.completed[trial] = future.result()
-                        manifest.attempts[trial] = attempts[trial]
-                        runner._write_checkpoint(manifest)
-                        continue
-                    retryable = isinstance(error, runner._retry_on)
-                    if retryable and attempts[trial] <= runner._max_retries:
-                        new_future = submit(trial)
-                        pending[new_future] = trial
-                        continue
-                    manifest.failed[trial] = (
-                        f"{type(error).__name__}: {error}"
-                    )
-                    manifest.attempts[trial] = attempts[trial]
-                    runner._write_checkpoint(manifest)
-                    if runner._fail_fast:
-                        aborted = True
-                        for other in pending.values():
-                            manifest.skipped.append(other)
-                        for other_future in pending:
-                            other_future.cancel()
-                        pending = {}
-                        break
-        manifest.skipped.sort()
-        if aborted and runner._fail_fast:
-            raise _fail_fast_abort(manifest)
-        return manifest
-
-
 # ----------------------------------------------------------------------
-# chunked batch dispatch
+# process-pool dispatch
 # ----------------------------------------------------------------------
 def _sample_trial_block(
     scenario: "Scenario", seeds: Sequence[int]
@@ -243,9 +164,9 @@ def _sample_trial_block(
 
 def _run_chunk(
     scenario: "Scenario",
+    capacities: Any,
     trials: list[int],
     seeds: list[int],
-    capacities: Any,
 ) -> list[Any]:
     """Worker: sample one chunk and run it through the batch engine."""
     block = _sample_trial_block(scenario, seeds)
@@ -258,39 +179,49 @@ def _run_chunk(
     return payloads
 
 
-class SharedMemoryDispatch(DispatchBackend):
-    """Chunked ``(B, N, T)`` batch dispatch: workers sample and simulate.
+def _run_trials(
+    trial_fn: Any, trials: list[int], seeds: list[int]
+) -> list[Any]:
+    """Worker: run each trial of one chunk through ``trial_fn``."""
+    return [trial_fn(trial, seed) for trial, seed in zip(trials, seeds)]
 
-    Each pool task is one chunk of trials: the worker samples the
-    chunk's arrivals itself (attempt-0 seeds, so the block is the one
-    the serial path would sample) and runs it through the scenario's
-    :meth:`~repro.scenario.Scenario.batch_server`.  Requires the runner
-    to be scenario-backed (``scenario=``).  ``chunk_size`` bounds both
-    a worker's block size and the work granularity; the default splits
-    the pending trials evenly across the pool (one chunk per worker,
-    capped at 128 trials).
 
-    The name is historical: the parent once sampled every chunk and
-    handed it over in a shared-memory segment.  Now only the scenario,
-    the chunk's trial indices and its seeds are pickled per chunk.
+class ProcessDispatch(DispatchBackend):
+    """Process-pool dispatch: each pool task is one chunk of trials.
+
+    A chunk is a list of trials plus their attempt-0 seeds, so its
+    results are the ones the serial path computes first.  What a chunk
+    holds follows from the runner:
+
+    * a scenario-backed runner (``scenario=``) splits the pending
+      trials evenly across the pool (capped at 128 trials a chunk); the
+      worker samples the chunk's ``(B, N, T)`` arrival block itself and
+      runs it through :meth:`~repro.scenario.Scenario.batch_server`,
+      whose per-trial results are bit-for-bit those of the scalar
+      engine;
+    * an arbitrary ``trial_fn`` runner sends one trial per chunk: a
+      pool round trip costs far less than a trial, and the campaign
+      keeps one checkpoint per trial.
+
+    A chunk that raises falls back to :class:`SerialDispatch`, which
+    re-runs its trials from attempt 0 with the same seeds and owns
+    retries with backoff and fail-fast, so ``completed``, ``attempts``
+    and ``failed`` match serial.  Under ``fail_fast`` the first failed
+    chunk stops new launches: the chunks still queued join the
+    fallback, which raises at the first trial that exhausts its
+    retries and records the rest as skipped.  A dead worker breaks the
+    pool, so its queued chunks join the fallback as well.
     """
 
-    name = "shared-memory"
+    name = "process"
 
-    def __init__(self, *, chunk_size: int | None = None) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self._chunk_size = chunk_size
-
+    @staticmethod
     def _chunks(
-        self, indices: list[int], max_workers: int
+        indices: list[int], max_workers: int, *, batched: bool
     ) -> list[list[int]]:
-        size = self._chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(indices) / max(1, max_workers)))
-            size = min(size, 128)
+        size = 1
+        if batched:
+            size = min(128, math.ceil(len(indices) / max_workers))
         return [
             indices[i : i + size] for i in range(0, len(indices), size)
         ]
@@ -303,35 +234,35 @@ class SharedMemoryDispatch(DispatchBackend):
     ) -> "RunManifest":
         from repro.experiments.supervisor import trial_seed
 
-        scenario = runner._scenario
-        if scenario is None:
-            raise ValidationError(
-                "dispatch='shared-memory' requires a scenario-backed "
-                "runner (SupervisedRunner(scenario=...)); arbitrary "
-                "trial_fn campaigns need dispatch='process'"
-            )
         if not indices:
             return manifest
-        capacities = scenario._fault_capacities()
-        queue = deque(self._chunks(indices, runner._max_workers))
+        scenario = runner._scenario
+        if scenario is None:
+            task, context = _run_trials, (runner._trial_fn,)
+        else:
+            task = _run_chunk
+            context = (scenario, scenario._fault_capacities())
+        workers = runner._max_workers
+        queue = deque(
+            self._chunks(indices, workers, batched=scenario is not None)
+        )
         fallback: list[int] = []
         inflight: dict[Any, list[int]] = {}
-        with ProcessPoolExecutor(max_workers=runner._max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
 
-            def launch(chunk: list[int]) -> None:
-                seeds = [
-                    trial_seed(runner._base_seed, trial, 0)
-                    for trial in chunk
-                ]
-                future = pool.submit(
-                    _run_chunk, scenario, chunk, seeds, capacities
-                )
-                inflight[future] = chunk
+            def launch_more() -> None:
+                # At most one chunk waits in the pool beyond the ones
+                # running, so its task queue stays O(workers) long.
+                while queue and len(inflight) <= workers:
+                    chunk = queue.popleft()
+                    seeds = [
+                        trial_seed(runner._base_seed, trial, 0)
+                        for trial in chunk
+                    ]
+                    future = pool.submit(task, *context, chunk, seeds)
+                    inflight[future] = chunk
 
-            # Keep at most one chunk queued per worker beyond the ones
-            # running, so the pool's task queue stays O(workers) long.
-            while queue and len(inflight) <= runner._max_workers:
-                launch(queue.popleft())
+            launch_more()
             while inflight:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -342,14 +273,18 @@ class SharedMemoryDispatch(DispatchBackend):
                             manifest.completed[trial] = payload
                             manifest.attempts[trial] = 1
                         runner._write_checkpoint(manifest)
-                    else:
-                        # A poisoned chunk (one bad trial, a broken
-                        # pool) falls back to the serial per-trial
-                        # loop, which re-runs attempt 0 with the same
-                        # seeds and owns the retry/fail-fast logic.
-                        fallback.extend(chunk)
-                while queue and len(inflight) <= runner._max_workers:
-                    launch(queue.popleft())
+                        continue
+                    # A failed chunk (a bad trial, a poisoned batch, a
+                    # dead worker) goes to the serial fallback.  After a
+                    # fail-fast failure, or once the pool is broken, no
+                    # chunk is launched and the queue joins it too.
+                    fallback.extend(chunk)
+                    if runner._fail_fast or isinstance(
+                        error, BrokenProcessPool
+                    ):
+                        while queue:
+                            fallback.extend(queue.popleft())
+                launch_more()
         if fallback:
             return SerialDispatch().execute(
                 runner, manifest, sorted(fallback)
@@ -357,18 +292,16 @@ class SharedMemoryDispatch(DispatchBackend):
         return manifest
 
 
-def make_dispatch_backend(
-    spec: "str | DispatchBackend", *, chunk_size: int | None = None
-) -> DispatchBackend:
+def make_dispatch_backend(spec: "str | DispatchBackend") -> DispatchBackend:
     """Resolve a backend name (or pass an instance through)."""
     if isinstance(spec, DispatchBackend):
         return spec
     if spec == "serial":
         return SerialDispatch()
-    if spec == "process":
-        return ProcessPickleDispatch()
-    if spec == "shared-memory":
-        return SharedMemoryDispatch(chunk_size=chunk_size)
+    # "shared-memory" is the former name of the chunked backend, still
+    # passed by benchmarks/gpsbench's mc-batch workload.
+    if spec in ("process", "shared-memory"):
+        return ProcessDispatch()
     raise ValidationError(
         f"dispatch backend must be one of {DISPATCH_BACKENDS} or a "
         f"DispatchBackend instance, got {spec!r}"

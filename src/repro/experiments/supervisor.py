@@ -19,17 +19,18 @@ with the standard production defenses:
   a worker thread (a timed-out attempt is abandoned, counted as a
   failure, and retried);
 * **JSON checkpoint/resume** — completed and failed trials are flushed
-  to a checkpoint file after every trial (atomic rename), and a rerun
-  with the same ``checkpoint_path`` skips finished work;
+  to a checkpoint file (atomic rename) after every trial — after every
+  completed chunk of trials for a scenario campaign on the process
+  pool — and a rerun with the same ``checkpoint_path`` skips finished
+  work;
 * **pluggable dispatch** — *how* pending trials execute is a
   :class:`repro.experiments.dispatch.DispatchBackend`: ``"serial"``
-  (the reference), ``"process"`` (the legacy per-trial
-  ``ProcessPoolExecutor`` pickle fan-out that ``max_workers > 1``
-  selects by default), or ``"shared-memory"`` (scenario campaigns
-  only: each worker samples a chunk of trials into one ``(B, N, T)``
-  arrival block and runs it through the batched fluid engine —
-  bit-identical per-trial results, one pickle per chunk instead of
-  per trial; the name is historical);
+  (the reference) or ``"process"`` (the chunked
+  ``ProcessPoolExecutor`` backend that ``max_workers > 1`` selects by
+  default: a scenario campaign's workers each sample a chunk of trials
+  into one ``(B, N, T)`` arrival block and run it through the batched
+  fluid engine, bit-identical per trial; a ``trial_fn`` campaign runs
+  one trial per pool task);
 * **graceful degradation** — trials that exhaust their retries are
   recorded in the manifest's ``failed`` map and the run continues
   (unless ``fail_fast``), so a 1000-trial campaign with three bad seeds
@@ -161,31 +162,24 @@ class SupervisedRunner:
         trial immediately (still recorded as failed, no retries burned).
     timeout:
         Wall-clock seconds per attempt, enforced via a worker thread;
-        ``None`` disables the thread and runs inline.  Not supported
-        together with ``max_workers > 1``.
+        ``None`` disables the thread and runs inline.  Needs the
+        serial dispatch backend.
     max_workers:
         ``> 1`` fans trials out to a process pool of that size.
         Per-trial seeding keeps the completed results identical to a
-        serial run; retry backoff sleeps are skipped (a retried trial
-        simply re-enters the queue).
+        serial run; a trial that fails in the pool is re-run by the
+        serial retry loop.
     dispatch:
-        How pending trials execute: ``"serial"``, ``"process"``,
-        ``"shared-memory"``, or a
+        How pending trials execute: ``"serial"``, ``"process"``, or a
         :class:`repro.experiments.dispatch.DispatchBackend` instance.
-        ``None`` (default) keeps the historical mapping —
-        ``"process"`` when ``max_workers > 1``, else ``"serial"``.
-        ``"shared-memory"`` requires ``scenario=`` (it samples and
-        batches the scenario's arrivals itself).
-    chunk_size:
-        Trials per worker batch chunk (``dispatch=
-        "shared-memory"`` only); default splits the pending trials
-        evenly across the pool.
+        ``None`` (default) selects ``"process"`` when
+        ``max_workers > 1``, else ``"serial"``.
     backoff_base, backoff_cap, jitter:
         Attempt ``a`` sleeps ``min(cap, base * 2**a) * (1 + U*jitter)``
         before retrying, with ``U`` drawn from a deterministic
         per-(trial, attempt) RNG so runs remain reproducible.
     checkpoint_path:
-        JSON checkpoint written after every trial and loaded (if
+        JSON checkpoint written as trials finish and loaded (if
         present) before the run; see :meth:`load_checkpoint`.
     fail_fast:
         Re-raise as soon as one trial exhausts its retries; remaining
@@ -207,7 +201,6 @@ class SupervisedRunner:
         timeout: float | None = None,
         max_workers: int | None = None,
         dispatch: "str | DispatchBackend | None" = None,
-        chunk_size: int | None = None,
         backoff_base: float = 0.1,
         backoff_cap: float = 5.0,
         jitter: float = 0.25,
@@ -230,27 +223,16 @@ class SupervisedRunner:
             raise ValidationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if max_workers is not None and max_workers > 1 and timeout is not None:
-            raise ValidationError(
-                "per-attempt timeout is not supported with "
-                "max_workers > 1; drop one of the two"
-            )
         if dispatch is None:
             resolved_workers = (
                 int(max_workers) if max_workers is not None else 1
             )
             dispatch = "process" if resolved_workers > 1 else "serial"
-        backend = make_dispatch_backend(dispatch, chunk_size=chunk_size)
-        if backend.name == "shared-memory" and scenario is None:
-            raise ValidationError(
-                "dispatch='shared-memory' requires scenario= (the "
-                "backend samples and batches the scenario's arrivals); "
-                "use dispatch='process' for arbitrary trial functions"
-            )
+        backend = make_dispatch_backend(dispatch)
         if backend.name != "serial" and timeout is not None:
             raise ValidationError(
-                "per-attempt timeout is not supported with the "
-                f"'{backend.name}' dispatch backend; drop one of the two"
+                "a per-attempt timeout needs the serial dispatch "
+                f"backend, not '{backend.name}'"
             )
         if num_trials <= 0:
             raise ValidationError(

@@ -442,9 +442,14 @@ class FluidGPSServer(_FluidServer):
         """
         from repro.sim.batch import BatchFluidGPSServer
 
+        arr = np.asarray(arrivals, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != self.num_sessions:
+            raise ValidationError(
+                f"arrivals must have shape ({self.num_sessions}, T), "
+                f"got {arr.shape}"
+            )
         batch = BatchFluidGPSServer(rate=self._rate, phis=self._phis).run(
-            np.asarray(arrivals, dtype=float)[None],
-            capacities=capacities,
+            arr[None], capacities=capacities
         )
         self._backlog = batch.backlog[0, :, -1].copy()
         return batch.trial(0)

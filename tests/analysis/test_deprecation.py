@@ -16,6 +16,7 @@ import pytest
 
 import repro.analysis
 import repro.core
+import repro.experiments
 import repro.online
 import repro.online.cluster
 import repro.sim
@@ -124,6 +125,19 @@ REMOVED_FORMS = [
     pytest.param(
         lambda: _SCENARIO.analysis_context(incremental=False), TypeError,
         id="scenario-context-incremental",
+    ),
+    pytest.param(
+        lambda: repro.experiments.ProcessPickleDispatch, AttributeError,
+        id="process-pickle-dispatch",
+    ),
+    pytest.param(
+        lambda: repro.experiments.SharedMemoryDispatch, AttributeError,
+        id="shared-memory-dispatch",
+    ),
+    pytest.param(
+        lambda: SupervisedRunner(trial_fn=_trial, num_trials=2, chunk_size=2),
+        TypeError,
+        id="SupervisedRunner-chunk-size",
     ),
 ]
 

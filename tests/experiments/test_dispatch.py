@@ -2,22 +2,24 @@
 
 The invariant every backend must honor is bit-identity with
 :class:`SerialDispatch` — same ``manifest.completed`` payloads, same
-attempt counts — plus graceful degradation: a poisoned shared-memory
-chunk falls back to the serial per-trial loop instead of aborting the
+attempt counts — plus graceful degradation: a poisoned process chunk
+falls back to the serial per-trial loop instead of aborting the
 campaign.
 """
+
+import functools
+import os
 
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import SimulationFaultError, ValidationError
 from repro.experiments import dispatch as dispatch_module
 from repro.experiments.dispatch import (
     DISPATCH_BACKENDS,
     DispatchBackend,
-    ProcessPickleDispatch,
+    ProcessDispatch,
     SerialDispatch,
-    SharedMemoryDispatch,
     make_dispatch_backend,
 )
 from repro.experiments.supervisor import SupervisedRunner
@@ -27,7 +29,7 @@ from repro.scenario import Scenario
 from repro.traffic.sources import BernoulliBurstTraffic, OnOffTraffic
 
 
-def make_scenario(**overrides) -> Scenario:
+def make_scenario(cls=Scenario, **overrides) -> Scenario:
     defaults = dict(
         rate=1.0,
         phis=(2.0, 1.0),
@@ -41,16 +43,26 @@ def make_scenario(**overrides) -> Scenario:
         seed=11,
     )
     defaults.update(overrides)
-    return Scenario(**defaults)
+    return cls(**defaults)
 
 
 class PoisonScenario(Scenario):
     """Module-level (picklable) scenario whose batch engine always
-    raises, forcing every shared-memory chunk into the serial
-    fallback; the scalar path (``trial_result``) stays intact."""
+    raises, forcing every process chunk into the serial fallback; the
+    scalar path (``trial_result``) stays intact."""
 
     def batch_server(self):
         raise RuntimeError("poisoned batch engine")
+
+
+class PoisonTrialScenario(PoisonScenario):
+    """A poisoned batch engine plus a scalar trial 2 that always
+    raises a non-retryable error."""
+
+    def trial_result(self, trial, seed):
+        if trial == 2:
+            raise ValueError("trial 2 always fails")
+        return super().trial_result(trial, seed)
 
 
 def _square_trial(trial, seed):
@@ -58,26 +70,50 @@ def _square_trial(trial, seed):
     return {"trial": trial, "seed": seed, "value": trial * trial}
 
 
+def _fail_on_even(trial, seed):
+    if trial % 2 == 0:
+        raise ValueError(f"trial {trial} is even")
+    return trial
+
+
+def _fail_fast_manifest(backend, **runner_kwargs):
+    """Run a fail-fast campaign through ``backend`` and return the
+    manifest the raised abort leaves behind."""
+    runner = SupervisedRunner(
+        max_workers=3, max_retries=0, fail_fast=True, **runner_kwargs
+    )
+    manifest = runner.load_checkpoint()
+    indices = list(range(manifest.num_trials))
+    with pytest.raises(SimulationFaultError, match="fail-fast"):
+        backend.execute(runner, manifest, indices)
+    return manifest
+
+
+def _exit_in_workers(parent_pid, trial, seed):
+    """Kills any pool worker that runs it; succeeds in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(3)
+    return {"trial": trial, "seed": seed}
+
+
 class TestBackendResolution:
     def test_registry_names(self):
-        assert DISPATCH_BACKENDS == ("serial", "process", "shared-memory")
+        assert DISPATCH_BACKENDS == ("serial", "process")
         assert make_dispatch_backend("serial").name == "serial"
         assert make_dispatch_backend("process").name == "process"
-        assert (
-            make_dispatch_backend("shared-memory").name == "shared-memory"
-        )
+
+    def test_shared_memory_name_resolves_to_process(self):
+        backend = make_dispatch_backend("shared-memory")
+        assert type(backend) is ProcessDispatch
+        assert backend.name == "process"
 
     def test_instance_passes_through(self):
-        backend = SharedMemoryDispatch(chunk_size=4)
+        backend = ProcessDispatch()
         assert make_dispatch_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError, match="dispatch backend"):
             make_dispatch_backend("threads")
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValidationError):
-            SharedMemoryDispatch(chunk_size=0)
 
     def test_runner_defaults_by_worker_count(self):
         serial = SupervisedRunner(trial_fn=_square_trial, num_trials=2)
@@ -86,14 +122,6 @@ class TestBackendResolution:
             trial_fn=_square_trial, num_trials=2, max_workers=4
         )
         assert fanout.dispatch.name == "process"
-
-    def test_shared_memory_requires_scenario(self):
-        with pytest.raises(ValidationError, match="scenario"):
-            SupervisedRunner(
-                trial_fn=_square_trial,
-                num_trials=2,
-                dispatch="shared-memory",
-            )
 
     def test_timeout_only_supported_serially(self):
         for dispatch in ("process", "shared-memory"):
@@ -106,16 +134,23 @@ class TestBackendResolution:
                 )
 
     def test_default_chunking_splits_across_workers(self):
-        chunks = SharedMemoryDispatch()._chunks(list(range(10)), 4)
+        chunks = ProcessDispatch._chunks(list(range(10)), 4, batched=True)
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
         assert sum(chunks, []) == list(range(10))
-        fixed = SharedMemoryDispatch(chunk_size=4)._chunks(
-            list(range(10)), 4
+        capped = ProcessDispatch._chunks(
+            list(range(300)), 2, batched=True
         )
-        assert [len(c) for c in fixed] == [4, 4, 2]
+        assert [len(c) for c in capped] == [128, 128, 44]
+        single = ProcessDispatch._chunks(
+            list(range(10)), 4, batched=False
+        )
+        assert single == [[k] for k in range(10)]
 
 
 class TestSharedMemoryIdentity:
+    """The chunked ``process`` backend on scenario campaigns.  The
+    class keeps the name of the backend it replaced."""
+
     def test_bit_identical_to_serial(self):
         scenario = make_scenario()
         serial = SupervisedRunner(
@@ -125,27 +160,27 @@ class TestSharedMemoryIdentity:
             scenario=scenario,
             num_trials=6,
             max_workers=2,
-            dispatch="shared-memory",
+            dispatch="process",
         ).run()
         assert shm.completed == serial.completed
         assert shm.attempts == serial.attempts
         assert not shm.failed and not shm.skipped
 
-    def test_explicit_chunk_size_same_results(self):
+    def test_default_dispatch_is_bit_identical_to_serial(self):
         scenario = make_scenario()
         serial = SupervisedRunner(
             scenario=scenario, num_trials=5, dispatch="serial"
         ).run()
-        shm = SupervisedRunner(
-            scenario=scenario,
-            num_trials=5,
-            max_workers=2,
-            dispatch="shared-memory",
-            chunk_size=2,
-        ).run()
-        assert shm.completed == serial.completed
+        runner = SupervisedRunner(
+            scenario=scenario, num_trials=5, max_workers=2
+        )
+        assert type(runner.dispatch) is ProcessDispatch
+        parallel = runner.run()
+        assert parallel.completed == serial.completed
+        assert parallel.attempts == serial.attempts
 
     def test_remainder_chunk_matches_serial(self):
+        # 7 trials on 3 workers: chunks of 3, 3 and a remainder of 1.
         scenario = make_scenario()
         serial = SupervisedRunner(
             scenario=scenario, num_trials=7, dispatch="serial"
@@ -153,9 +188,8 @@ class TestSharedMemoryIdentity:
         shm = SupervisedRunner(
             scenario=scenario,
             num_trials=7,
-            max_workers=2,
-            dispatch="shared-memory",
-            chunk_size=3,
+            max_workers=3,
+            dispatch="process",
         ).run()
         assert shm.completed == serial.completed
         assert shm.attempts == serial.attempts
@@ -179,7 +213,7 @@ class TestSharedMemoryIdentity:
             scenario=scenario,
             num_trials=5,
             max_workers=2,
-            dispatch="shared-memory",
+            dispatch="process",
         ).run()
         assert shm.completed == serial.completed
         assert shm.attempts == serial.attempts
@@ -189,27 +223,27 @@ class TestSharedMemoryIdentity:
             scenario=make_scenario(), num_trials=4, dispatch="serial"
         ).run()
         poisoned = SupervisedRunner(
-            scenario=PoisonScenario(
-                rate=1.0,
-                phis=(2.0, 1.0),
-                sources=(
-                    OnOffTraffic(
-                        OnOffSource(p=0.2, q=0.4, peak_rate=0.8)
-                    ),
-                    BernoulliBurstTraffic(
-                        burst_probability=0.3, burst_size=0.6
-                    ),
-                ),
-                horizon=200,
-                seed=11,
-            ),
+            scenario=make_scenario(PoisonScenario),
             num_trials=4,
             max_workers=2,
-            dispatch="shared-memory",
+            dispatch="process",
         ).run()
         assert poisoned.completed == reference.completed
         assert poisoned.attempts == reference.attempts
         assert not poisoned.failed
+
+    def test_fail_fast_fallback_matches_serial(self):
+        # Every chunk is poisoned, so every trial goes to the serial
+        # fallback: the manifest is the serial one, skipped list too.
+        scenario = make_scenario(PoisonTrialScenario)
+        serial, parallel = (
+            _fail_fast_manifest(backend, scenario=scenario, num_trials=7)
+            for backend in (SerialDispatch(), ProcessDispatch())
+        )
+        assert parallel.skipped == serial.skipped == [3, 4, 5, 6]
+        assert parallel.completed == serial.completed
+        assert parallel.attempts == serial.attempts
+        assert parallel.failed == serial.failed
 
     def test_resume_skips_completed_trials(self, tmp_path, monkeypatch):
         scenario = make_scenario()
@@ -218,7 +252,7 @@ class TestSharedMemoryIdentity:
             scenario=scenario,
             num_trials=4,
             max_workers=2,
-            dispatch="shared-memory",
+            dispatch="process",
             checkpoint_path=checkpoint,
         ).run()
         assert first.num_completed == 4
@@ -237,7 +271,7 @@ class TestSharedMemoryIdentity:
             scenario=scenario,
             num_trials=4,
             max_workers=2,
-            dispatch="shared-memory",
+            dispatch="process",
             checkpoint_path=checkpoint,
         ).run()
         assert resumed.completed == first.completed
@@ -279,3 +313,28 @@ class TestCustomBackend:
         ).run()
         assert calls == [[0, 1, 2]]
         assert manifest.num_completed == 3
+
+
+class TestTrialFnChunks:
+    def test_fail_fast_skipped_is_deterministic(self):
+        # Three one-trial chunks on three workers are all in flight
+        # from the start, so no completion order changes the outcome:
+        # trial 1 completes in the pool, trial 0 aborts the serial
+        # fallback and trial 2 is skipped.
+        manifest = _fail_fast_manifest(
+            ProcessDispatch(), trial_fn=_fail_on_even, num_trials=3
+        )
+        assert manifest.completed == {1: 1}
+        assert sorted(manifest.failed) == [0]
+        assert manifest.skipped == [2]
+        assert manifest.attempts == {0: 1, 1: 1}
+
+    def test_broken_pool_falls_back_to_serial(self):
+        trial_fn = functools.partial(_exit_in_workers, os.getpid())
+        serial = SupervisedRunner(trial_fn=trial_fn, num_trials=6).run()
+        parallel = SupervisedRunner(
+            trial_fn=trial_fn, num_trials=6, max_workers=2
+        ).run()
+        assert parallel.completed == serial.completed
+        assert parallel.attempts == serial.attempts
+        assert not parallel.failed and not parallel.skipped

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ValidationError
 from repro.sim.fluid import (
     FluidGPSServer,
     clearing_delays,
@@ -113,6 +114,15 @@ class TestFluidGPSServer:
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         with pytest.raises(ValueError):
             server.step([1.0])
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_run_names_the_scalar_shape(self, shape):
+        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
+        with pytest.raises(ValidationError) as exc:
+            server.run(np.ones(shape))
+        assert str(exc.value) == (
+            f"arrivals must have shape (2, T), got {shape}"
+        )
 
     def test_run_leaves_final_backlog(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
