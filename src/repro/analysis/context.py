@@ -438,6 +438,7 @@ class AnalysisContext:
         self._total.remove(state.ebb.rho)
         self._order.remove(state.ratio, state.seq)
         del self._seq_state[state.seq]  # heap entries go stale lazily
+        self._compact_heap()
         self._columns.remove(state.seq)
         self._version += 1
         self._geometry += 1
@@ -511,6 +512,7 @@ class AnalysisContext:
             state.threshold = threshold
             state.scale = 0.0 if threshold == 0.0 else threshold / ebb.rho
             heapq.heappush(self._heap, (-state.scale, state.seq))
+            self._compact_heap()
         state.ebb = ebb
         state.phi = phi
         state.target = target
@@ -523,6 +525,12 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # the admission gate
     # ------------------------------------------------------------------
+    def _compact_heap(self) -> None:
+        """Rebuild the heap once stale entries outnumber live ones."""
+        if len(self._heap) > 2 * len(self._seq_state):
+            self._heap = [(-s.scale, q) for q, s in self._seq_state.items()]
+            heapq.heapify(self._heap)
+
     def _max_scale(self) -> float | None:
         """Largest live ``threshold_i / rho_i`` (lazy-deletion heap top)."""
         heap = self._heap

@@ -21,13 +21,15 @@ The engine's session registry is most of the document, and it is
 stored column-wise (:meth:`repro.online.session.SessionRegistry.export_state`):
 active sessions are ``names`` plus ``joined_at``/``renegotiations``/
 ``ebb``/``target`` lists, and their weights and cumulative totals come
-only from the registry's ``vectors`` block.  Departed sessions keep one
-record each.  At 10,000 registered sessions (1,000 busy) a snapshot is
-453 KB; with one full record per active session it was 1.76 MB.
-Snapshots in that older per-session layout (a ``registry.active``
-list) still load — the registry picks the layout by key presence — so
-:data:`SNAPSHOT_FORMAT` is unchanged.  They must: the WAL segments a
-snapshot covers are pruned, so it can be the only copy of its state.
+only from the registry's ``vectors`` block.  At 10,000 registered
+sessions (1,000 busy) a snapshot is 453 KB; with one full record per
+active session it was 1.76 MB.  Snapshots in that older per-session
+layout (a ``registry.active`` list) still load — the registry picks the
+layout by key presence — so :data:`SNAPSHOT_FORMAT` is unchanged.  They
+must: the WAL segments a snapshot covers are pruned, so it can be the
+only copy of its state.  Snapshots that still carry the engine's
+history (backlog trace, decision log, departed sessions) load too; the
+engine folds it into running totals, and new snapshots hold none.
 
 Recovery loads the *newest valid* snapshot: candidates are tried in
 descending sequence order and a corrupt one (bad CRC, torn JSON) is

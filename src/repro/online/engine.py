@@ -6,9 +6,11 @@ materialize a fixed population over a fixed horizon as full ``(N, T)``
 counterpart: it consumes an ordered stream of
 :mod:`repro.online.events` — session churn, arrivals, capacity changes
 — and keeps only O(active sessions) state (the
-:class:`repro.online.session.SessionRegistry` vectors).  Horizons are
-unbounded; memory does not grow with time unless per-slot recording is
-explicitly requested.
+:class:`repro.online.session.SessionRegistry` vectors, the admission
+context, counters).  Horizons are unbounded; memory does not grow with
+time unless per-slot recording is explicitly requested, and the
+emitted records are the history.  Idle and capacity-0 gaps close in
+one step.
 
 Each slot is served by the *same* water-filling kernel as the offline
 engines (``repro.sim.fluid._batch_water_fill`` through the identical
@@ -24,7 +26,7 @@ slot ``t`` are available at the start of the slot; the slot is served
 when the clock advances past it (an event stamped in a later slot,
 :meth:`StreamingGPSServer.advance_to`, or :meth:`~StreamingGPSServer.drain`).
 With an :class:`repro.online.admission.AdmissionController` attached,
-join/renegotiate events are gated and every decision is recorded.
+join/renegotiate events are gated and every decision is emitted.
 """
 
 from __future__ import annotations
@@ -58,6 +60,21 @@ _EPS = 1e-12
 #: every decision record, never kept in the engine's decision log.
 _EMITTED_ONLY = ("feasible_ordering", "feasible_partition")
 
+#: Engine scalars exported under their attribute names (less the
+#: ``_``), with the type they load as.
+_SCALARS = {
+    "capacity": float, "clock": int, "events_processed": int,
+    "accepted": int, "rejected": int, "last_total_backlog": float,
+    "max_total_backlog": float, "departed_arrived": float,
+    "departed_served": float, "dropped_residual": float,
+}
+
+#: The run's history, kept (and exported) only by a recording engine.
+_HISTORY = (
+    "decisions", "total_backlog_trace", "backlog_snapshots",
+    "served_snapshots",
+)
+
 
 def _retained(decision: dict[str, Any]) -> dict[str, Any]:
     """A decision record as the decision log keeps it: verdict, reason,
@@ -70,26 +87,47 @@ def _retained(decision: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _fold_history(state: dict[str, Any]) -> dict[str, float]:
+    """The running totals of a snapshot written while every engine kept
+    its history: its backlog trace and departed-session records,
+    folded in order."""
+    last = peak = arrived = served = 0.0
+    for total in state["total_backlog_trace"]:
+        last = float(total)
+        peak = max(peak, last)
+    for record in state["registry"]["departed"]:
+        arrived += float(record["arrived"])
+        served += float(record["served"])
+    return {
+        "last_total_backlog": last,
+        "max_total_backlog": peak,
+        "departed_arrived": arrived,
+        "departed_served": served,
+    }
+
+
 @dataclass(frozen=True)
 class OnlineResult:
     """Summary of one streaming run (the ``repro.sim.results.SimResult``
     protocol).
 
-    Unlike the offline results this holds no dense per-session traces —
-    only the per-slot *total* backlog, the admission decisions and the
-    per-session cumulative stats.  When the engine was constructed with
-    ``record_traces=True`` the per-slot per-session snapshots are
-    attached too (testing/small runs only; they grow with the horizon).
+    Unlike the offline results this holds no traces — only the last
+    and largest slot total backlog and the active sessions' stats (a
+    departed session's are in its ``leave`` record).  When the engine
+    was constructed with ``record_traces=True`` the per-slot total
+    backlog, the retained admission decisions and the per-slot
+    per-session snapshots are attached too (testing/small runs only;
+    they grow with the horizon).
     """
 
     rate: float
     num_slots: int
     events_processed: int
     event_counts: dict[str, int]
-    decisions: tuple[dict[str, Any], ...]
     accepted: int
     rejected: int
-    total_backlog_trace: np.ndarray
+    last_total_backlog: float
+    max_total_backlog: float
     total_arrived: float
     total_served: float
     dropped_residual: float
@@ -97,6 +135,8 @@ class OnlineResult:
     active_sessions: tuple[str, ...]
     peak_active_sessions: int
     drained: bool | None = None
+    decisions: tuple[dict[str, Any], ...] | None = None
+    total_backlog_trace: np.ndarray | None = field(default=None, repr=False)
     backlog_snapshots: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False
     )
@@ -110,10 +150,8 @@ class OnlineResult:
         return len(self.active_sessions)
 
     def final_total_backlog(self) -> float:
-        """System backlog at the end of the run."""
-        if self.total_backlog_trace.size == 0:
-            return 0.0
-        return float(self.total_backlog_trace[-1])
+        """System backlog at the end of the run (0.0 before any slot)."""
+        return self.last_total_backlog
 
     def _snapshot_matrix(
         self, snapshots: tuple[np.ndarray, ...] | None, label: str
@@ -164,33 +202,24 @@ class OnlineResult:
             "total_arrived": self.total_arrived,
             "total_served": self.total_served,
             "dropped_residual": self.dropped_residual,
-            "final_total_backlog": self.final_total_backlog(),
-            "max_total_backlog": (
-                float(self.total_backlog_trace.max())
-                if self.total_backlog_trace.size
-                else 0.0
-            ),
+            "final_total_backlog": self.last_total_backlog,
+            "max_total_backlog": self.max_total_backlog,
             "drained": self.drained,
         }
 
     def to_dict(self) -> dict[str, Any]:
         """Full JSON-serializable dump: summary plus traces/records."""
+        from repro.sim.results import to_jsonable
+
         payload = self.summary()
-        payload["total_backlog_trace"] = self.total_backlog_trace.tolist()
-        payload["decisions"] = [dict(d) for d in self.decisions]
         payload["session_stats"] = {
             name: dict(stats)
             for name, stats in self.session_stats.items()
         }
         payload["active_sessions"] = list(self.active_sessions)
-        if self.backlog_snapshots is not None:
-            payload["backlog_snapshots"] = [
-                snap.tolist() for snap in self.backlog_snapshots
-            ]
-        if self.served_snapshots is not None:
-            payload["served_snapshots"] = [
-                snap.tolist() for snap in self.served_snapshots
-            ]
+        for key in _HISTORY:
+            if getattr(self, key) is not None:
+                payload[key] = to_jsonable(getattr(self, key))
         return payload
 
 
@@ -208,8 +237,9 @@ class StreamingGPSServer:
         joins never enter the registry, rejected renegotiations keep
         the old contract.  Without it every join is accepted.
     record_traces:
-        Record per-slot per-session backlog/served snapshots (memory
-        grows with the horizon; for tests and small runs).
+        Keep the run's history (:data:`_HISTORY`) and serve idle gaps
+        slot by slot (memory and snapshots grow with the horizon; for
+        tests and small runs).
 
     Events must be fed in non-decreasing slot order (route out-of-order
     streams through :class:`repro.online.events.EventQueue` first).
@@ -235,12 +265,16 @@ class StreamingGPSServer:
         self._clock = 0
         self._events_processed = 0
         self._event_counts: dict[str, int] = {}
-        self._decisions: list[dict[str, Any]] = []
         self._accepted = 0
         self._rejected = 0
-        self._total_backlog_trace: list[float] = []
+        self._last_total_backlog = 0.0
+        self._max_total_backlog = 0.0
+        self._departed_arrived = 0.0  # summed in leave order
+        self._departed_served = 0.0
         self._dropped_residual = 0.0
         self._record_traces = bool(record_traces)
+        self._decisions: list[dict[str, Any]] = []
+        self._total_backlog_trace: list[float] = []
         self._backlog_snapshots: list[np.ndarray] = []
         self._served_snapshots: list[np.ndarray] = []
 
@@ -333,19 +367,34 @@ class StreamingGPSServer:
         else:
             served = np.zeros(0)
             total = registry.commit_slot(busy, served, served)
-        self._total_backlog_trace.append(total)
+        self._last_total_backlog = total
+        self._max_total_backlog = max(self._max_total_backlog, total)
         if self._record_traces:
+            self._total_backlog_trace.append(total)
             self._backlog_snapshots.append(registry.backlog.copy())
             dense_served = np.zeros(registry.num_active)
             dense_served[busy] = served
             self._served_snapshots.append(dense_served)
         self._clock += 1
 
+    def _idle(self) -> bool:
+        """Whether every further slot is a no-op (call right after a
+        served slot): nothing is busy, or the capacity is 0 and the
+        busy backlog would water-fill to itself."""
+        return not self._record_traces and (
+            self._registry.num_busy == 0 or self._capacity == 0.0
+        )
+
+    def _skip_slots(self, count: int) -> None:
+        self._clock += count
+        self._registry.skip_slots(count)
+
     def advance_to(self, slot: int) -> None:
         """Serve every slot up to (excluding) ``slot``.
 
         After the call, ``clock == slot`` and all arrivals stamped
-        before ``slot`` have been offered service.
+        before ``slot`` have been offered service.  The rest of a gap
+        that turns idle (:meth:`_idle`) closes in one step.
         """
         if slot < self._clock:
             raise ValidationError(
@@ -354,13 +403,15 @@ class StreamingGPSServer:
             )
         while self._clock < slot:
             self._serve_slot()
+            if self._idle():
+                self._skip_slots(slot - self._clock)
 
     def drain(self, *, max_slots: int = 100_000) -> tuple[int, bool]:
         """Serve empty slots until the system empties (graceful drain).
 
         Returns ``(slots_used, drained)``; ``drained`` is False when
         ``max_slots`` elapsed with backlog still standing (a capacity-0
-        window, for example).
+        window, for example, which closes in one step).
         """
         check_positive("max_slots", max_slots)
         used = 0
@@ -369,6 +420,9 @@ class StreamingGPSServer:
                 return used, True
             self._serve_slot()
             used += 1
+            if self._idle() and self.unfinished_work() > _EPS:
+                self._skip_slots(max_slots - used)
+                used = max_slots
         return used, self.unfinished_work() <= _EPS
 
     # ------------------------------------------------------------------
@@ -404,7 +458,7 @@ class StreamingGPSServer:
             record["session"] = event.session
             record["amount"] = event.amount
         elif isinstance(event, SessionLeave):
-            record.update(self._process_leave(event, slot))
+            record.update(self._process_leave(event))
         else:
             raise ValidationError(
                 f"unsupported event type: {type(event).__name__}"
@@ -475,13 +529,14 @@ class StreamingGPSServer:
     ) -> bool:
         """Count and log one admission decision; returns its verdict.
 
-        The outcome record carries the full decision; the retained log
-        keeps it without the population-sized diagnostics
-        (:func:`_retained`).
+        The outcome record carries the full decision; a recording
+        engine's retained log keeps it without the population-sized
+        diagnostics (:func:`_retained`).
         """
         record = decision.to_record()
         record["slot"] = slot
-        self._decisions.append(_retained(record))
+        if self._record_traces:
+            self._decisions.append(_retained(record))
         out["accepted"] = decision.accepted
         out["decision"] = record
         if decision.accepted:
@@ -490,15 +545,15 @@ class StreamingGPSServer:
             self._rejected += 1
         return decision.accepted
 
-    def _process_leave(
-        self, event: SessionLeave, slot: int
-    ) -> dict[str, Any]:
-        info = self._registry.leave(event.name, at=slot)
+    def _process_leave(self, event: SessionLeave) -> dict[str, Any]:
+        info = self._registry.leave(event.name)
         if self._admission is not None and (
             event.name in self._admission.admitted_names
         ):
             self._admission.leave(event.name)
         self._dropped_residual += info.residual
+        self._departed_arrived += info.arrived
+        self._departed_served += info.served
         return {
             "session": event.name,
             "residual": info.residual,
@@ -513,47 +568,38 @@ class StreamingGPSServer:
         """JSON-serializable snapshot of the complete serving state.
 
         Everything a restart needs to continue the run bit-for-bit:
-        the clock/capacity, every counter and trace backing
+        the clock/capacity, every counter and running total backing
         :meth:`result`, the registry vectors, and (when attached) the
         admission controller with its
         :class:`repro.analysis.context.AnalysisContext` version
-        counters and exact accumulators.  ``from_state(export_state())``
-        followed by any event sequence produces trajectories
-        ``np.array_equal`` to the uninterrupted engine's.
+        counters and exact accumulators; a recording engine adds its
+        :data:`_HISTORY`.  ``from_state(export_state())`` followed by
+        any event sequence produces trajectories ``np.array_equal`` to
+        the uninterrupted engine's.
         """
         from repro.sim.results import to_jsonable
 
-        return {
-            "rate": self._nominal_rate,
-            "capacity": self._capacity,
-            "clock": self._clock,
-            "events_processed": self._events_processed,
-            "event_counts": dict(self._event_counts),
-            "decisions": to_jsonable(self._decisions),
-            "accepted": self._accepted,
-            "rejected": self._rejected,
-            "total_backlog_trace": [
-                float(v) for v in self._total_backlog_trace
-            ],
-            "dropped_residual": self._dropped_residual,
-            "record_traces": self._record_traces,
-            "backlog_snapshots": [
-                snap.tolist() for snap in self._backlog_snapshots
-            ],
-            "served_snapshots": [
-                snap.tolist() for snap in self._served_snapshots
-            ],
-            "registry": self._registry.export_state(),
-            "admission": (
+        state = {key: getattr(self, f"_{key}") for key in _SCALARS}
+        state.update(
+            rate=self._nominal_rate,
+            event_counts=dict(self._event_counts),
+            record_traces=self._record_traces,
+            registry=self._registry.export_state(),
+            admission=(
                 None
                 if self._admission is None
                 else self._admission.export_state()
             ),
-        }
+        )
+        if self._record_traces:
+            history = {key: getattr(self, f"_{key}") for key in _HISTORY}
+            state.update(to_jsonable(history))
+        return state
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "StreamingGPSServer":
-        """Rebuild an engine from an :meth:`export_state` snapshot."""
+        """Rebuild an engine from an :meth:`export_state` snapshot
+        (or an older one that still carries its history)."""
         admission = (
             None
             if state["admission"] is None
@@ -564,27 +610,21 @@ class StreamingGPSServer:
             admission=admission,
             record_traces=bool(state["record_traces"]),
         )
-        out._capacity = float(state["capacity"])
-        out._clock = int(state["clock"])
-        out._events_processed = int(state["events_processed"])
         out._event_counts = {
             str(k): int(v) for k, v in state["event_counts"].items()
         }
-        out._decisions = [_retained(d) for d in state["decisions"]]
-        out._accepted = int(state["accepted"])
-        out._rejected = int(state["rejected"])
-        out._total_backlog_trace = [
-            float(v) for v in state["total_backlog_trace"]
-        ]
-        out._dropped_residual = float(state["dropped_residual"])
-        out._backlog_snapshots = [
-            np.asarray(snap, dtype=float)
-            for snap in state["backlog_snapshots"]
-        ]
-        out._served_snapshots = [
-            np.asarray(snap, dtype=float)
-            for snap in state["served_snapshots"]
-        ]
+        if "last_total_backlog" not in state:
+            state = {**state, **_fold_history(state)}
+        for key, kind in _SCALARS.items():
+            setattr(out, f"_{key}", kind(state[key]))
+        if out._record_traces:
+            out._decisions = [_retained(d) for d in state["decisions"]]
+            out._total_backlog_trace = [
+                float(v) for v in state["total_backlog_trace"]
+            ]
+            for key in ("backlog_snapshots", "served_snapshots"):
+                snaps = [np.asarray(snap, float) for snap in state[key]]
+                setattr(out, f"_{key}", snaps)
         out._registry = SessionRegistry.from_state(state["registry"])
         return out
 
@@ -621,43 +661,29 @@ class StreamingGPSServer:
     def result(self, *, drained: bool | None = None) -> OnlineResult:
         """Snapshot the run as an :class:`OnlineResult`."""
         registry = self._registry
-        stats = registry.stats()
+        history = {
+            "decisions": tuple(self._decisions),
+            "total_backlog_trace": np.asarray(self._total_backlog_trace),
+            "backlog_snapshots": tuple(self._backlog_snapshots),
+            "served_snapshots": tuple(self._served_snapshots),
+        }
         return OnlineResult(
             rate=self._nominal_rate,
             num_slots=self._clock,
             events_processed=self._events_processed,
             event_counts=dict(self._event_counts),
-            decisions=tuple(self._decisions),
             accepted=self._accepted,
             rejected=self._rejected,
-            total_backlog_trace=np.asarray(
-                self._total_backlog_trace, dtype=float
-            ),
+            last_total_backlog=self._last_total_backlog,
+            max_total_backlog=self._max_total_backlog,
             total_arrived=float(registry.arrived.sum())
-            + sum(
-                info["arrived"]
-                for info in stats.values()
-                if info["left_at"] is not None
-            ),
+            + self._departed_arrived,
             total_served=float(registry.served.sum())
-            + sum(
-                info["served"]
-                for info in stats.values()
-                if info["left_at"] is not None
-            ),
+            + self._departed_served,
             dropped_residual=self._dropped_residual,
-            session_stats=stats,
+            session_stats=registry.stats(),
             active_sessions=registry.names,
             peak_active_sessions=registry.peak_active,
             drained=drained,
-            backlog_snapshots=(
-                tuple(self._backlog_snapshots)
-                if self._record_traces
-                else None
-            ),
-            served_snapshots=(
-                tuple(self._served_snapshots)
-                if self._record_traces
-                else None
-            ),
+            **(history if self._record_traces else {}),
         )

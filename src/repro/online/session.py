@@ -25,10 +25,10 @@ The fields the vectors do not carry — join slot, renegotiation count,
 E.B.B. declaration and QoS target — are plain lists aligned with the
 same order, so an active session is a column index and nothing else.
 A :class:`SessionInfo` is built only on demand: by :meth:`info`,
-:meth:`leave` (departed sessions keep theirs) and :meth:`stats`.  The
-system-wide backlog/pending totals are cached scalars updated
-incrementally, so none of the reporting paths scan the full active set
-per event.
+:meth:`leave` (the registry keeps nothing of a departed session) and
+:meth:`stats`.  The system-wide backlog/pending totals are cached
+scalars updated incrementally, so none of the reporting paths scan
+the full active set per event.
 
 For a population that joined in scenario order and never churned, the
 registry's vectors are element-for-element the rows of the offline
@@ -56,8 +56,8 @@ class SessionInfo:
     """Bookkeeping for one session, live or departed.
 
     For an active session this is a copy taken by
-    :meth:`SessionRegistry.info`; a departed session's record holds its
-    totals at the moment it left.
+    :meth:`SessionRegistry.info`; :meth:`SessionRegistry.leave` returns
+    a departed session's totals at the moment it left.
     """
 
     name: str
@@ -65,7 +65,6 @@ class SessionInfo:
     ebb: EBB | None = None
     target: QoSTarget | None = None
     joined_at: int = 0
-    left_at: int | None = None
     arrived: float = 0.0
     served: float = 0.0
     residual: float = 0.0
@@ -77,7 +76,6 @@ class SessionInfo:
             "name": self.name,
             "phi": self.phi,
             "joined_at": self.joined_at,
-            "left_at": self.left_at,
             "arrived": self.arrived,
             "served": self.served,
             "residual": self.residual,
@@ -112,7 +110,6 @@ class SessionRegistry:
         self._renegotiations: list[int] = []
         self._ebb: list[EBB | None] = []
         self._target: list[QoSTarget | None] = []
-        self._departed: list[SessionInfo] = []
         self._capacity = _GROW
         self._phis = np.zeros(self._capacity)
         self._backlog = np.zeros(self._capacity)
@@ -257,6 +254,11 @@ class SessionRegistry:
         self._epoch += 1
         return self._total_backlog
 
+    def skip_slots(self, count: int) -> None:
+        """Count ``count`` slots that change nothing, right after a
+        :meth:`commit_slot` with an empty busy set or no capacity."""
+        self._epoch += count
+
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -335,7 +337,7 @@ class SessionRegistry:
         self._busy_mask[index] = False
         self._peak_active = max(self._peak_active, self.num_active)
 
-    def leave(self, name: str, *, at: int = 0) -> SessionInfo:
+    def leave(self, name: str) -> SessionInfo:
         """Deregister a session; returns its final :class:`SessionInfo`.
 
         Residual backlog (plus any arrivals still pending for the
@@ -343,7 +345,6 @@ class SessionRegistry:
         """
         index = self.index_of(name)
         info = self._info_at(index)
-        info.left_at = at
         info.residual = float(self._backlog[index] + self._pending[index])
         # Busy-set fix-up (O(busy)): drop the leaver, then shift every
         # busy index past the compaction point down one slot.  The
@@ -383,7 +384,6 @@ class SessionRegistry:
         ):
             del column[index]
         del self._index[name]
-        self._departed.append(info)
         return info
 
     def renegotiate(
@@ -421,39 +421,23 @@ class SessionRegistry:
     # reporting
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, dict[str, Any]]:
-        """Per-session summaries, active sessions first then departed.
-
-        A name may recur when a departed session rejoins; the active
-        incarnation keeps the bare name and departed ones are keyed
-        ``name@left_at`` (with a counter on further collisions).
-        """
-        out = {
+        """Per-session summaries of the active sessions, in join order."""
+        return {
             name: self._info_at(index).to_record()
             for index, name in enumerate(self._names)
         }
-        for info in self._departed:
-            key = info.name
-            if key in out:
-                key = f"{info.name}@{info.left_at}"
-            suffix = 2
-            while key in out:
-                key = f"{info.name}@{info.left_at}#{suffix}"
-                suffix += 1
-            out[key] = info.to_record()
-        return out
 
     # ------------------------------------------------------------------
     # durable state export/import
     # ------------------------------------------------------------------
     def export_state(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of the registry (active + departed).
+        """JSON-serializable snapshot of the registry's active sessions.
 
         Active sessions are stored column-wise: ``names`` plus the
         ``joined_at``, ``renegotiations``, ``ebb`` and ``target``
         columns, in vector order.  Their ``phi``/``arrived``/``served``/
         ``residual`` live only in the ``phis``/``arrived``/``served``/
-        ``backlog`` vectors.  Departed sessions keep one record each,
-        because their final totals are in no vector.
+        ``backlog`` vectors.
 
         The backing vectors are trimmed to the active prefix; the
         restored registry reallocates them, and since JSON round-trips
@@ -462,21 +446,6 @@ class SessionRegistry:
         """
         from repro.online.events import _ebb_record, _target_record
 
-        departed = [
-            {
-                "name": info.name,
-                "phi": info.phi,
-                "ebb": _ebb_record(info.ebb),
-                "target": _target_record(info.target),
-                "joined_at": info.joined_at,
-                "left_at": info.left_at,
-                "arrived": info.arrived,
-                "served": info.served,
-                "residual": info.residual,
-                "renegotiations": info.renegotiations,
-            }
-            for info in self._departed
-        ]
         return {
             "names": list(self._names),
             "columns": {
@@ -485,7 +454,6 @@ class SessionRegistry:
                 "ebb": [_ebb_record(ebb) for ebb in self._ebb],
                 "target": [_target_record(t) for t in self._target],
             },
-            "departed": departed,
             "peak_active": self._peak_active,
             "vectors": {
                 "phis": self.phis.tolist(),
@@ -509,7 +477,8 @@ class SessionRegistry:
         """Rebuild a registry from an :meth:`export_state` snapshot.
 
         Also reads the older per-session layout, which stored every
-        active session as a full record in an ``"active"`` list.
+        active session as a full record in an ``"active"`` list.  The
+        engine folds an older snapshot's ``"departed"`` list.
         """
         from repro.online.events import _ebb_from, _target_from
 
@@ -552,25 +521,6 @@ class SessionRegistry:
         out._renegotiations = [int(v) for v in columns["renegotiations"]]
         out._ebb = [_ebb_from(record) for record in columns["ebb"]]
         out._target = [_target_from(record) for record in columns["target"]]
-        out._departed = [
-            SessionInfo(
-                name=str(record["name"]),
-                phi=float(record["phi"]),
-                ebb=_ebb_from(record["ebb"]),
-                target=_target_from(record["target"]),
-                joined_at=int(record["joined_at"]),
-                left_at=(
-                    None
-                    if record["left_at"] is None
-                    else int(record["left_at"])
-                ),
-                arrived=float(record["arrived"]),
-                served=float(record["served"]),
-                residual=float(record["residual"]),
-                renegotiations=int(record["renegotiations"]),
-            )
-            for record in state["departed"]
-        ]
         out._peak_active = int(state["peak_active"])
         if "busy" in state:
             busy = [int(k) for k in state["busy"]]

@@ -204,6 +204,61 @@ class TestPartitionFromRatioOrder:
         assert context.partition().num_classes >= 3
 
 
+class TestScaleHeap:
+    """The lazy-deletion heap behind the admission gate's largest
+    ``threshold / rho`` stays exact, and is rebuilt from the live
+    sessions once its stale entries outnumber them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                _rhos,
+                st.builds(
+                    QoSTarget,
+                    d_max=st.floats(min_value=1.0, max_value=50.0),
+                    epsilon=st.sampled_from([1e-2, 1e-3, 1e-4]),
+                ),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_max_scale_is_exact_and_heap_bounded(self, ops):
+        context = AnalysisContext(_SERVER_RATE)
+        next_id = 0
+        for kind, rho, target, pick in ops:
+            live = list(context.names)
+            if kind == 0 or not live:
+                context.add(f"s{next_id}", EBB(rho, 1.0, 1.0), 1.0, target)
+                next_id += 1
+            elif kind == 1:
+                context.remove(live[pick % len(live)])
+            else:
+                name = live[pick % len(live)]
+                context.update(name, ebb=EBB(rho, 1.0, 1.0), target=target)
+            states = list(context._seq_state.values())
+            assert context._max_scale() == max(
+                (state.scale for state in states), default=None
+            )
+            assert len(context._heap) <= 2 * len(states) + 1
+
+    def test_churn_keeps_the_heap_near_the_population(self):
+        """Steady join/leave churn at a fixed population: the heap no
+        longer grows with every departure."""
+        context = AnalysisContext(_SERVER_RATE)
+        target = QoSTarget(d_max=20.0, epsilon=1e-3)
+        for k in range(2000):
+            ebb = EBB(0.01 + (k % 7) * 1e-3, 1.0, 1.0)
+            context.add(f"s{k}", ebb, 1.0, target)
+            if k >= 50:
+                context.remove(f"s{k - 50}")
+        assert len(context.names) == 50
+        assert len(context._heap) <= 2 * 50 + 1
+
+
 class TestExactSum:
     @settings(max_examples=200, deadline=None)
     @given(

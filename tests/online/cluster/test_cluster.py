@@ -23,6 +23,9 @@ NAMES = ("a", "b", "c", "d", "e", "f")
 
 
 def create_cluster(root, **kwargs):
+    # Recording shards keep the per-slot total backlog the equivalence
+    # checks compare.
+    kwargs.setdefault("record_traces", True)
     cluster, _ = ShardedOnlineCluster.open(root, mode="create", **kwargs)
     return cluster
 
@@ -70,10 +73,13 @@ def _stream(n=80, seed=7):
 
 
 def _assert_matches_partition(lines, result, num_shards):
-    """Each shard's final state equals a fresh run over its substream."""
+    """Each shard's final state equals a fresh run over its substream
+    (the cluster must be created with ``record_traces=True``)."""
     parts = ShardRouter(num_shards).partition(lines)
     for i, part in enumerate(parts):
-        base = OnlineService(StreamingGPSServer(rate=RATE)).serve(part)
+        base = OnlineService(
+            StreamingGPSServer(rate=RATE, record_traces=True)
+        ).serve(part)
         got = result.results[i]
         assert np.array_equal(
             base.total_backlog_trace, got.total_backlog_trace
@@ -95,7 +101,9 @@ class TestHealthyCluster:
         lines = _stream(n=40)
         cluster = create_cluster(tmp_path, num_shards=1, rate=RATE)
         result = cluster.serve(lines)
-        base = OnlineService(StreamingGPSServer(rate=RATE)).serve(lines)
+        base = OnlineService(
+            StreamingGPSServer(rate=RATE, record_traces=True)
+        ).serve(lines)
         assert np.array_equal(
             base.total_backlog_trace,
             result.results[0].total_backlog_trace,
@@ -212,7 +220,9 @@ class TestColdRecovery:
         assert [r.applied_seq for r in reports] == applied
         parts = ShardRouter(3).partition(lines[:60])
         for i, handle in enumerate(recovered.handles):
-            base = OnlineService(StreamingGPSServer(rate=RATE))
+            base = OnlineService(
+                StreamingGPSServer(rate=RATE, record_traces=True)
+            )
             base.ingest(parts[i][: handle.service.applied_seq])
             assert np.array_equal(
                 np.asarray(

@@ -35,6 +35,9 @@ NAMES = ("a", "b", "c", "d", "e", "f")
 
 
 def create_cluster(root, **kwargs):
+    # Recording shards keep the per-slot total backlog the equivalence
+    # checks compare.
+    kwargs.setdefault("record_traces", True)
     cluster, _ = ShardedOnlineCluster.open(root, mode="create", **kwargs)
     return cluster
 
@@ -101,7 +104,9 @@ def _run_with_chaos(tmp_path, lines, schedules, **overrides):
 def _assert_fleet_equivalent(lines, result, num_shards):
     parts = ShardRouter(num_shards).partition(lines)
     for i, part in enumerate(parts):
-        base = OnlineService(StreamingGPSServer(rate=RATE)).serve(part)
+        base = OnlineService(
+            StreamingGPSServer(rate=RATE, record_traces=True)
+        ).serve(part)
         got = result.results[i]
         assert np.array_equal(
             base.total_backlog_trace, got.total_backlog_trace

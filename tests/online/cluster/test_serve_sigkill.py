@@ -8,8 +8,10 @@ stdin stays open, so the process is killed mid-stream rather than
 draining at EOF, and its block-buffered stdout is lost with it: only
 the WAL survives.  Recovery must then hold every line the process
 framed (``0 < applied_seq <= sent``), lose none of them, and resume to
-a state ``np.array_equal`` to an uninterrupted run.  Slow by nature
-(each case starts interpreters), so the streams are small.
+a state equal to an uninterrupted run's: the canonical
+``export_state()`` document (clock, registry vectors, busy set, running
+backlog totals) and the ``summary()``.  Slow by nature (each case
+starts interpreters), so the streams are small.
 """
 
 import contextlib
@@ -22,8 +24,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 import repro
 from repro.online import (
@@ -117,15 +117,19 @@ def _serve_then_sigkill(tmp_path, wal, wal_dirs, lines, *extra):
                 proc.stdin.close()
 
 
+def _canonical(engine):
+    return json.dumps(engine.export_state(), sort_keys=True)
+
+
 def _baseline(lines):
-    """Uninterrupted run: the result and its emitted summary record."""
+    """Uninterrupted run: the result, its emitted summary record and
+    the engine's canonical state."""
     buffer = io.StringIO()
-    result = OnlineService(
-        StreamingGPSServer(rate=RATE), sink=buffer
-    ).serve(lines)
+    service = OnlineService(StreamingGPSServer(rate=RATE), sink=buffer)
+    result = service.serve(lines)
     records = [json.loads(line) for line in buffer.getvalue().splitlines()]
     assert records[-1]["kind"] == "summary"
-    return result, records[-1]["summary"]
+    return result, records[-1]["summary"], _canonical(service.engine)
 
 
 class TestServeSigkill:
@@ -140,10 +144,8 @@ class TestServeSigkill:
         assert 0 < applied <= SENT
         service.ingest(lines[applied:])
         result = service.shutdown()
-        base, _ = _baseline(lines)
-        assert np.array_equal(
-            base.total_backlog_trace, result.total_backlog_trace
-        )
+        base, _, state = _baseline(lines)
+        assert _canonical(service.engine) == state
         assert base.summary() == result.summary()
 
     def test_single_service_resumes_in_second_process(self, tmp_path):
@@ -183,7 +185,7 @@ class TestServeSigkill:
         assert first["applied_seq"] == applied
         assert first["replayed"] == report.replayed
         assert records[-1]["kind"] == "summary"
-        _, summary = _baseline(lines)
+        _, summary, _ = _baseline(lines)
         assert records[-1]["summary"] == summary
 
     def test_two_shards_recover_in_process(self, tmp_path):
@@ -213,10 +215,10 @@ class TestServeSigkill:
         cluster.ingest(lines[framed:])
         result = cluster.shutdown()
         for i, part in enumerate(parts):
-            base, _ = _baseline(part)
+            base, _, state = _baseline(part)
             got = result.results[i]
-            assert np.array_equal(
-                base.total_backlog_trace, got.total_backlog_trace
-            ), f"shard {i} backlog trace diverged after SIGKILL"
+            assert _canonical(cluster.handles[i].service.engine) == state, (
+                f"shard {i} state diverged after SIGKILL"
+            )
             assert base.summary() == got.summary(), f"shard {i}"
 

@@ -260,9 +260,10 @@ class TestEngineIntegration:
         )
         assert record["accepted"] is False
         assert engine.num_active == 0
+        assert record["decision"]["violated"] == "missing_declaration"
         result = engine.result()
         assert result.rejected == 1
-        assert result.decisions[0]["violated"] == "missing_declaration"
+        assert result.decisions is None  # kept only under record_traces
 
     def test_accepted_join_enters_registry_and_controller(self):
         admission = AdmissionController(rate=1.0)

@@ -15,11 +15,11 @@ from the maintained ratio order must not change a byte, and the
 from-scratch reference of ``tests/analysis/oracle.py`` still writes
 the same stream.
 
-The same stream checks the engine's retained decision log: it keeps
-every decision without the two population-sized lists
-(``feasible_ordering``, ``feasible_partition``), which only the emitted
-records carry, and a snapshot whose log still holds them loads to the
-same state as an uninterrupted run.
+The same stream checks a recording engine's (``record_traces=True``)
+retained decision log: it keeps every decision without the two
+population-sized lists (``feasible_ordering``, ``feasible_partition``),
+which only the emitted records carry, and a snapshot whose log still
+holds them loads to the same state as an uninterrupted run.
 """
 
 import io
@@ -49,9 +49,11 @@ def _records():
     return [json.loads(line) for line in (FIXTURE / "records.jsonl").open()]
 
 
-def _service(out, admission=None):
+def _service(out, admission=None, record_traces=False):
     engine = StreamingGPSServer(
-        rate=RATE, admission=admission or AdmissionController(rate=RATE)
+        rate=RATE,
+        admission=admission or AdmissionController(rate=RATE),
+        record_traces=record_traces,
     )
     return OnlineService(engine, sink=JsonlSink(out))
 
@@ -62,6 +64,13 @@ def served():
     service = _service(out)
     service.serve(iter(_lines()))
     return service.engine, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    service = _service(io.StringIO(), record_traces=True)
+    service.serve(iter(_lines()))
+    return service.engine
 
 
 def test_record_stream_is_byte_identical(served):
@@ -109,8 +118,8 @@ def _without_lists(decision):
     return out
 
 
-def test_retained_log_drops_only_the_lists(served):
-    engine, _ = served
+def test_retained_log_drops_only_the_lists(recorded):
+    engine = recorded
     emitted = [r["decision"] for r in _records() if "decision" in r]
     retained = list(engine.result().decisions)
     assert retained == [_without_lists(d) for d in emitted]
@@ -125,12 +134,12 @@ def test_retained_log_drops_only_the_lists(served):
 
 
 @pytest.mark.parametrize("cut", [30, 75, 140])
-def test_snapshot_with_full_decisions_loads_to_retained_form(served, cut):
+def test_snapshot_with_full_decisions_loads_to_retained_form(recorded, cut):
     """A state exported while the log kept whole decision records (as
     the emitted records show them) recovers to the uninterrupted run."""
-    uninterrupted, _ = served
+    uninterrupted = recorded
     lines = _lines()
-    head = _service(io.StringIO())
+    head = _service(io.StringIO(), record_traces=True)
     head.ingest(iter(lines[:cut]))
     state = head.engine.export_state()
     state["decisions"] = [

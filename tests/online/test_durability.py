@@ -390,12 +390,16 @@ class TestStateExportImport:
     def test_restored_engine_continues_identically(self):
         lines = _stream(60, with_qos=True)
         base_engine = StreamingGPSServer(
-            rate=3.0, admission=AdmissionController(rate=3.0)
+            rate=3.0,
+            admission=AdmissionController(rate=3.0),
+            record_traces=True,
         )
         base = OnlineService(base_engine)
         base.ingest(lines)
         half_engine = StreamingGPSServer(
-            rate=3.0, admission=AdmissionController(rate=3.0)
+            rate=3.0,
+            admission=AdmissionController(rate=3.0),
+            record_traces=True,
         )
         half = OnlineService(half_engine)
         half.ingest(lines[:40])
@@ -406,6 +410,7 @@ class TestStateExportImport:
         resumed.ingest(lines[40:])
         a = base.shutdown()
         b = resumed.shutdown()
+        assert a.total_backlog_trace is not None
         assert np.array_equal(
             a.total_backlog_trace, b.total_backlog_trace
         )

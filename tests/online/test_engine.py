@@ -174,9 +174,10 @@ class TestEngineBehavior:
         assert engine.num_active == 0
         result = engine.result()
         assert result.dropped_residual == pytest.approx(2.0)
-        stats = result.session_stats["a"]
-        assert stats["left_at"] == 0
-        assert stats["residual"] == pytest.approx(2.0)
+        # The leave record is the departed session's history; the
+        # result lists active sessions only.
+        assert record["slot"] == 0 and record["served"] == 0.0
+        assert result.session_stats == {}
 
     def test_renegotiate_updates_weight(self):
         engine = StreamingGPSServer(rate=1.0)
@@ -221,11 +222,13 @@ class TestEngineBehavior:
         engine = StreamingGPSServer(rate=1.0)
         engine.process(SessionJoin(time=0.0, name="a", phi=1.0))
         engine.process(ArrivalEvent(time=0.0, session="a", amount=1.0))
-        engine.process(SessionLeave(time=1.0, name="a"))
+        left = engine.process(SessionLeave(time=1.0, name="a"))
         engine.process(SessionJoin(time=2.0, name="a", phi=2.0))
-        stats = engine.result().session_stats
-        assert stats["a"]["joined_at"] == 2  # the live incarnation
-        assert stats["a@1"]["left_at"] == 1  # the departed one
+        result = engine.result()
+        assert list(result.session_stats) == ["a"]
+        assert result.session_stats["a"]["joined_at"] == 2  # the live one
+        assert left["slot"] == 1 and left["served"] == 1.0  # the departed
+        assert result.total_served == 1.0
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValidationError):

@@ -52,6 +52,7 @@ def _create(tmp_path, io, **overrides):
     overrides.setdefault("rate", RATE)
     overrides.setdefault("admission", True)
     overrides.setdefault("snapshot_every", 25)
+    overrides.setdefault("record_traces", True)
     service, _ = DurableOnlineService.open(
         tmp_path, mode="create", io=io, **overrides
     )
@@ -276,7 +277,9 @@ class TestBitFlip:
         quarantines it (snapshot-covered) and recovery then
         reproduces the uninterrupted run."""
         lines = _small_lines()
-        base_svc = OnlineService(StreamingGPSServer(rate=RATE))
+        base_svc = OnlineService(
+            StreamingGPSServer(rate=RATE, record_traces=True)
+        )
         base = base_svc.serve(iter(lines))
         # With segment_events=5 / snapshot_every=10 over 21 lines the
         # segments are wal-01/06/11/16/21; snapshot 20 prunes the

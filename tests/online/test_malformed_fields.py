@@ -6,20 +6,30 @@ string, ``null`` or list), which stopped a single service and, through
 ``ShardSupervisor.deliver``, a whole cluster.  Each must now become one
 ``ValidationError`` error record on the shard that owns the line, with
 serving continuing past it.
+
+A far-future ``time`` is valid and once stalled the service instead:
+the engine closed every slot up to it, about 0.8 us each, so ``1e308``
+never returned.  An idle or capacity-0 gap now closes in a bounded
+number of slot commits; the tests count ``commit_slot`` calls rather
+than wall time.
 """
 
 import io
 import json
+import math
 
 import pytest
 
 from repro.online import (
+    DurableOnlineService,
     JsonlSink,
     OnlineService,
     ShardedOnlineCluster,
     StreamingGPSServer,
 )
 from repro.online.cluster import ShardRouter
+from repro.online.events import ArrivalEvent, CapacityEvent, SessionJoin
+from repro.online.session import SessionRegistry
 
 _EBB = '{"rho":0.2,"prefactor":1.0,"decay_rate":0.5}'
 _TARGET = '{"d_max":20.0,"epsilon":0.001}'
@@ -209,3 +219,137 @@ def test_non_string_kind_is_an_error_record_on_a_cluster(tmp_path):
         _serve_cluster(tmp_path / "bad", _interleaved()),
         _serve_cluster(tmp_path / "clean", _GOOD),
     )
+
+
+#: ``time`` values far past any real horizon: a float near the top of
+#: the double range and an integer past int64.
+FAR_TIMES = ["1e308", str(2**70)]
+
+
+def _far_slot(far):
+    return math.floor(json.loads(far))
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """The list of ``SessionRegistry.commit_slot`` calls made."""
+    calls = []
+    original = SessionRegistry.commit_slot
+
+    def counting(self, *args):
+        calls.append(self.epoch)
+        return original(self, *args)
+
+    monkeypatch.setattr(SessionRegistry, "commit_slot", counting)
+    return calls
+
+
+def _far_lines(far):
+    return [
+        _JOIN,
+        '{"kind":"arrival","time":0.0,"session":"a","amount":2.5}',
+        '{"kind":"capacity","time":%s,"capacity":1.0}' % far,
+        '{"kind":"arrival","time":%s,"session":"a","amount":1.0}' % far,
+        '{"kind":"leave","time":%s,"name":"a"}' % far,
+    ]
+
+
+@pytest.mark.parametrize("far", FAR_TIMES)
+def test_far_future_line_closes_an_idle_gap_in_o1(commits, far):
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest(_far_lines(far))
+    # Slots 0-2 serve the 2.5 units; the idle rest of the gap is one step.
+    assert len(commits) == 3
+    slot = _far_slot(far)
+    assert service.engine.clock == slot
+    records = _records(out.getvalue())
+    assert [r["kind"] for r in records] == [
+        "join", "arrival", "capacity", "arrival", "leave"
+    ]
+    assert not any(r["kind"] == "error" for r in records)
+    leave = records[-1]
+    assert leave["slot"] == slot
+    assert (leave["arrived"], leave["served"], leave["residual"]) == (
+        2.5, 2.5, 1.0
+    )
+    summary = service.shutdown().summary()
+    assert summary["num_slots"] == slot
+    assert summary["max_total_backlog"] == 1.5
+    assert summary["final_total_backlog"] == 0.0
+
+
+@pytest.mark.parametrize("far", FAR_TIMES)
+def test_capacity_zero_window_then_far_future_line(commits, far):
+    """A standing backlog under capacity 0 is frozen, so the gap
+    closes in one step; restored capacity then drains it."""
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest(
+        [
+            _JOIN,
+            '{"kind":"arrival","time":0.0,"session":"a","amount":5.0}',
+            '{"kind":"capacity","time":1.0,"capacity":0.0}',
+            '{"kind":"capacity","time":%s,"capacity":1.0}' % far,
+        ]
+    )
+    assert len(commits) == 2  # slot 0 at capacity 1, slot 1 at 0
+    engine = service.engine
+    assert engine.clock == _far_slot(far)
+    assert engine.session_backlog("a") == 4.0
+    result = service.shutdown()
+    assert result.drained is True
+    assert result.num_slots == _far_slot(far) + 4
+    assert result.total_served == 5.0
+    assert len(commits) == 6
+
+
+@pytest.mark.parametrize("max_slots", [1, 2, 1000])
+def test_drain_under_capacity_zero(commits, max_slots):
+    """Same ``(slots_used, drained)`` and clock as serving every slot
+    (a recording engine), in at most two commits."""
+    outcomes = []
+    for record_traces in (False, True):
+        engine = StreamingGPSServer(rate=1.0, record_traces=record_traces)
+        engine.process(SessionJoin(time=0.0, name="a", phi=1.0))
+        engine.process(ArrivalEvent(time=0.0, session="a", amount=5.0))
+        engine.process(CapacityEvent(time=1.0, capacity=0.0))
+        del commits[:]
+        outcome = engine.drain(max_slots=max_slots)
+        outcomes.append((outcome, engine.clock, len(commits)))
+    (fast, fast_clock, fast_commits), (slow, slow_clock, _) = outcomes
+    assert fast == slow == (max_slots, False)
+    assert fast_clock == slow_clock == 1 + max_slots
+    assert fast_commits == 1
+
+
+def test_join_after_the_jump_survives_snapshot_and_recovery(tmp_path):
+    """Big-int ``clock``, ``joined_at`` and ``epoch`` round-trip through
+    a snapshot and a WAL replay."""
+    far = str(2**70)
+    lines = [
+        _JOIN,
+        '{"kind":"arrival","time":0.0,"session":"a","amount":2.0}',
+        '{"kind":"join","time":%s,"name":"b","phi":2.0}' % far,
+        '{"kind":"arrival","time":%s,"session":"b","amount":3.0}' % far,
+        '{"kind":"arrival","time":%s,"session":"a","amount":1.0}' % far,
+        '{"kind":"leave","time":%s,"name":"a"}' % (2**70 + 5),
+    ]
+    service, _ = DurableOnlineService.open(
+        tmp_path / "state", mode="create", rate=1.0, snapshot_every=4
+    )
+    service.ingest(lines[:5])
+    service.wal.close()  # crash: snapshot at line 4, line 5 in the WAL
+    recovered, report = DurableOnlineService.open(
+        tmp_path / "state", mode="recover"
+    )
+    assert (report.snapshot_seq, report.replayed) == (4, 1)
+    state = recovered.engine.export_state()
+    assert state["clock"] == 2**70
+    assert state["registry"]["columns"]["joined_at"] == [0, 2**70]
+    assert state["registry"]["epoch"] == 2**70
+    recovered.ingest(lines[5:])
+    reference = OnlineService(StreamingGPSServer(rate=1.0))
+    reference.ingest(lines)
+    assert recovered.engine.export_state() == reference.engine.export_state()
+    assert recovered.shutdown().summary() == reference.shutdown().summary()

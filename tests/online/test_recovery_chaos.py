@@ -40,6 +40,9 @@ RATE = 3.0
 
 
 def create_durable_service(directory, **kwargs):
+    # A recording engine keeps the per-slot total backlog that
+    # _assert_equivalent compares.
+    kwargs.setdefault("record_traces", True)
     service, _ = DurableOnlineService.open(
         directory, mode="create", **kwargs
     )
@@ -81,7 +84,9 @@ def _stream(n_slots=50, seed=3):
 def _baseline(lines):
     service = OnlineService(
         StreamingGPSServer(
-            rate=RATE, admission=AdmissionController(rate=RATE)
+            rate=RATE,
+            admission=AdmissionController(rate=RATE),
+            record_traces=True,
         )
     )
     result = service.serve(iter(lines))
@@ -111,6 +116,7 @@ def _run_with_crashes(tmp_path, lines, schedule):
 
 
 def _assert_equivalent(base_svc, base, svc, result):
+    assert base.total_backlog_trace is not None
     assert np.array_equal(
         base.total_backlog_trace, result.total_backlog_trace
     )

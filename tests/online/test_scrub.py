@@ -51,6 +51,7 @@ def _build(directory, n=21, *, snapshot_every=10, segment_events=5):
         rate=RATE,
         snapshot_every=snapshot_every,
         segment_events=segment_events,
+        record_traces=True,
     )
     service.ingest(iter(_lines(n)))
     applied = service.applied_seq
@@ -104,6 +105,7 @@ class TestScrubDirectory:
         assert recovered.applied_seq == reference.applied_seq == applied
         got = recovered.shutdown()
         want = reference.shutdown()
+        assert want.total_backlog_trace is not None
         assert np.array_equal(
             want.total_backlog_trace, got.total_backlog_trace
         )

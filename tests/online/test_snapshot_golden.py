@@ -17,6 +17,14 @@ stream holds:
 produced by the code that kept one ``SessionInfo`` object per active
 session.  Keeping active-session fields in columns must not change a
 byte of a snapshot, nor which segments pruning removes.
+
+Those snapshots also carry the history an engine kept back then: the
+per-slot total-backlog trace, the decision log, the per-slot
+per-session snapshots and every departed session's record.  A snapshot
+now holds live state only, so each one must equal its golden document
+with the history removed and the live scalars derived from the golden
+itself (:func:`_live_state`), re-encoded by the snapshot encoder.  The
+goldens are not regenerated.
 """
 
 import json
@@ -26,6 +34,7 @@ import pytest
 
 from repro.online import OnlineService, StreamingGPSServer
 from repro.online.durability import DurableOnlineService, SnapshotStore
+from repro.online.durability.snapshot import _decode, _encode
 
 FIXTURE = Path(__file__).parent / "data" / "snapshot_columns"
 RATE = 3.0
@@ -38,6 +47,26 @@ def _lines():
 
 def _segments(directory):
     return sorted(p.name for p in Path(directory).glob("wal-*.log"))
+
+
+def _live_state(document):
+    """A golden snapshot document as live state: the history fields
+    removed, the running totals derived from them in order."""
+    engine = dict(document["engine"])
+    for key in ("decisions", "backlog_snapshots", "served_snapshots"):
+        assert engine.pop(key) == []
+    trace = engine.pop("total_backlog_trace")
+    engine["last_total_backlog"] = trace[-1] if trace else 0.0
+    engine["max_total_backlog"] = max(trace, default=0.0)
+    registry = dict(engine["registry"])
+    arrived = served = 0.0
+    for record in registry.pop("departed"):
+        arrived += record["arrived"]
+        served += record["served"]
+    engine["departed_arrived"] = arrived
+    engine["departed_served"] = served
+    engine["registry"] = registry
+    return {**document, "engine": engine}
 
 
 def _create(directory):
@@ -110,7 +139,9 @@ def test_every_snapshot_is_byte_identical(served):
     expected = sorted(p.name for p in FIXTURE.glob("snap-*.json"))
     assert sorted(snapshots) == expected
     for name, data in snapshots.items():
-        assert data == (FIXTURE / name).read_bytes(), name
+        golden = _decode((FIXTURE / name).read_bytes())
+        assert golden["engine"]["total_backlog_trace"], name
+        assert data == _encode(_live_state(golden)), name
 
 
 def test_pruning_leaves_the_same_segments(served):
