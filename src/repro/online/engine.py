@@ -436,7 +436,7 @@ class StreamingGPSServer:
         ``total_backlog``; joins/renegotiations add the admission
         ``decision``, leaves add the dropped ``residual``.
         """
-        slot = self._event_slot(event)
+        slot = math.floor(event.time)  # the event checked its time
         self.advance_to(slot)
         kind = event.kind
         self._events_processed += 1
@@ -466,14 +466,6 @@ class StreamingGPSServer:
         record["clock"] = self._clock
         record["total_backlog"] = self.total_backlog()
         return record
-
-    def _event_slot(self, event: Event) -> int:
-        time = event.time
-        if not math.isfinite(time) or time < 0.0:
-            raise ValidationError(
-                f"event time must be finite and >= 0, got {time}"
-            )
-        return int(math.floor(time))
 
     def _process_join(
         self, event: SessionJoin, slot: int

@@ -25,20 +25,35 @@ when the slot closes.  :class:`EventQueue` is a stable binary heap over
 (:func:`write_event_stream` / :func:`read_event_stream`) record and
 replay traces losslessly — ``json`` floats round-trip exactly, so a
 replayed trace reproduces a live run bit for bit.
+
+Each kind's field table, ``FIELDS`` (collected in :data:`EVENT_SCHEMAS`;
+docs/ONLINE.md prints it), is checked once per event, whether Python
+builds it or :func:`event_from_record` reads it.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Any, ClassVar, Iterable, Iterator, Union
 
 from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import ValidationError
-from repro.utils.validation import check_positive
+from repro.utils.wire import (
+    NAME,
+    NONNEGATIVE,
+    POSITIVE,
+    PROBABILITY,
+    Field,
+    Rule,
+    Schema,
+    check_fields,
+    read_lines,
+    read_record,
+    record_of,
+    write_lines,
+)
 
 __all__ = [
     "CapacityEvent",
@@ -48,6 +63,7 @@ __all__ = [
     "SessionLeave",
     "Event",
     "EVENT_ORDER",
+    "EVENT_SCHEMAS",
     "EventQueue",
     "event_to_record",
     "event_from_record",
@@ -56,50 +72,60 @@ __all__ = [
 ]
 
 
-def _check_time(time: float) -> None:
-    try:
-        if math.isfinite(time) and time >= 0.0:
-            return
-    except (TypeError, OverflowError):
-        pass
-    raise ValidationError(f"event time must be finite and >= 0, got {time}")
+_TIME = Field("time", NONNEGATIVE, label="event time")
+_NAME = Field("name", NAME, label="session name")
+_PHI = Field("phi", POSITIVE)
+_EBB_FIELDS = (
+    Field("rho", POSITIVE, label="ebb.rho"),
+    Field("prefactor", NONNEGATIVE, label="ebb.prefactor"),
+    Field("decay_rate", POSITIVE, label="ebb.decay_rate"),
+)
+_TARGET_FIELDS = (
+    Field("d_max", POSITIVE, label="target.d_max"),
+    Field("epsilon", PROBABILITY, label="target.epsilon"),
+)
+_EBB = Field(
+    "ebb",
+    Rule(
+        "an object {rho, prefactor, decay_rate}", lambda v: isinstance(v, EBB)
+    ),
+    optional=True,
+    schema=Schema(_EBB_FIELDS, EBB),
+)
+_TARGET = Field(
+    "target",
+    Rule("an object {d_max, epsilon}", lambda v: isinstance(v, QoSTarget)),
+    optional=True,
+    schema=Schema(_TARGET_FIELDS, QoSTarget),
+)
 
 
-def _check_name(name: str) -> None:
-    if not name:
-        raise ValidationError("session name must be non-empty")
+class _Checked:
+    """Runs the kind's wire table (``FIELDS``, in dataclass field
+    order) on every event, however it is built."""
+
+    FIELDS: ClassVar[tuple[Field, ...]]
+
+    def __post_init__(self) -> None:
+        check_fields(self.FIELDS, vars(self).values())
+
+    def to_record(self) -> dict[str, Any]:
+        """JSON-serializable record of the event."""
+        return {"kind": self.kind, **record_of(self.FIELDS, self)}
 
 
 @dataclass(frozen=True)
-class CapacityEvent:
+class CapacityEvent(_Checked):
     """Server capacity becomes ``capacity`` from slot ``floor(time)`` on."""
 
     time: float
     capacity: float
     kind: ClassVar[str] = "capacity"
-
-    def __post_init__(self) -> None:
-        _check_time(self.time)
-        try:
-            if math.isfinite(self.capacity) and self.capacity >= 0.0:
-                return
-        except (TypeError, OverflowError):
-            pass
-        raise ValidationError(
-            f"capacity must be finite and >= 0, got {self.capacity}"
-        )
-
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable record of the event."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "capacity": self.capacity,
-        }
+    FIELDS = (_TIME, Field("capacity", NONNEGATIVE))
 
 
 @dataclass(frozen=True)
-class SessionJoin:
+class SessionJoin(_Checked):
     """A session asks to join with weight ``phi``.
 
     ``ebb`` and ``target`` carry the session's QoS declaration; both
@@ -114,26 +140,11 @@ class SessionJoin:
     ebb: EBB | None = None
     target: QoSTarget | None = None
     kind: ClassVar[str] = "join"
-
-    def __post_init__(self) -> None:
-        _check_time(self.time)
-        _check_name(self.name)
-        check_positive("phi", self.phi)
-
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable record of the event."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "name": self.name,
-            "phi": self.phi,
-            "ebb": _ebb_record(self.ebb),
-            "target": _target_record(self.target),
-        }
+    FIELDS = (_TIME, _NAME, _PHI, _EBB, _TARGET)
 
 
 @dataclass(frozen=True)
-class Renegotiate:
+class Renegotiate(_Checked):
     """An active session changes its weight and/or QoS declaration.
 
     Unset fields keep their current values; at least one field must be
@@ -148,99 +159,53 @@ class Renegotiate:
     ebb: EBB | None = None
     target: QoSTarget | None = None
     kind: ClassVar[str] = "renegotiate"
+    FIELDS = (_TIME, _NAME, replace(_PHI, optional=True), _EBB, _TARGET)
 
     def __post_init__(self) -> None:
-        _check_time(self.time)
-        _check_name(self.name)
+        super().__post_init__()
         if self.phi is None and self.ebb is None and self.target is None:
             raise ValidationError(
                 "a Renegotiate event must change phi, ebb or target"
             )
-        if self.phi is not None:
-            check_positive("phi", self.phi)
-
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable record of the event."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "name": self.name,
-            "phi": self.phi,
-            "ebb": _ebb_record(self.ebb),
-            "target": _target_record(self.target),
-        }
 
 
 @dataclass(frozen=True)
-class ArrivalEvent:
+class ArrivalEvent(_Checked):
     """``amount`` units of work arrive for ``session`` in slot ``floor(time)``."""
 
     time: float
     session: str
     amount: float
     kind: ClassVar[str] = "arrival"
-
-    def __post_init__(self) -> None:
-        _check_time(self.time)
-        _check_name(self.session)
-        try:
-            if math.isfinite(self.amount) and self.amount >= 0.0:
-                return
-        except (TypeError, OverflowError):
-            pass
-        raise ValidationError(
-            f"arrival amount must be finite and >= 0, got {self.amount}"
-        )
-
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable record of the event."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "session": self.session,
-            "amount": self.amount,
-        }
+    FIELDS = (
+        _TIME,
+        Field("session", NAME, label="session name"),
+        Field("amount", NONNEGATIVE, label="arrival amount"),
+    )
 
 
 @dataclass(frozen=True)
-class SessionLeave:
+class SessionLeave(_Checked):
     """Session ``name`` departs; residual backlog is dropped and reported."""
 
     time: float
     name: str
     kind: ClassVar[str] = "leave"
-
-    def __post_init__(self) -> None:
-        _check_time(self.time)
-        _check_name(self.name)
-
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable record of the event."""
-        return {"kind": self.kind, "time": self.time, "name": self.name}
+    FIELDS = (_TIME, _NAME)
 
 
 Event = Union[
     CapacityEvent, SessionJoin, Renegotiate, ArrivalEvent, SessionLeave
 ]
 
-#: Intra-slot application order (see module docstring).
-EVENT_ORDER: dict[str, int] = {
-    CapacityEvent.kind: 0,
-    SessionJoin.kind: 1,
-    Renegotiate.kind: 2,
-    ArrivalEvent.kind: 3,
-    SessionLeave.kind: 4,
-}
+_KINDS = (CapacityEvent, SessionJoin, Renegotiate, ArrivalEvent, SessionLeave)
 
-_EVENT_TYPES: dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        CapacityEvent,
-        SessionJoin,
-        Renegotiate,
-        ArrivalEvent,
-        SessionLeave,
-    )
+#: Intra-slot application order (see module docstring).
+EVENT_ORDER: dict[str, int] = {cls.kind: k for k, cls in enumerate(_KINDS)}
+
+#: The online wire vocabulary: each kind's field table.
+EVENT_SCHEMAS: dict[str, Schema] = {
+    cls.kind: Schema(cls.FIELDS, cls, build_checks=True) for cls in _KINDS
 }
 
 
@@ -296,53 +261,9 @@ class EventQueue:
 # ----------------------------------------------------------------------
 # JSONL record/replay
 # ----------------------------------------------------------------------
-def _ebb_record(ebb: EBB | None) -> dict[str, float] | None:
-    if ebb is None:
-        return None
-    return {
-        "rho": ebb.rho,
-        "prefactor": ebb.prefactor,
-        "decay_rate": ebb.decay_rate,
-    }
-
-
-def _target_record(target: QoSTarget | None) -> dict[str, float] | None:
-    if target is None:
-        return None
-    return {"d_max": target.d_max, "epsilon": target.epsilon}
-
-
-def _ebb_from(record: dict[str, float] | None) -> EBB | None:
-    if record is None:
-        return None
-    try:
-        rho = record["rho"]
-    except TypeError:
-        raise ValidationError(
-            f"ebb must be a JSON object or null, got {record!r}"
-        ) from None
-    return EBB(
-        rho=rho,
-        prefactor=record["prefactor"],
-        decay_rate=record["decay_rate"],
-    )
-
-
-def _target_from(record: dict[str, float] | None) -> QoSTarget | None:
-    if record is None:
-        return None
-    try:
-        d_max = record["d_max"]
-    except TypeError:
-        raise ValidationError(
-            f"target must be a JSON object or null, got {record!r}"
-        ) from None
-    return QoSTarget(d_max=d_max, epsilon=record["epsilon"])
-
-
 def event_to_record(event: Event) -> dict[str, Any]:
     """The JSON-serializable record of any event."""
-    if getattr(event, "kind", None) not in _EVENT_TYPES:
+    if getattr(event, "kind", None) not in EVENT_SCHEMAS:
         raise ValidationError(
             f"unsupported event type: {type(event).__name__}"
         )
@@ -351,46 +272,7 @@ def event_to_record(event: Event) -> dict[str, Any]:
 
 def event_from_record(record: dict[str, Any]) -> Event:
     """Rebuild an event from its :func:`event_to_record` record."""
-    if not isinstance(record, dict):
-        raise ValidationError(
-            f"event record must be a JSON object, got {type(record).__name__}"
-        )
-    kind = record.get("kind")
-    cls = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValidationError(f"unknown event kind: {kind!r}")
-    try:
-        if cls is CapacityEvent:
-            return CapacityEvent(
-                time=record["time"], capacity=record["capacity"]
-            )
-        if cls is SessionJoin:
-            return SessionJoin(
-                time=record["time"],
-                name=record["name"],
-                phi=record["phi"],
-                ebb=_ebb_from(record.get("ebb")),
-                target=_target_from(record.get("target")),
-            )
-        if cls is Renegotiate:
-            return Renegotiate(
-                time=record["time"],
-                name=record["name"],
-                phi=record.get("phi"),
-                ebb=_ebb_from(record.get("ebb")),
-                target=_target_from(record.get("target")),
-            )
-        if cls is ArrivalEvent:
-            return ArrivalEvent(
-                time=record["time"],
-                session=record["session"],
-                amount=record["amount"],
-            )
-        return SessionLeave(time=record["time"], name=record["name"])
-    except KeyError as exc:
-        raise ValidationError(
-            f"event record for kind {kind!r} is missing field {exc}"
-        ) from None
+    return read_record(record, EVENT_SCHEMAS)
 
 
 def write_event_stream(
@@ -402,15 +284,7 @@ def write_event_stream(
     line, in iteration order — the replay order for slot-monotone
     traces (pre-sort or route through :class:`EventQueue` otherwise).
     """
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return write_event_stream(handle, events)
-    count = 0
-    for event in events:
-        destination.write(json.dumps(event_to_record(event)))
-        destination.write("\n")
-        count += 1
-    return count
+    return write_lines(destination, map(event_to_record, events))
 
 
 def read_event_stream(source: str | IO[str]) -> Iterator[Event]:
@@ -423,14 +297,4 @@ def read_event_stream(source: str | IO[str]) -> Iterator[Event]:
         with open(source, "r", encoding="utf-8") as handle:
             yield from read_event_stream(handle)
         return
-    for lineno, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"line {lineno} is not valid JSON: {exc}"
-            ) from None
-        yield event_from_record(record)
+    yield from read_lines(source, EVENT_SCHEMAS)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from json import JSONDecodeError
 from typing import IO, Any, Iterable, Sequence
 
 from repro.errors import OverloadError, ReproError, ValidationError
@@ -52,13 +51,15 @@ __all__ = ["BLANK", "OnlineService", "decode_line"]
 #: (a heartbeat tick).
 BLANK: Any = object()
 
+_UNDECODABLE = (ValueError, RecursionError)  # what json.loads raises
+
 
 def decode_line(line: str) -> Any:
     """Decode one raw JSONL line; never raises on malformed input.
 
     Returns the JSON value of the stripped line, :data:`BLANK` for an
-    empty or whitespace-only line, or the
-    :class:`json.JSONDecodeError` instance ``json.loads`` raised.  This
+    empty or whitespace-only line, or the exception ``json.loads``
+    raised (bad syntax, too many digits or too deep nesting).  This
     is the single decode of the serving path: the cluster routes on the
     value it returns and hands the same value to the shard's
     :meth:`OnlineService.ingest`, so each line is parsed once.
@@ -68,7 +69,7 @@ def decode_line(line: str) -> Any:
         return BLANK
     try:
         return json.loads(stripped)
-    except JSONDecodeError as exc:
+    except _UNDECODABLE as exc:
         return exc
 
 
@@ -280,7 +281,7 @@ class OnlineService:
         if payload is BLANK:
             self._heartbeat(lineno)
             return
-        if isinstance(payload, JSONDecodeError):
+        if isinstance(payload, _UNDECODABLE):
             if self._strict:
                 raise ReproError(
                     f"line {lineno} is not valid JSON: {payload}"

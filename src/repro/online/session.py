@@ -47,6 +47,7 @@ from repro.analysis.admission import QoSTarget
 from repro.core.ebb import EBB
 from repro.errors import AdmissionError, ValidationError
 from repro.utils.validation import check_positive
+from repro.utils.wire import record_of
 
 __all__ = ["SessionInfo", "SessionRegistry"]
 
@@ -444,15 +445,15 @@ class SessionRegistry:
         finite floats exactly the restored vectors are element-for-
         element ``np.array_equal`` with the originals.
         """
-        from repro.online.events import _ebb_record, _target_record
+        from repro.online.events import _EBB_FIELDS, _TARGET_FIELDS
 
         return {
             "names": list(self._names),
             "columns": {
                 "joined_at": list(self._joined_at),
                 "renegotiations": list(self._renegotiations),
-                "ebb": [_ebb_record(ebb) for ebb in self._ebb],
-                "target": [_target_record(t) for t in self._target],
+                "ebb": [record_of(_EBB_FIELDS, e) for e in self._ebb],
+                "target": [record_of(_TARGET_FIELDS, t) for t in self._target],
             },
             "peak_active": self._peak_active,
             "vectors": {
@@ -480,8 +481,6 @@ class SessionRegistry:
         active session as a full record in an ``"active"`` list.  The
         engine folds an older snapshot's ``"departed"`` list.
         """
-        from repro.online.events import _ebb_from, _target_from
-
         out = cls()
         names = [str(name) for name in state["names"]]
         out._ensure_capacity(len(names))
@@ -519,8 +518,10 @@ class SessionRegistry:
             }
         out._joined_at = [int(v) for v in columns["joined_at"]]
         out._renegotiations = [int(v) for v in columns["renegotiations"]]
-        out._ebb = [_ebb_from(record) for record in columns["ebb"]]
-        out._target = [_target_from(record) for record in columns["target"]]
+        out._ebb = [None if r is None else EBB(**r) for r in columns["ebb"]]
+        out._target = [
+            None if r is None else QoSTarget(**r) for r in columns["target"]
+        ]
         out._peak_active = int(state["peak_active"])
         if "busy" in state:
             busy = [int(k) for k in state["busy"]]

@@ -36,9 +36,10 @@ from repro.online.service import OnlineService
 from repro.packet.engine import PacketEngine
 from repro.packet.gap import GapReport
 from repro.packet.results import PacketSimResult
-from repro.packet.trace import PacketTraceHeader, packet_from_record
+from repro.packet.trace import PACKET_SCHEMAS, PacketTraceHeader
 from repro.sim.packet import Packet
 from repro.utils.validation import check_positive
+from repro.utils.wire import read_record
 
 __all__ = [
     "DurablePacketService",
@@ -293,20 +294,7 @@ class PacketServiceMixin:
         engine.bind_sink(self._sink)
 
     def _parse_event(self, payload: dict[str, Any]) -> Any:
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                f"event record must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        kind = payload.get("kind")
-        if kind == "packet":
-            return packet_from_record(payload)
-        if kind == "packet-trace-header":
-            return PacketTraceHeader.from_record(payload)
-        raise ValidationError(
-            f"unsupported event kind {kind!r} for packet serving "
-            "(expected 'packet' or 'packet-trace-header')"
-        )
+        return read_record(payload, PACKET_SCHEMAS)
 
 
 class PacketOnlineService(PacketServiceMixin, OnlineService):

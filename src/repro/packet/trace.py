@@ -17,22 +17,37 @@ them into :class:`repro.packet.engine.PacketEngine`, ``repro serve
 --packet`` ingests them as online events (each line WAL-logged before
 it is applied), and :class:`PacketTrace` materializes small traces for
 tests and the oracle comparison.
+
+Every reader, ``serve --packet`` included, checks lines against one
+field table per kind, :data:`PACKET_SCHEMAS` (docs/ONLINE.md prints it).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Union
 
 from repro.errors import ValidationError
 from repro.sim.packet import Packet
 from repro.utils.validation import check_positive, check_weights
+from repro.utils.wire import (
+    NAME,
+    NONNEGATIVE,
+    POSITIVE,
+    Field,
+    Rule,
+    Schema,
+    read_lines,
+    read_record,
+    write_lines,
+)
 
 __all__ = [
     "PacketTrace",
     "PacketTraceHeader",
+    "PACKET_SCHEMAS",
     "packet_from_record",
     "packet_to_record",
     "read_packet_trace",
@@ -87,49 +102,7 @@ class PacketTraceHeader:
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "PacketTraceHeader":
         """Parse a header record (strict on kind and version)."""
-        if record.get("kind") != "packet-trace-header":
-            raise ValidationError(
-                "expected a packet-trace-header record, got kind="
-                f"{record.get('kind')!r}"
-            )
-        version = record.get("version")
-        if version != TRACE_FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported packet-trace version {version!r} "
-                f"(this build reads version {TRACE_FORMAT_VERSION})"
-            )
-        phis = record.get("phis")
-        if not isinstance(phis, list) or not phis:
-            raise ValidationError(
-                "packet-trace header must carry a non-empty phis list"
-            )
-        for phi in phis:
-            if not _is_number(phi):
-                raise ValidationError(
-                    f"packet-trace header phis must be numbers, got "
-                    f"{phi!r}"
-                )
-        rate = record.get("rate")
-        if rate is not None and not _is_number(rate):
-            raise ValidationError(
-                f"packet-trace header rate must be a number, got {rate!r}"
-            )
-        names = record.get("names")
-        if names is not None and not isinstance(names, list):
-            raise ValidationError(
-                f"packet-trace header names must be a list, got "
-                f"{names!r}"
-            )
-        return cls(
-            phis=tuple(phis),
-            rate=rate,
-            names=None if names is None else tuple(names),
-        )
-
-
-def _is_number(value: Any) -> bool:
-    """Whether ``value`` decoded from a JSON number (a bool did not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return read_record(record, _HEADER_ONLY)
 
 
 def packet_to_record(packet: Packet) -> dict[str, Any]:
@@ -144,36 +117,55 @@ def packet_to_record(packet: Packet) -> dict[str, Any]:
 
 def packet_from_record(record: dict[str, Any]) -> Packet:
     """Parse a packet record (``Packet`` validation applies)."""
-    if record.get("kind") != "packet":
-        raise ValidationError(
-            f"expected a packet record, got kind={record.get('kind')!r}"
-        )
-    try:
-        session, size, time = (
-            record["session"], record["size"], record["time"]
-        )
-        if not (
-            isinstance(session, int)
-            and _is_number(session)
-            and _is_number(size)
-            and _is_number(time)
-        ):
-            raise TypeError(
-                "session must be an integer, size and time numbers"
-            )
-        size, time = float(size), float(time)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValidationError(
-            f"malformed packet record {record!r}: {exc}"
-        ) from exc
-    return Packet(session=session, size=size, arrival_time=time)
+    return read_record(record, _PACKET_ONLY)
 
 
-def _open_lines(source: _Source) -> tuple[Iterable[str], IO[str] | None]:
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8")
-        return handle, handle
-    return source, None
+_INDEX = Rule(
+    "an integer >= 0",
+    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+)
+_WEIGHTS = Rule(
+    "a non-empty list of positive numbers",
+    lambda v: isinstance(v, list) and bool(v) and all(map(POSITIVE.valid, v)),
+)
+_NAMES = Rule(
+    "a list of names",
+    lambda v: isinstance(v, list) and all(map(NAME.valid, v)),
+)
+
+
+#: The packet-trace wire vocabulary: each kind's field table (see
+#: :mod:`repro.utils.wire`).
+PACKET_SCHEMAS: dict[str, Schema] = {
+    "packet": Schema(
+        (
+            Field("time", NONNEGATIVE, label="packet time"),
+            Field("session", _INDEX, label="packet session"),
+            Field("size", POSITIVE, label="packet size"),
+        ),
+        lambda time, session, size: Packet(session, float(size), float(time)),
+    ),
+    "packet-trace-header": Schema(
+        (
+            Field(
+                "version",
+                Rule(
+                    f"the integer {TRACE_FORMAT_VERSION}",
+                    lambda v: type(v) is int and v == TRACE_FORMAT_VERSION,
+                ),
+                label="packet-trace version",
+            ),
+            Field("phis", _WEIGHTS),
+            Field("rate", POSITIVE, optional=True),
+            Field("names", _NAMES, optional=True),
+        ),
+        lambda version, phis, rate, names: PacketTraceHeader(
+            tuple(phis), rate, None if names is None else tuple(names)
+        ),
+    ),
+}
+_PACKET_ONLY = {"packet": PACKET_SCHEMAS["packet"]}
+_HEADER_ONLY = {"packet-trace-header": PACKET_SCHEMAS["packet-trace-header"]}
 
 
 def read_packet_trace(
@@ -187,46 +179,55 @@ def read_packet_trace(
     session ranges and arrival monotonicity as it goes — a million-
     packet trace is never materialized.
     """
-    lines, handle = _open_lines(source)
-    iterator = iter(lines)
-    header: PacketTraceHeader | None = None
-    for line in iterator:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        header = PacketTraceHeader.from_record(json.loads(stripped))
-        break
-    if header is None:
-        if handle is not None:
-            handle.close()
-        raise ValidationError("packet trace is empty (no header line)")
+    opened = isinstance(source, (str, Path))
+    lines = open(source, "r", encoding="utf-8") if opened else source
+    records = read_lines(lines, PACKET_SCHEMAS)
 
     def packets() -> Iterator[Packet]:
-        last_time = 0.0
         try:
-            for line in iterator:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                packet = packet_from_record(json.loads(stripped))
-                if packet.session >= header.num_sessions:
-                    raise ValidationError(
-                        f"packet session {packet.session} out of "
-                        f"range (trace declares "
-                        f"{header.num_sessions} sessions)"
-                    )
-                if packet.arrival_time < last_time:
-                    raise ValidationError(
-                        f"packet trace is out of order: arrival "
-                        f"{packet.arrival_time} after {last_time}"
-                    )
-                last_time = packet.arrival_time
-                yield packet
+            yield from _checked_packets(header, records)
         finally:
-            if handle is not None:
-                handle.close()
+            if opened:
+                lines.close()
 
+    try:
+        header = next(records, None)
+        if not isinstance(header, PacketTraceHeader):
+            raise ValidationError(
+                "packet trace is empty (no header line)"
+                if header is None
+                else "packet trace must open with a packet-trace-header line"
+            )
+    except BaseException:
+        if opened:
+            lines.close()
+        raise
     return header, packets()
+
+
+def _checked_packets(
+    header: PacketTraceHeader, packets: Iterable[Any]
+) -> Iterator[Packet]:
+    """``packets`` in order, checked against the header's session count
+    and for nondecreasing arrival times."""
+    last_time = 0.0
+    for packet in packets:
+        if not isinstance(packet, Packet):
+            raise ValidationError(
+                "a packet trace holds one packet-trace-header line"
+            )
+        if packet.session >= header.num_sessions:
+            raise ValidationError(
+                f"packet session {packet.session} out of range "
+                f"(trace declares {header.num_sessions} sessions)"
+            )
+        if packet.arrival_time < last_time:
+            raise ValidationError(
+                f"packet trace is out of order: arrival "
+                f"{packet.arrival_time} after {last_time}"
+            )
+        last_time = packet.arrival_time
+        yield packet
 
 
 def write_packet_trace(
@@ -239,17 +240,8 @@ def write_packet_trace(
     Streams — ``packets`` may be any iterable, including a generator
     over millions of packets.
     """
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as handle:
-            return write_packet_trace(handle, header, packets)
-    destination.write(json.dumps(header.to_record()))
-    destination.write("\n")
-    count = 0
-    for packet in packets:
-        destination.write(json.dumps(packet_to_record(packet)))
-        destination.write("\n")
-        count += 1
-    return count
+    records = chain([header.to_record()], map(packet_to_record, packets))
+    return write_lines(destination, records) - 1
 
 
 @dataclass(frozen=True)
@@ -265,21 +257,7 @@ class PacketTrace:
     packets: tuple[Packet, ...]
 
     def __post_init__(self) -> None:
-        packets = tuple(self.packets)
-        last_time = 0.0
-        for packet in packets:
-            if packet.session >= self.header.num_sessions:
-                raise ValidationError(
-                    f"packet session {packet.session} out of range "
-                    f"(trace declares {self.header.num_sessions} "
-                    "sessions)"
-                )
-            if packet.arrival_time < last_time:
-                raise ValidationError(
-                    f"packet trace is out of order: arrival "
-                    f"{packet.arrival_time} after {last_time}"
-                )
-            last_time = packet.arrival_time
+        packets = tuple(_checked_packets(self.header, self.packets))
         object.__setattr__(self, "packets", packets)
 
     def __len__(self) -> int:

@@ -20,7 +20,6 @@ __all__ = [
     "check_probability",
     "check_in_open_interval",
     "check_same_length",
-    "check_finite",
     "check_arrivals",
 ]
 
@@ -67,13 +66,6 @@ def check_in_open_interval(
     """Raise :class:`ValidationError` unless ``lo < value < hi``."""
     if not math.isfinite(value) or not lo < value < hi:
         raise ValidationError(f"{name} must lie in ({lo}, {hi}), got {value}")
-    return value
-
-
-def check_finite(name: str, value: float) -> float:
-    """Raise :class:`ValidationError` unless ``value`` is finite."""
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
     return value
 
 

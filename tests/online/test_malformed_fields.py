@@ -7,6 +7,12 @@ string, ``null`` or list), which stopped a single service and, through
 ``ValidationError`` error record on the shard that owns the line, with
 serving continuing past it.
 
+The wire table (docs/ONLINE.md) decides what is malformed: a JSON bool
+is never a number, and a session name is a non-empty string.  Bools
+were once accepted in numeric fields; a list or object name once
+escaped as ``TypeError: unhashable type``, and a number name was
+accepted, then broke the next snapshot or was routed to two shards.
+
 A far-future ``time`` is valid and once stalled the service instead:
 the engine closed every slot up to it, about 0.8 us each, so ``1e308``
 never returned.  An idle or capacity-0 gap now closes in a bounded
@@ -17,6 +23,10 @@ than wall time.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +63,18 @@ BAD_LINES = [
     ("target-dmax", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":%s,"target":{"d_max":"far","epsilon":0.001}}' % _EBB),
     ("target-epsilon", '{"kind":"renegotiate","time":1.0,"name":"a","target":{"d_max":20.0,"epsilon":"tiny"}}'),
     ("target-not-object", '{"kind":"renegotiate","time":1.0,"name":"a","target":[20.0,0.001]}'),
+    # A JSON true/false is never a number.
+    ("amount-true", '{"kind":"arrival","time":1.0,"session":"a","amount":true}'),
+    ("time-true", '{"kind":"leave","time":true,"name":"a"}'),
+    ("capacity-true", '{"kind":"capacity","time":1.0,"capacity":true}'),
+    ("phi-true", '{"kind":"join","time":1.0,"name":"n","phi":true}'),
+    ("ebb-rho-true", '{"kind":"join","time":1.0,"name":"n","phi":1.0,"ebb":{"rho":true,"prefactor":1.0,"decay_rate":0.5}}'),
+    # A session name is a non-empty string: a list or object once
+    # escaped as ``TypeError: unhashable type``, a number was accepted.
+    ("name-list", '{"kind":"leave","time":1.0,"name":[1]}'),
+    ("session-object", '{"kind":"arrival","time":1.0,"session":{"x":1},"amount":1.0}'),
+    ("name-int", '{"kind":"join","time":1.0,"name":7,"phi":1.0}'),
+    ("renegotiate-name-float", '{"kind":"renegotiate","time":1.0,"name":1.5,"phi":2.0}'),
 ]
 
 _JOIN = '{"kind":"join","time":0.0,"name":"a","phi":1.0,"ebb":%s,"target":%s}' % (
@@ -121,16 +143,101 @@ def test_cluster_emits_an_error_record(tmp_path, line):
     )
 
 
-def test_boolean_amount_stays_accepted():
-    out = io.StringIO()
-    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
-    service.ingest(
-        [_JOIN, '{"kind":"arrival","time":1.0,"session":"a","amount":true}']
+#: Lines ``json.loads`` raises on with something other than
+#: ``JSONDecodeError``; each once escaped ``OnlineService.ingest``.
+UNDECODABLE = [
+    # An integer past Python's digit limit (ValueError).
+    '{"kind":"arrival","time":1.0,"session":"a","amount":%s}' % ("1" * 5000),
+    # Nesting past the recursion limit (RecursionError).
+    '{"kind":"arrival","time":1.0,"session":"a","amount":%s}'
+    % ("[" * 5000 + "]" * 5000),
+]
+
+
+@pytest.mark.parametrize("line", UNDECODABLE, ids=["digits", "nesting"])
+def test_undecodable_line_is_one_error_record(tmp_path, line):
+    for records in (
+        _serve_single([_JOIN, line, _AFTER]),
+        _serve_cluster(tmp_path / "cluster", [_JOIN, line, _AFTER]),
+    ):
+        errors = [r for r in records if r["kind"] == "error"]
+        assert len(errors) == 1
+        assert any(
+            r["kind"] == "arrival" and r.get("amount") == 0.5
+            for r in records
+        )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"kind":"leave","time":1.0,"name":[1]}',
+        '{"kind":"arrival","time":1.0,"session":{"x":1},"amount":1.0}',
+    ],
+    ids=["leave-name-list", "arrival-session-object"],
+)
+def test_serve_stdin_reports_an_unhashable_name(line):
+    """Through ``repro serve -`` these lines once printed a traceback
+    and exited with no summary."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "-", "--rate", "1.0"],
+        input=_JOIN + "\n" + line + "\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
+    assert done.stderr == ""
+    records = _records(done.stdout)
+    assert [r["kind"] for r in records] == ["join", "error", "summary"]
+    assert records[-1]["summary"]["errors"] == 1
+
+
+#: Session names the wire table rejects.  Each once got past the
+#: parser: ``7`` killed the next snapshot of a durable service, ``5``
+#: joined on one shard and left from another.
+BAD_NAMES = ["7", "5", "1.5", "true", "[1]", '{"x":1}', '""', "null"]
+
+
+def _name_lines(name):
+    return [
+        '{"kind":"join","time":0.0,"name":"a","phi":1.0}',
+        '{"kind":"join","time":0.0,"name":%s,"phi":1.0}' % name,
+        '{"kind":"arrival","time":1.0,"session":%s,"amount":1.0}' % name,
+        '{"kind":"arrival","time":1.0,"session":"a","amount":0.5}',
+        '{"kind":"leave","time":2.0,"name":%s}' % name,
+    ]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_bad_name_through_a_durable_service_snapshots(tmp_path, name):
+    out = io.StringIO()
+    service, _ = DurableOnlineService.open(
+        tmp_path / "state",
+        mode="create",
+        rate=1.0,
+        snapshot_every=2,
+        sink=JsonlSink(out),
+    )
+    service.ingest(_name_lines(name))
     service.shutdown()
     records = _records(out.getvalue())
-    assert not any(r["kind"] == "error" for r in records)
-    assert [r["amount"] for r in records if r["kind"] == "arrival"] == [True]
+    assert [r["line"] for r in records if r["kind"] == "error"] == [2, 3, 5]
+    # The snapshot after the bad lines committed.
+    assert (tmp_path / "state" / "snap-0000000000000004.json").exists()
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_bad_name_on_a_cluster_is_one_error_per_line(tmp_path, name):
+    lines = _name_lines(name)
+    records = _serve_cluster(tmp_path / "cluster", lines)
+    errors = [r for r in records if r["kind"] == "error"]
+    assert len(errors) == 3
+    router = ShardRouter(2)
+    assert sorted(r["shard"] for r in errors) == sorted(
+        router.route(lines[k])[0] for k in (1, 2, 4)
+    )
 
 
 #: Lines whose ``kind`` is not a string: each once raised ``TypeError:

@@ -60,7 +60,30 @@ class TestHeader:
             "phis": [0.5],
             "rate": rate,
         }
-        with pytest.raises(ValidationError, match="rate must be a number"):
+        with pytest.raises(
+            ValidationError, match="rate must be finite and positive"
+        ):
+            PacketTraceHeader.from_record(record)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("version", True),
+            ("version", 1.0),
+            ("names", [1.0, True]),
+            ("names", ["a", ""]),
+            ("phis", [0.5, True]),
+            ("phis", []),
+        ],
+    )
+    def test_rejects_values_the_table_forbids(self, field, value):
+        record = {
+            "kind": "packet-trace-header",
+            "version": 1,
+            "phis": [0.5, 0.5],
+            field: value,
+        }
+        with pytest.raises(ValidationError, match=field):
             PacketTraceHeader.from_record(record)
 
     def test_rejects_name_count_mismatch(self):
@@ -81,7 +104,7 @@ class TestPacketRecords:
     def test_rejects_wrong_kind_and_missing_keys(self):
         with pytest.raises(ValidationError, match="kind"):
             packet_from_record({"kind": "arrival"})
-        with pytest.raises(ValidationError, match="malformed"):
+        with pytest.raises(ValidationError, match="missing field"):
             packet_from_record({"kind": "packet", "time": 0.0})
 
 
@@ -122,6 +145,15 @@ class TestFileRoundTrip:
         noisy = "\n\n".join(buffer.getvalue().splitlines())
         header, packets = read_packet_trace(io.StringIO(noisy))
         assert tuple(packets) == trace.packets
+
+    @pytest.mark.parametrize("bad", ["[1]", '"x"', "not json", "1" * 5000])
+    @pytest.mark.parametrize("where", ["header", "packet"])
+    def test_bad_line_raises_with_its_number(self, bad, where):
+        header = json.dumps(PacketTraceHeader(phis=(1.0,)).to_record())
+        lines = [bad] if where == "header" else [header, "", bad]
+        with pytest.raises(ValidationError, match=f"line {len(lines)}:"):
+            _, packets = read_packet_trace(iter(lines))
+            list(packets)
 
     def test_empty_source_raises(self):
         with pytest.raises(ValidationError, match="empty"):

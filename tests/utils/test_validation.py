@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.utils.validation import (
-    check_finite,
     check_in_open_interval,
     check_nonnegative,
     check_positive,
@@ -54,15 +53,6 @@ class TestCheckInOpenInterval:
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(ValueError):
             check_in_open_interval("t", bad, 0.0, 1.0)
-
-
-class TestCheckFinite:
-    def test_accepts_negative(self):
-        assert check_finite("x", -3.0) == -3.0
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            check_finite("x", math.nan)
 
 
 class TestCheckSameLength:
