@@ -114,41 +114,57 @@ def bench_fluid(
 
 
 def scenario_trial(scenario: Scenario, trial: int, seed: int) -> dict:
-    """One scalar trial; bound with ``functools.partial`` as the CLI
-    binds ``simulation_trial``."""
+    """One trial; bound with ``functools.partial`` into a picklable
+    ``trial_fn``."""
     return scenario.trial_result(trial, seed)
 
 
+def _timed_runs(repeats: int, fn) -> tuple[float, float, object]:
+    """Median and spread ((max - min) / median) of the wall-clock
+    seconds of ``repeats`` calls of ``fn``, plus the last return."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - start)
+    median = float(np.median(times))
+    return median, (max(times) - min(times)) / median, out
+
+
 def bench_supervised(
-    scenario: Scenario, num_trials: int, workers: int
+    scenario: Scenario, num_trials: int, workers: int, repeats: int = 3
 ) -> dict:
     """Trial throughput of SupervisedRunner under each dispatch backend,
-    for a scenario campaign and a ``trial_fn`` campaign."""
+    for a scenario campaign and a ``trial_fn`` campaign.  Each row is
+    the median of ``repeats`` (at least 3) campaigns; ``*_spread`` is
+    that row's (max - min) / median."""
     from repro.experiments.supervisor import SupervisedRunner
 
     trial_fn = functools.partial(scenario_trial, scenario)
 
     def timed(dispatch: str, max_workers: int | None, **campaign):
-        runner = SupervisedRunner(
-            num_trials=num_trials,
-            max_workers=max_workers,
-            dispatch=dispatch,
-            **campaign,
-        )
-        start = time.perf_counter()
-        manifest = runner.run()
-        elapsed = time.perf_counter() - start
-        assert manifest.num_completed == num_trials
-        return elapsed, manifest
+        def run():
+            manifest = SupervisedRunner(
+                num_trials=num_trials,
+                max_workers=max_workers,
+                dispatch=dispatch,
+                **campaign,
+            ).run()
+            assert manifest.num_completed == num_trials
+            return manifest
 
-    serial_s, serial_manifest = timed("serial", None, scenario=scenario)
-    process_s, process_manifest = timed(
+        return _timed_runs(max(3, repeats), run)
+
+    serial_s, serial_spread, serial_manifest = timed(
+        "serial", None, scenario=scenario
+    )
+    process_s, process_spread, process_manifest = timed(
         "process", workers, scenario=scenario
     )
-    fn_serial_s, fn_serial_manifest = timed(
+    fn_serial_s, fn_serial_spread, fn_serial_manifest = timed(
         "serial", None, trial_fn=trial_fn
     )
-    fn_process_s, fn_process_manifest = timed(
+    fn_process_s, fn_process_spread, fn_process_manifest = timed(
         "process", workers, trial_fn=trial_fn
     )
     # The headline guarantee: every run is bit-for-bit the scenario
@@ -163,16 +179,97 @@ def bench_supervised(
         "num_trials": num_trials,
         "num_slots": scenario.horizon,
         "workers": workers,
+        "repeats": max(3, repeats),
         "serial_seconds": serial_s,
         "process_seconds": process_s,
+        "serial_spread": serial_spread,
+        "process_spread": process_spread,
         "serial_trials_per_sec": num_trials / serial_s,
         "process_trials_per_sec": num_trials / process_s,
         "process_speedup": serial_s / process_s,
         "trial_fn_serial_seconds": fn_serial_s,
         "trial_fn_process_seconds": fn_process_s,
+        "trial_fn_serial_spread": fn_serial_spread,
+        "trial_fn_process_spread": fn_process_spread,
         "trial_fn_serial_trials_per_sec": num_trials / fn_serial_s,
         "trial_fn_process_trials_per_sec": num_trials / fn_process_s,
         "trial_fn_process_speedup": fn_serial_s / fn_process_s,
+        "bit_identical": True,
+    }
+
+
+def _kernel_share(campaign, num_trials: int) -> dict:
+    """Wall seconds of one in-process ``run_chunk`` over ``num_trials``
+    trials, and the share spent in the water-fill kernel."""
+    import repro.sim.batch as batch_module
+
+    kernel = batch_module._batch_water_fill
+    spent = [0.0]
+
+    def timed_kernel(*args):
+        start = time.perf_counter()
+        out = kernel(*args)
+        spent[0] += time.perf_counter() - start
+        return out
+
+    batch_module._batch_water_fill = timed_kernel
+    try:
+        start = time.perf_counter()
+        campaign.run_chunk(list(range(num_trials)), list(range(num_trials)))
+        total = time.perf_counter() - start
+    finally:
+        batch_module._batch_water_fill = kernel
+    return {
+        "batch": num_trials,
+        "seconds": total,
+        "kernel_seconds": spent[0],
+        "kernel_share": spent[0] / total,
+    }
+
+
+def bench_network(
+    num_trials: int, num_slots: int, workers: int, repeats: int = 3
+) -> dict:
+    """Section 6.3 campaign throughput: serial ``B = 1`` trials against
+    ``process`` chunks on the batched network stepper, plus the
+    water-fill kernel's share of a ``B = 1`` and a chunk-sized run."""
+    from repro.experiments.runner import ExampleNetworkCampaign
+    from repro.experiments.supervisor import SupervisedRunner
+
+    campaign = ExampleNetworkCampaign(num_slots)
+
+    def timed(dispatch: str, max_workers: int | None):
+        return _timed_runs(
+            max(3, repeats),
+            lambda: SupervisedRunner(
+                scenario=campaign,
+                num_trials=num_trials,
+                dispatch=dispatch,
+                max_workers=max_workers,
+            ).run(),
+        )
+
+    serial_s, serial_spread, serial_manifest = timed("serial", None)
+    process_s, process_spread, process_manifest = timed("process", workers)
+    assert process_manifest.completed == serial_manifest.completed
+    assert serial_manifest.num_completed == num_trials
+    chunk = -(-num_trials // workers)
+    return {
+        "num_trials": num_trials,
+        "num_slots": num_slots,
+        "workers": workers,
+        "repeats": max(3, repeats),
+        "serial_seconds": serial_s,
+        "process_seconds": process_s,
+        "serial_spread": serial_spread,
+        "process_spread": process_spread,
+        "serial_trials_per_sec": num_trials / serial_s,
+        "process_trials_per_sec": num_trials / process_s,
+        "process_speedup": serial_s / process_s,
+        "kernel_split": [
+            _kernel_share(campaign, 1),
+            _kernel_share(campaign, chunk),
+        ],
         "bit_identical": True,
     }
 
@@ -190,7 +287,11 @@ def main() -> int:
         help="batch sizes to sweep for the fluid engine",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timed repeats (best-of)"
+        "--repeats",
+        type=int,
+        default=3,
+        help="timed repeats (best-of for the fluid sweep; the median of "
+        "at least 3 for the campaigns)",
     )
     parser.add_argument(
         "--supervised-trials",
@@ -203,6 +304,12 @@ def main() -> int:
         type=int,
         default=4,
         help="process-pool size for the supervised comparison",
+    )
+    parser.add_argument(
+        "--network-trials",
+        type=int,
+        default=16,
+        help="trials for the Section 6.3 network campaign comparison",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
@@ -250,6 +357,21 @@ def main() -> int:
         f"trials/s ({supervised['trial_fn_process_speedup']:.1f}x)"
     )
 
+    network = bench_network(
+        args.network_trials, args.slots * 2, args.workers, args.repeats
+    )
+    split = ", ".join(
+        f"B={row['batch']} kernel {row['kernel_share']:.0%}"
+        for row in network["kernel_split"]
+    )
+    print(
+        f"network n={network['num_trials']} x {network['num_slots']} slots "
+        f"({network['workers']} workers): serial "
+        f"{network['serial_trials_per_sec']:.2f} trials/s, process "
+        f"{network['process_trials_per_sec']:.2f} trials/s "
+        f"({network['process_speedup']:.1f}x); {split}"
+    )
+
     payload = {
         "benchmark": "batched fluid GPS engine",
         "python": platform.python_version(),
@@ -260,6 +382,7 @@ def main() -> int:
         "quick": bool(args.quick),
         "fluid": fluid_rows,
         "supervised": supervised,
+        "network": network,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

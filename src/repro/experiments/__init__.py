@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     render_table2,
     run_all,
     run_all_resilient,
-    simulation_trial,
+    ExampleNetworkCampaign,
 )
 from repro.experiments.dispatch import (
     DISPATCH_BACKENDS,
@@ -71,7 +71,7 @@ __all__ = [
     "render_table2",
     "run_all",
     "run_all_resilient",
-    "simulation_trial",
+    "ExampleNetworkCampaign",
     "RunManifest",
     "SupervisedRunner",
     "trial_seed",

@@ -8,15 +8,15 @@ backoff, checkpoint/resume, the fail-fast contract — and delegates
 * :class:`SerialDispatch` — one trial at a time on the calling thread;
   the reference semantics every other backend must reproduce;
 * :class:`ProcessDispatch` — a ``ProcessPoolExecutor`` whose tasks are
-  chunks of trials at their attempt-0 seeds.  A scenario campaign
-  splits its trials evenly across the pool and each worker samples its
-  chunk's ``(B, N, T)`` arrival block and runs it through
-  :class:`repro.sim.batch.BatchFluidGPSServer` — per-trial results
-  bit-for-bit those of the scalar engine, one pickled scenario per
-  chunk, no sampling in the parent.  An arbitrary ``trial_fn``
-  campaign sends one trial per chunk.  Checkpoints are written once per
-  completed chunk: per chunk of trials for a scenario campaign, per
-  trial for a ``trial_fn`` campaign.
+  chunks of trials at their attempt-0 seeds.  A campaign (a
+  :class:`repro.scenario.Scenario`, the Section 6.3
+  :class:`repro.experiments.runner.ExampleNetworkCampaign`, or any
+  picklable object with ``trial_result(trial, seed)`` and
+  ``run_chunk(trials, seeds)``) splits its trials evenly across the
+  pool and each worker runs ``campaign.run_chunk`` on its chunk — the
+  campaign samples and batches, per-trial results bit-for-bit its
+  ``trial_result``.  An arbitrary ``trial_fn`` campaign sends one
+  trial per chunk.  Checkpoints are written once per completed chunk.
 
 Chunk failures degrade, they do not abort: if a chunk raises (one bad
 trial poisons the whole batch — the batch engine cannot tell which),
@@ -27,19 +27,17 @@ loop, starting from attempt 0 with the same seeds, so outcomes
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationFaultError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.supervisor import RunManifest, SupervisedRunner
-    from repro.scenario import Scenario
 
 __all__ = [
     "DispatchBackend",
@@ -141,42 +139,11 @@ class SerialDispatch(DispatchBackend):
 # ----------------------------------------------------------------------
 # process-pool dispatch
 # ----------------------------------------------------------------------
-def _sample_trial_block(
-    scenario: "Scenario", seeds: Sequence[int]
-) -> np.ndarray:
-    """Sample per-trial arrival matrices into one ``(B, N, T)`` block.
-
-    Each trial's matrix is sampled exactly as
-    :meth:`repro.scenario.Scenario.trial_result` samples it — same RNG
-    construction, same per-source generate order, same fault
-    adjustment — so the batched trial is bit-for-bit the serial one.
-    """
-    block = np.empty(
-        (len(seeds), scenario.num_sessions, scenario.horizon), dtype=float
-    )
-    for row, seed in zip(block, seeds):
-        rng = np.random.default_rng(seed)
-        for k, source in enumerate(scenario.sources):
-            row[k] = source.generate(scenario.horizon, rng)
-        row[:] = scenario._fault_adjusted(row)
-    return block
-
-
-def _run_chunk(
-    scenario: "Scenario",
-    capacities: Any,
-    trials: list[int],
-    seeds: list[int],
-) -> list[Any]:
-    """Worker: sample one chunk and run it through the batch engine."""
-    block = _sample_trial_block(scenario, seeds)
-    result = scenario.batch_server().run(block, capacities=capacities)
-    payloads = []
-    for index, trial in enumerate(trials):
-        payload = result.trial(index).summary()
-        payload["trial"] = int(trial)
-        payloads.append(payload)
-    return payloads
+#: The ``failed`` reason of a trial whose worker died twice.
+_WORKER_DIED = (
+    "worker_died: the worker process exited while running this trial, "
+    "in its chunk and again alone"
+)
 
 
 def _run_trials(
@@ -193,12 +160,11 @@ class ProcessDispatch(DispatchBackend):
     results are the ones the serial path computes first.  What a chunk
     holds follows from the runner:
 
-    * a scenario-backed runner (``scenario=``) splits the pending
-      trials evenly across the pool (capped at 128 trials a chunk); the
-      worker samples the chunk's ``(B, N, T)`` arrival block itself and
-      runs it through :meth:`~repro.scenario.Scenario.batch_server`,
-      whose per-trial results are bit-for-bit those of the scalar
-      engine;
+    * a campaign-backed runner (``scenario=``, any object with
+      ``trial_result`` and ``run_chunk``) splits the pending trials
+      evenly across the pool (capped at 128 trials a chunk) and the
+      worker calls ``campaign.run_chunk(trials, seeds)``, which samples
+      and runs the chunk itself;
     * an arbitrary ``trial_fn`` runner sends one trial per chunk: a
       pool round trip costs far less than a trial, and the campaign
       keeps one checkpoint per trial.
@@ -209,8 +175,13 @@ class ProcessDispatch(DispatchBackend):
     and ``failed`` match serial.  Under ``fail_fast`` the first failed
     chunk stops new launches: the chunks still queued join the
     fallback, which raises at the first trial that exhausts its
-    retries and records the rest as skipped.  A dead worker breaks the
-    pool, so its queued chunks join the fallback as well.
+    retries and records the rest as skipped.
+
+    A dead worker breaks the pool.  Each trial that was in flight then
+    runs alone in a fresh single-worker pool; one whose solo run kills
+    its worker too is recorded failed with a ``worker_died`` reason
+    (under ``fail_fast`` the campaign aborts there) and never runs in
+    the parent.  The queued chunks go on in a fresh pool.
     """
 
     name = "process"
@@ -236,55 +207,105 @@ class ProcessDispatch(DispatchBackend):
 
         if not indices:
             return manifest
-        scenario = runner._scenario
-        if scenario is None:
-            task, context = _run_trials, (runner._trial_fn,)
-        else:
-            task = _run_chunk
-            context = (scenario, scenario._fault_capacities())
+        campaign = runner._campaign
+        task = (
+            functools.partial(_run_trials, runner._trial_fn)
+            if campaign is None
+            else campaign.run_chunk
+        )
+        fail_fast = runner._fail_fast
         workers = runner._max_workers
         queue = deque(
-            self._chunks(indices, workers, batched=scenario is not None)
+            self._chunks(indices, workers, batched=campaign is not None)
         )
         fallback: list[int] = []
-        inflight: dict[Any, list[int]] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
 
-            def launch_more() -> None:
-                # At most one chunk waits in the pool beyond the ones
-                # running, so its task queue stays O(workers) long.
-                while queue and len(inflight) <= workers:
-                    chunk = queue.popleft()
-                    seeds = [
-                        trial_seed(runner._base_seed, trial, 0)
-                        for trial in chunk
-                    ]
-                    future = pool.submit(task, *context, chunk, seeds)
-                    inflight[future] = chunk
+        def submit(pool: ProcessPoolExecutor, chunk: list[int]) -> Any:
+            seeds = [
+                trial_seed(runner._base_seed, trial, 0) for trial in chunk
+            ]
+            return pool.submit(task, chunk, seeds)
 
-            launch_more()
-            while inflight:
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        for trial, payload in zip(chunk, future.result()):
-                            manifest.completed[trial] = payload
-                            manifest.attempts[trial] = 1
-                        runner._write_checkpoint(manifest)
-                        continue
-                    # A failed chunk (a bad trial, a poisoned batch, a
-                    # dead worker) goes to the serial fallback.  After a
-                    # fail-fast failure, or once the pool is broken, no
-                    # chunk is launched and the queue joins it too.
-                    fallback.extend(chunk)
-                    if runner._fail_fast or isinstance(
-                        error, BrokenProcessPool
-                    ):
-                        while queue:
-                            fallback.extend(queue.popleft())
+        def complete(chunk: list[int], payloads: list[Any]) -> None:
+            for trial, payload in zip(chunk, payloads):
+                manifest.completed[trial] = payload
+                manifest.attempts[trial] = 1
+            runner._write_checkpoint(manifest)
+
+        def failed(chunk: list[int]) -> None:
+            fallback.extend(chunk)
+            if fail_fast:
+                while queue:
+                    fallback.extend(queue.popleft())
+
+        def pool_round() -> list[int]:
+            """Run queued chunks until the queue empties or a worker
+            dies; returns the trials in flight when the pool broke."""
+            lost: list[int] = []
+            inflight: dict[Any, list[int]] = {}
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+
+                def launch_more() -> None:
+                    # At most one chunk waits in the pool beyond the
+                    # ones running, so its task queue stays O(workers).
+                    while queue and not lost and len(inflight) <= workers:
+                        chunk = queue.popleft()
+                        try:
+                            inflight[submit(pool, chunk)] = chunk
+                        except BrokenProcessPool:
+                            queue.appendleft(chunk)
+                            return
+
                 launch_more()
+                while inflight:
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        chunk = inflight.pop(future)
+                        error = future.exception()
+                        if error is None:
+                            complete(chunk, future.result())
+                        elif isinstance(error, BrokenProcessPool):
+                            lost.extend(chunk)
+                        else:
+                            failed(chunk)
+                    launch_more()
+            return sorted(lost)
+
+        def solo_round(trials: list[int]) -> bool:
+            """Run each trial alone; True when fail-fast must abort."""
+            pool = None
+            try:
+                for trial in trials:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=1)
+                    try:
+                        payloads = submit(pool, [trial]).result()
+                    except BrokenProcessPool:
+                        pool.shutdown()
+                        pool = None
+                        manifest.failed[trial] = _WORKER_DIED
+                        manifest.attempts[trial] = 1
+                        runner._write_checkpoint(manifest)
+                        if fail_fast:
+                            rest = trials[trials.index(trial) + 1 :]
+                            manifest.skipped.extend(rest)
+                            return True
+                    except Exception:
+                        failed([trial])
+                    else:
+                        complete([trial], payloads)
+            finally:
+                if pool is not None:
+                    pool.shutdown()
+            return False
+
+        while queue:
+            lost = pool_round()
+            if lost and solo_round(lost):
+                pending = fallback + [t for chunk in queue for t in chunk]
+                manifest.skipped = sorted(manifest.skipped + pending)
+                runner._write_checkpoint(manifest)
+                raise _fail_fast_abort(manifest)
         if fallback:
             return SerialDispatch().execute(
                 runner, manifest, sorted(fallback)

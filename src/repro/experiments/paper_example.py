@@ -45,6 +45,7 @@ __all__ = [
     "figure3_delay_bounds",
     "figure4_improved_bounds",
     "delay_bound_curve",
+    "sample_example_arrivals",
     "simulate_example_network",
 ]
 
@@ -192,6 +193,25 @@ def delay_bound_curve(
     return np.log10(np.clip(values, 1e-300, None))
 
 
+def sample_example_arrivals(
+    seeds, num_slots: int
+) -> dict[str, np.ndarray]:
+    """Table 1 ingress for a stack of trials.
+
+    ``{session: (len(seeds), num_slots)}``; row ``b`` samples the four
+    on-off sources in session order from ``default_rng(seeds[b])``.
+    """
+    arrivals = {
+        name: np.empty((len(seeds), num_slots)) for name in SESSION_NAMES
+    }
+    sources = [OnOffTraffic(source) for source in table1_sources()]
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for name, source in zip(SESSION_NAMES, sources):
+            arrivals[name][row] = source.generate(num_slots, rng)
+    return arrivals
+
+
 def simulate_example_network(
     parameter_set: int,
     num_slots: int,
@@ -204,11 +224,8 @@ def simulate_example_network(
     runs the fluid GPS simulator with RPPS weights.  Used to verify
     that the Figure 3/4 bounds dominate the empirical distributions.
     """
-    network = example_network(parameter_set)
-    rng = np.random.default_rng(seed)
-    arrivals = {
-        name: OnOffTraffic(source).generate(num_slots, rng)
-        for name, source in zip(SESSION_NAMES, table1_sources())
-    }
-    simulator = FluidNetworkSimulator(network)
-    return simulator.run(arrivals)
+    simulator = FluidNetworkSimulator(example_network(parameter_set))
+    (result,) = simulator.run_batch(
+        sample_example_arrivals([seed], num_slots)
+    )
+    return result

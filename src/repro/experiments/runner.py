@@ -8,7 +8,7 @@ the ``python -m repro`` command line.
 
 from __future__ import annotations
 
-import functools
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +23,14 @@ from repro.experiments.paper_example import (
     example_network,
     figure3_delay_bounds,
     figure4_improved_bounds,
-    simulate_example_network,
+    sample_example_arrivals,
     table1_sources,
     table2_characterizations,
 )
 from repro.experiments.supervisor import RunManifest, SupervisedRunner
 from repro.experiments.tables import format_comparison, format_table
 from repro.faults.injection import guard_finite
+from repro.sim.network_sim import FluidNetworkSimulator
 
 __all__ = [
     "render_table1",
@@ -37,7 +38,7 @@ __all__ = [
     "render_figure3",
     "render_figure4",
     "render_simulation_check",
-    "simulation_trial",
+    "ExampleNetworkCampaign",
     "delay_frequencies",
     "aggregate_frequencies",
     "render_supervised_simulation",
@@ -138,7 +139,7 @@ def render_simulation_check(
     *, num_slots: int = 60_000, seed: int = 0
 ) -> str:
     """Monte-Carlo validation block: simulated CCDF vs both bounds."""
-    frequencies = simulation_trial(0, seed, num_slots=num_slots)
+    frequencies = ExampleNetworkCampaign(num_slots).trial_result(0, seed)
     fig3 = figure3_delay_bounds(1)
     fig4 = figure4_improved_bounds(1)
     fig4_at, fig3_at = _check_bound_matrices(fig3, fig4)
@@ -205,7 +206,7 @@ def aggregate_frequencies(
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Mean/std of per-trial exceedance frequencies across trials.
 
-    ``results`` is a list of :func:`simulation_trial` records;
+    ``results`` is a list of :class:`ExampleNetworkCampaign` records;
     returns ``{session: {str(d): {"mean": ..., "std": ...}}}``.
     """
     aggregate: dict[str, dict[str, dict[str, float]]] = {}
@@ -220,20 +221,43 @@ def aggregate_frequencies(
     return aggregate
 
 
-def simulation_trial(
-    trial: int, seed: int, *, num_slots: int = 60_000
-) -> dict[str, dict[str, float]]:
-    """One Monte-Carlo trial: per-session delay-exceedance frequencies.
+#: Traces one network sub-batch may hold.  A Figure 2 trial traces 24
+#: float series per slot: ingress and egress of 4 sessions, backlog and
+#: service of 8 (session, node) pairs.
+_NETWORK_CHUNK_BYTES = 128 * 2**20
 
-    Returns ``{session: {str(d): Pr-hat{D_net >= d}}}`` — a
-    JSON-serializable record suitable for
-    :class:`repro.experiments.supervisor.SupervisedRunner`
-    checkpointing (see :func:`delay_frequencies` for the guarding).
-    The ``trial`` index is unused beyond labeling.
+
+@dataclass(frozen=True)
+class ExampleNetworkCampaign:
+    """The Section 6.3 Monte-Carlo check as a picklable campaign for
+    ``SupervisedRunner(scenario=...)``: a trial runs the Set 1 Figure 2
+    network for ``num_slots`` slots on Table 1 sources sampled from
+    its seed, and returns :func:`delay_frequencies` of the run.
     """
-    del trial
-    simulation = simulate_example_network(1, num_slots, seed=seed)
-    return delay_frequencies(simulation)
+
+    num_slots: int = 60_000
+
+    def trial_result(self, trial: int, seed: int) -> dict:
+        """One trial: the one-trial case of :meth:`run_chunk`."""
+        return self.run_chunk([trial], [seed])[0]
+
+    def run_chunk(self, trials, seeds) -> list[dict]:
+        """Run a chunk of trials on the batched network stepper, in
+        sub-batches of at most ``_NETWORK_CHUNK_BYTES`` of traces.
+        Each trial's result is bit-for-bit its one-trial run."""
+        del trials  # results carry no label
+        simulator = FluidNetworkSimulator(example_network(1))
+        size = max(1, _NETWORK_CHUNK_BYTES // (24 * 8 * self.num_slots))
+        results = []
+        for start in range(0, len(seeds), size):
+            arrivals = sample_example_arrivals(
+                seeds[start : start + size], self.num_slots
+            )
+            results.extend(
+                delay_frequencies(trial)
+                for trial in simulator.run_batch(arrivals)
+            )
+        return results
 
 
 def render_supervised_simulation(
@@ -255,10 +279,8 @@ def render_supervised_simulation(
     frequencies of the completed trials, and renders them against the
     Figure 3/4 bounds.  Returns ``(report text, manifest)``.
     """
-    # functools.partial keeps the trial function picklable, which the
-    # max_workers > 1 process pool requires.
     runner = SupervisedRunner(
-        trial_fn=functools.partial(simulation_trial, num_slots=num_slots),
+        scenario=ExampleNetworkCampaign(num_slots),
         num_trials=num_trials,
         base_seed=base_seed,
         checkpoint_path=checkpoint_path,

@@ -20,17 +20,17 @@ with the standard production defenses:
   failure, and retried);
 * **JSON checkpoint/resume** — completed and failed trials are flushed
   to a checkpoint file (atomic rename) after every trial — after every
-  completed chunk of trials for a scenario campaign on the process
+  completed chunk of trials for a campaign on the process
   pool — and a rerun with the same ``checkpoint_path`` skips finished
   work;
 * **pluggable dispatch** — *how* pending trials execute is a
   :class:`repro.experiments.dispatch.DispatchBackend`: ``"serial"``
   (the reference) or ``"process"`` (the chunked
   ``ProcessPoolExecutor`` backend that ``max_workers > 1`` selects by
-  default: a scenario campaign's workers each sample a chunk of trials
-  into one ``(B, N, T)`` arrival block and run it through the batched
-  fluid engine, bit-identical per trial; a ``trial_fn`` campaign runs
-  one trial per pool task);
+  default: a campaign's workers each run a chunk of trials through its
+  ``run_chunk``, bit-identical per trial; a ``trial_fn`` campaign runs
+  one trial per pool task; a trial that kills its worker is recorded
+  failed, never run in the parent);
 * **graceful degradation** — trials that exhaust their retries are
   recorded in the manifest's ``failed`` map and the run continues
   (unless ``fail_fast``), so a 1000-trial campaign with three bad seeds
@@ -150,9 +150,13 @@ class SupervisedRunner:
         module-level function, ``functools.partial`` of one, or a bound
         method of a picklable object).
     scenario:
-        A :class:`repro.scenario.Scenario`; its
-        :meth:`~repro.scenario.Scenario.trial_result` becomes the
-        ``trial_fn``.  Mutually exclusive with ``trial_fn``.
+        A campaign: a :class:`repro.scenario.Scenario`, the Section 6.3
+        :class:`repro.experiments.runner.ExampleNetworkCampaign`, or
+        any picklable object with ``trial_result(trial, seed)`` (one
+        trial, the ``trial_fn``) and ``run_chunk(trials, seeds)`` (a
+        list of results, each equal to its ``trial_result``; the
+        process backend runs chunks through it).  Mutually exclusive
+        with ``trial_fn``.
     num_trials, base_seed:
         The campaign size and the seed the per-trial seeds derive from.
     max_retries:
@@ -261,7 +265,7 @@ class SupervisedRunner:
         self._fail_fast = bool(fail_fast)
         self._max_workers = int(max_workers) if max_workers is not None else 1
         self._sleep = sleep
-        self._scenario = scenario
+        self._campaign = scenario
         self._dispatch = backend
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ one step.
 Each slot is served by the *same* water-filling kernel as the offline
 engines (``repro.sim.fluid._batch_water_fill`` through the identical
 ``work = backlog + arrivals`` / ``clip(work - served, 0, None)``
-sequence of ``FluidGPSServer.step`` and the batch slot loop), so replaying an event
+sequence of the batch slot loop), so replaying an event
 stream produced by :meth:`repro.scenario.Scenario.to_event_stream`
 reproduces the offline backlog/served trajectories *bit for bit* —
 ``np.array_equal``, not ``allclose`` — which the equivalence suite in
@@ -305,6 +305,10 @@ class StreamingGPSServer:
         """Number of active sessions."""
         return self._registry.num_active
 
+    def has_session(self, name: str) -> bool:
+        """Whether ``name`` is an active session (O(1))."""
+        return name in self._registry
+
     @property
     def active_sessions(self) -> tuple[str, ...]:
         """Active session names, in join order."""
@@ -355,7 +359,7 @@ class StreamingGPSServer:
             # trace block below still needs this slot's gather order.
             busy = busy.copy()
         if busy.size:
-            # Mirrors FluidGPSServer.step operation for
+            # Mirrors the batch slot loop operation for
             # operation; same kernel, same clip — the bit-for-bit
             # equivalence guarantee rests on this block.
             work = registry.backlog[busy] + registry.pending[busy]
@@ -437,6 +441,17 @@ class StreamingGPSServer:
         ``decision``, leaves add the dropped ``residual``.
         """
         slot = math.floor(event.time)  # the event checked its time
+        # A rejected event changes nothing: look its session up before
+        # the clock moves or a counter counts it.
+        if isinstance(event, SessionJoin):
+            if event.name in self._registry:
+                raise AdmissionError(
+                    f"session {event.name!r} is already active"
+                )
+        elif isinstance(event, (Renegotiate, SessionLeave)):
+            self._registry.index_of(event.name)
+        elif isinstance(event, ArrivalEvent):
+            self._registry.index_of(event.session)
         self.advance_to(slot)
         kind = event.kind
         self._events_processed += 1
@@ -471,10 +486,6 @@ class StreamingGPSServer:
         self, event: SessionJoin, slot: int
     ) -> dict[str, Any]:
         out: dict[str, Any] = {"session": event.name}
-        if event.name in self._registry:
-            raise AdmissionError(
-                f"session {event.name!r} is already active"
-            )
         if self._admission is not None:
             decision = self._admission.request_join(
                 event.name,
@@ -498,7 +509,6 @@ class StreamingGPSServer:
 
     def _process_renegotiate(self, event: Renegotiate) -> dict[str, Any]:
         out: dict[str, Any] = {"session": event.name}
-        self._registry.index_of(event.name)  # raises on unknown names
         if self._admission is not None:
             decision = self._admission.request_renegotiate(
                 event.name,

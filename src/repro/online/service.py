@@ -214,7 +214,13 @@ class OnlineService:
         therefore draining) while refusing new work, which is what
         makes the high/low watermark hysteresis converge.
         """
-        if self._shed_backlog is None or not isinstance(event, ArrivalEvent):
+        if (
+            self._shed_backlog is None
+            or not isinstance(event, ArrivalEvent)
+            or not self._engine.has_session(event.session)
+        ):
+            # An unknown session's arrival goes on to the engine, which
+            # rejects it before the clock moves.
             return False
         slot = int(math.floor(event.time))
         if slot > self._engine.clock:

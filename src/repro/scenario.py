@@ -294,30 +294,35 @@ class Scenario:
         )
 
     def trial_result(self, trial: int, seed: int) -> dict[str, Any]:
-        """One supervised Monte-Carlo trial, as a JSON-friendly dict.
+        """One supervised Monte-Carlo trial, as a JSON-friendly dict:
+        the one-trial case of :meth:`run_chunk`."""
+        return self.run_chunk([trial], [seed])[0]
 
-        This is the default ``trial_fn`` installed by
-        ``SupervisedRunner(scenario=...)``.  The supervisor owns the
-        seed derivation (retry attempts re-seed), so the arrivals come
-        from ``seed`` directly rather than from :meth:`trial_rng`; the
-        ``trial`` index is recorded for labeling only.  The method is a
-        plain bound method of a picklable frozen dataclass, so it
-        survives the ``max_workers`` process fan-out.
-        """
-        rng = np.random.default_rng(seed)
-        arrivals = np.vstack(
-            [
-                source.generate(self.horizon, rng)
-                for source in self.sources
-            ]
+    def run_chunk(
+        self, trials: Sequence[int], seeds: Sequence[int]
+    ) -> list[dict[str, Any]]:
+        """Supervised trials ``trials`` at ``seeds`` (the supervisor
+        owns seeding, so arrivals come from ``default_rng(seed)``, not
+        :meth:`trial_rng`), sampled into one ``(B, N, T)`` block and
+        run by one batch-engine call; each row equals its one-trial
+        run bit for bit."""
+        block = np.empty(
+            (len(seeds), self.num_sessions, self.horizon), dtype=float
         )
-        result = self.server().run(
-            self._fault_adjusted(arrivals),
-            capacities=self._fault_capacities(),
+        for row, seed in zip(block, seeds):
+            rng = np.random.default_rng(seed)
+            for k, source in enumerate(self.sources):
+                row[k] = source.generate(self.horizon, rng)
+            row[:] = self._fault_adjusted(row)
+        result = self.batch_server().run(
+            block, capacities=self._fault_capacities()
         )
-        payload = result.summary()
-        payload["trial"] = int(trial)
-        return payload
+        payloads = []
+        for index, trial in enumerate(trials):
+            payload = result.trial(index).summary()
+            payload["trial"] = int(trial)
+            payloads.append(payload)
+        return payloads
 
     # ------------------------------------------------------------------
     # online side

@@ -13,8 +13,11 @@ This is the one fluid slot loop in the library:
 both servers share their construction and the water-filling kernel
 (``repro.sim.fluid._batch_water_fill``), which treats every row
 independently.  So each trial of a batched run is bit-for-bit a
-``FluidGPSServer.step`` loop over that trial — the equivalence suite
-in ``tests/sim/test_batch.py`` asserts exact equality, not closeness.
+one-trial slot loop over that trial — the equivalence suite in
+``tests/sim/test_batch.py`` asserts exact equality against the scalar
+reference in ``tests/sim/oracle.py``, not closeness.  The network
+simulator (:mod:`repro.sim.network_sim`) steps one of these servers
+per node.
 """
 
 from __future__ import annotations
@@ -190,6 +193,8 @@ class BatchFluidGPSServer(_FluidServer):
     :meth:`run`; the slot loop runs on the no-copy float64 kernel.
     """
 
+    _backlog: np.ndarray | None = None
+
     @property
     def backlog(self) -> np.ndarray | None:
         """Current ``(B, N)`` backlog (copy), or ``None`` before any
@@ -262,7 +267,7 @@ class BatchFluidGPSServer(_FluidServer):
 
         This is the one fluid slot loop: ``FluidGPSServer.run`` is its
         ``B = 1`` case, and trial ``b`` of the result is bit-for-bit a
-        ``FluidGPSServer.step`` loop over ``arrivals[b]``.
+        one-trial slot loop over ``arrivals[b]``.
         """
         arr = np.ascontiguousarray(arrivals, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != self.num_sessions:

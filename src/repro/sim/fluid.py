@@ -9,8 +9,7 @@ slot's capacity is allocated by exact proportional *water-filling*
 (:func:`gps_slot_allocation`) — the fixed point of the GPS sharing rule
 within the slot.
 
-The server is a stateful stepper (so it can sit inside a multi-node
-network simulation) whose :meth:`FluidGPSServer.run` returns a
+The server's :meth:`FluidGPSServer.run` returns a
 :class:`GPSSimResult` with per-session served/backlog traces and the
 paper's delay process ``D_i(t)`` (the time for the session-``i``
 backlog present at ``t`` to clear).
@@ -18,8 +17,8 @@ backlog present at ``t`` to clear).
 The water-filling itself is implemented once, as a *batched* kernel
 over stacked ``(B, N)`` work matrices (``_batch_water_fill``), and so
 is the slot loop: :meth:`FluidGPSServer.run` is the ``B = 1`` run of
-:class:`repro.sim.batch.BatchFluidGPSServer`, and :meth:`FluidGPSServer.step`
-is the ``B = 1`` slice of the kernel.  The exact continuous-time
+:class:`repro.sim.batch.BatchFluidGPSServer`, which the network
+simulator also steps, one per node.  The exact continuous-time
 engine (:mod:`repro.sim.fluid_exact`) calls the same kernel with
 ``inf`` work for backlogged sessions.  :func:`gps_slot_allocation` is
 the one validating entry point, :func:`busy_gps_slot_allocation` the
@@ -34,11 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.validation import (
-    check_arrivals,
-    check_positive,
-    check_weights,
-)
+from repro.utils.validation import check_positive, check_weights
 
 from repro.errors import ValidationError
 
@@ -93,6 +88,7 @@ def _batch_water_fill(
     served = np.zeros_like(work)
     remaining = capacity.astype(float, copy=True)
     active = work > _EPS
+    guarded = None
     while True:
         live = (remaining > _EPS) & active.any(axis=1)
         if not live.any():
@@ -105,7 +101,26 @@ def _batch_water_fill(
         # Inactive-only rows would divide by zero; the guard merely
         # keeps their (all-zero) shares finite.
         denom = np.where(total_phi > 0.0, total_phi, 1.0)
-        shares = remaining[:, None] * active_phis / denom[:, None]
+        if guarded is None:
+            # remaining and denom only shrink, and phi <= denom, so a
+            # share's product remaining * phi can overflow only if the
+            # first round's remaining * denom does (Python floats give
+            # inf, not a warning): one scalar test per call.
+            guarded = not math.isfinite(
+                float(remaining.max()) * float(denom.max())
+            )
+        if guarded:
+            with np.errstate(over="ignore"):
+                shares = remaining[:, None] * active_phis / denom[:, None]
+            # Overflowed entries only: phi / denom <= 1 keeps the
+            # reordered product finite; other entries keep their bits.
+            huge = np.isinf(shares)
+            if huge.any():
+                shares[huge] = (
+                    remaining[:, None] * (active_phis / denom[:, None])
+                )[huge]
+        else:
+            shares = remaining[:, None] * active_phis / denom[:, None]
         deficit = work - served
         finishing = active & (deficit <= shares + _EPS) & live[:, None]
         granting = finishing.any(axis=1)
@@ -331,8 +346,7 @@ class _FluidServer:
     (GPS weights, one per session), or ``scenario=`` — a
     :class:`repro.scenario.Scenario`, or any object exposing ``rate``
     and ``phis`` — instead of both.  All argument validation happens
-    here, at construction time; subclasses define :meth:`reset`,
-    which starts them empty.
+    here, at construction time.
     """
 
     def __init__(
@@ -360,7 +374,6 @@ class _FluidServer:
             check_weights("phis", list(phis)), dtype=float
         )
         self._rate = float(rate)
-        self.reset()
 
     @property
     def rate(self) -> float:
@@ -374,53 +387,14 @@ class _FluidServer:
 
 
 class FluidGPSServer(_FluidServer):
-    """Stateful slot-stepped fluid GPS server.
+    """Stateless fluid GPS server: the ``B = 1`` facade of
+    :class:`repro.sim.batch.BatchFluidGPSServer`.
 
     Construction is keyword-only::
 
         FluidGPSServer(rate=1.0, phis=[2.0, 1.0])
         FluidGPSServer(scenario=scenario)       # repro.scenario.Scenario
-
-    :meth:`step` is the per-slot hot path (the network simulator calls
-    it once per node per slot); :meth:`run` is the ``B = 1`` run of
-    :class:`repro.sim.batch.BatchFluidGPSServer`.
     """
-
-    @property
-    def backlog(self) -> np.ndarray:
-        """Current per-session backlog (copy)."""
-        return self._backlog.copy()
-
-    def reset(self) -> None:
-        """Empty all queues."""
-        self._backlog = np.zeros(self._phis.size)
-
-    def step(self, arrivals, *, capacity: float | None = None) -> np.ndarray:
-        """Advance one slot; returns per-session service amounts.
-
-        ``capacity`` overrides the server rate for this slot only — the
-        hook used by fault injection to model degraded or failed servers
-        (``capacity=0`` is a full outage; the backlog simply accrues).
-        """
-        arr = np.ascontiguousarray(arrivals, dtype=float)
-        if arr.shape != self._backlog.shape:
-            raise ValidationError(
-                f"expected {self._backlog.size} arrival entries, got "
-                f"shape {arr.shape}"
-            )
-        check_arrivals(arr)
-        if capacity is None:
-            capacity = self._rate
-        elif not 0.0 <= capacity < math.inf:
-            raise ValidationError(
-                f"capacity must be finite and non-negative, got {capacity}"
-            )
-        work = self._backlog + arr
-        served = _batch_water_fill(
-            work[None, :], self._phis, np.array([float(capacity)])
-        )[0]
-        self._backlog = np.clip(work - served, 0.0, None)
-        return served
 
     def run(
         self,
@@ -430,8 +404,8 @@ class FluidGPSServer(_FluidServer):
     ) -> GPSSimResult:
         """Simulate a whole arrival matrix ``(num_sessions, num_slots)``.
 
-        The server state is reset first, so ``run`` is reproducible;
-        afterwards it holds the final backlog.  ``capacities`` (length
+        Every run starts empty, so ``run`` is reproducible; the final
+        backlog is ``result.backlog[:, -1]``.  ``capacities`` (length
         ``num_slots``) overrides the per-slot server capacity, e.g. a
         degraded-rate window produced by
         :meth:`repro.faults.FaultSchedule.node_capacities`.
@@ -448,8 +422,8 @@ class FluidGPSServer(_FluidServer):
                 f"arrivals must have shape ({self.num_sessions}, T), "
                 f"got {arr.shape}"
             )
-        batch = BatchFluidGPSServer(rate=self._rate, phis=self._phis).run(
-            arr[None], capacities=capacities
+        return (
+            BatchFluidGPSServer(rate=self._rate, phis=self._phis)
+            .run(arr[None], capacities=capacities)
+            .trial(0)
         )
-        self._backlog = batch.backlog[0, :, -1].copy()
-        return batch.trial(0)

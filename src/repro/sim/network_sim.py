@@ -1,8 +1,11 @@
 """Slot-stepped simulation of a network of fluid GPS servers.
 
 Each node of a :class:`repro.network.topology.Network` runs a
-:class:`repro.sim.fluid.FluidGPSServer` over the sessions traversing
-it; a session's departures at one hop become its arrivals at the next.
+:class:`repro.sim.batch.BatchFluidGPSServer` over the sessions
+traversing it, for ``B`` independent trials at once
+(:meth:`FluidNetworkSimulator.run_batch`; :meth:`~FluidNetworkSimulator.run`
+is ``B = 1``); a session's departures at one hop become its arrivals
+at the next.
 
 Two propagation modes:
 
@@ -24,11 +27,13 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from repro.errors import SimulationFaultError, ValidationError
+from repro.errors import ValidationError
 from repro.faults.schedule import FaultSchedule
 from repro.network.topology import Network
-from repro.sim.fluid import FluidGPSServer, clearing_delays
+from repro.sim.batch import BatchFluidGPSServer
+from repro.sim.fluid import clearing_delays
 from repro.sim.results import to_jsonable
+from repro.utils.validation import check_arrivals
 
 __all__ = ["NetworkSimResult", "FluidNetworkSimulator"]
 
@@ -181,7 +186,28 @@ class FluidNetworkSimulator:
         self, external_arrivals: dict[str, np.ndarray]
     ) -> NetworkSimResult:
         """Simulate; ``external_arrivals`` maps every session name to a
-        per-slot ingress array (all the same length)."""
+        per-slot ingress array (all the same length).  The ``B = 1``
+        case of :meth:`run_batch`."""
+        (result,) = self.run_batch(
+            {
+                name: np.asarray(arr, dtype=float)[None]
+                for name, arr in external_arrivals.items()
+            }
+        )
+        return result
+
+    def run_batch(
+        self, external_arrivals: dict[str, np.ndarray]
+    ) -> list[NetworkSimResult]:
+        """Simulate ``B`` independent trials in one slot loop.
+
+        ``external_arrivals`` maps every session name to a ``(B, T)``
+        ingress block (all the same shape); returns one
+        :class:`NetworkSimResult` per trial.  Each node is a
+        :class:`repro.sim.batch.BatchFluidGPSServer` over ``(B, n)``
+        state and every hand-off carries a ``(B,)`` amount, so trial
+        ``b`` is bit-for-bit a one-trial run of its own arrivals.
+        """
         network = self._network
         sessions = {s.name: s for s in network.sessions}
         if set(external_arrivals) != set(sessions):
@@ -190,135 +216,128 @@ class FluidNetworkSimulator:
                 f"sessions {sorted(sessions)}, got "
                 f"{sorted(external_arrivals)}"
             )
-        lengths = {arr.shape[0] for arr in external_arrivals.values()}
-        if len(lengths) != 1:
+        shapes = {arr.shape for arr in external_arrivals.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 2:
             raise ValidationError(
-                f"all arrival arrays must share a length, got {lengths}"
+                "all arrival arrays must share a (trials, length) "
+                f"shape, got {shapes}"
             )
-        (num_slots,) = lengths
-
+        ((num_trials, num_slots),) = shapes
         faults = self._faults
-        if faults.has_burst_faults:
-            external_arrivals = {
-                name: faults.adjusted_arrivals(name, arr)
-                for name, arr in external_arrivals.items()
-            }
+        external = {}
+        for name, arr in external_arrivals.items():
+            arr = np.asarray(arr, dtype=float)
+            if faults.has_burst_faults:
+                arr = np.stack(
+                    [faults.adjusted_arrivals(name, row) for row in arr]
+                )
+            check_arrivals(arr)
+            external[name] = arr
         capacities = {
             name: faults.node_capacities(
                 name, network.nodes[name].rate, num_slots
             )
             for name in self._node_order
         }
-
-        servers = {
-            name: FluidGPSServer(
-                rate=network.nodes[name].rate,
-                phis=[
-                    sessions[s].phi_at(name)
-                    for s in self._node_sessions[name]
-                ],
+        delay = self._link_delay
+        order = self._node_order
+        local = [self._node_sessions[name] for name in order]
+        column = {
+            (s, name): (j, k)
+            for j, name in enumerate(order)
+            for k, s in enumerate(local[j])
+        }
+        servers, ingress, handoffs = [], [], []
+        for j, name in enumerate(order):
+            servers.append(
+                BatchFluidGPSServer(
+                    rate=network.nodes[name].rate,
+                    phis=[sessions[s].phi_at(name) for s in local[j]],
+                )
             )
-            for name in self._node_order
-        }
-        # in_transit[(session, node)]: FIFO of (due_slot, amount)
-        # for link_delay >= 1 and for link-faulted traffic; for
-        # link_delay == 0 a same-slot buffer handles the healthy path.
-        pending: dict[tuple[str, str], list[tuple[int, float]]] = {}
-        node_backlog = {
-            (s, n): np.zeros(num_slots)
-            for n in self._node_order
-            for s in self._node_sessions[n]
-        }
-        node_served = {
-            key: np.zeros(num_slots) for key in node_backlog
-        }
-        egress = {name: np.zeros(num_slots) for name in sessions}
-
+            servers[-1].reset(num_trials)
+            routes = [sessions[s].route for s in local[j]]
+            ingress.append([k for k, r in enumerate(routes) if r[0] == name])
+            # (column here, session, next node, column there)
+            handoffs.append(
+                [
+                    (k, s) + column[(s, r[r.index(name) + 1])]
+                    for k, (s, r) in enumerate(zip(local[j], routes))
+                    if r[-1] != name
+                ]
+            )
+        ext = [
+            np.stack([external[local[j][k]] for k in ks], axis=1)
+            if ks
+            else None
+            for j, ks in enumerate(ingress)
+        ]
+        served_trace = [
+            np.zeros((num_trials, len(ls), num_slots)) for ls in local
+        ]
+        backlog_trace = [np.zeros_like(trace) for trace in served_trace]
+        # pending[(j, k)]: FIFO of (due slot, (B,) amount) for
+        # link_delay >= 1 and for link-faulted traffic.
+        pending: dict[tuple[int, int], list] = {}
         for t in range(num_slots):
-            same_slot: dict[tuple[str, str], float] = {}
-            for node_name in self._node_order:
-                local = self._node_sessions[node_name]
-                slot_arrivals = np.zeros(len(local))
-                for k, session_name in enumerate(local):
-                    session = sessions[session_name]
-                    if session.route[0] == node_name:
-                        slot_arrivals[k] += external_arrivals[
-                            session_name
-                        ][t]
-                    if self._link_delay == 0:
-                        slot_arrivals[k] += same_slot.pop(
-                            (session_name, node_name), 0.0
-                        )
-                    queue = pending.get((session_name, node_name))
+            inboxes = [np.zeros((num_trials, len(ls))) for ls in local]
+            for j, name in enumerate(order):
+                inbox = inboxes[j]
+                if ingress[j]:
+                    inbox[:, ingress[j]] = ext[j][:, :, t]
+                for k in range(len(local[j]) if pending else 0):
+                    queue = pending.get((j, k))
                     if queue:
                         # Link faults can put a held blob (due at the
                         # window end) ahead of later healthy traffic,
                         # so scan the whole queue rather than the head.
-                        still_in_transit = []
                         for due, amount in queue:
                             if due <= t:
-                                slot_arrivals[k] += amount
-                            else:
-                                still_in_transit.append((due, amount))
-                        pending[(session_name, node_name)] = (
-                            still_in_transit
-                        )
-                served = servers[node_name].step(
-                    slot_arrivals, capacity=capacities[node_name][t]
+                                inbox[:, k] += amount
+                        queue[:] = [e for e in queue if e[0] > t]
+                served = servers[j]._step_fast(
+                    inbox, np.full(num_trials, capacities[name][t])
                 )
-                backlog = servers[node_name].backlog
-                for k, session_name in enumerate(local):
-                    node_served[(session_name, node_name)][t] = served[k]
-                    node_backlog[(session_name, node_name)][t] = backlog[k]
-                    session = sessions[session_name]
-                    hop = session.hop_index(node_name)
-                    amount = float(served[k])
-                    if amount <= 0.0:
-                        continue
-                    if hop + 1 == session.num_hops:
-                        egress[session_name][t] += amount
-                    else:
-                        next_node = session.route[hop + 1]
+                served_trace[j][:, :, t] = served
+                backlog_trace[j][:, :, t] = servers[j]._backlog
+                for k, session_name, nj, nk in handoffs[j]:
+                    due = t + delay
+                    if len(faults):
                         delivery = faults.link_delivery_time(
-                            session_name, node_name, t
+                            session_name, name, t
                         )
                         if delivery > t:
                             # Link down or delayed: hold the traffic
                             # until the fault clears, then add the
                             # nominal link latency.
-                            due = (
-                                int(np.ceil(delivery))
-                                + self._link_delay
-                            )
-                            pending.setdefault(
-                                (session_name, next_node), []
-                            ).append((max(due, t + 1), amount))
-                        elif self._link_delay == 0:
-                            same_slot[(session_name, next_node)] = (
-                                same_slot.get(
-                                    (session_name, next_node), 0.0
-                                )
-                                + amount
-                            )
-                        else:
-                            pending.setdefault(
-                                (session_name, next_node), []
-                            ).append((t + self._link_delay, amount))
-            if self._link_delay == 0 and same_slot:
-                leftovers = {k: v for k, v in same_slot.items() if v > 0}
-                if leftovers:
-                    raise SimulationFaultError(
-                        "same-slot traffic was not consumed; processing "
-                        f"order is inconsistent: {leftovers}"
-                    )
-        return NetworkSimResult(
-            external_arrivals={
-                name: np.asarray(arr, dtype=float)
-                for name, arr in external_arrivals.items()
-            },
-            egress=egress,
-            node_backlog=node_backlog,
-            node_served=node_served,
-            node_capacities=capacities if len(faults) else None,
-            fault_schedule=faults if len(faults) else None,
-        )
+                            due = max(int(np.ceil(delivery)) + delay, t + 1)
+                    if due == t:
+                        inboxes[nj][:, nk] += served[:, k]
+                    else:
+                        pending.setdefault((nj, nk), []).append(
+                            (due, served[:, k].copy())
+                        )
+        last_hop = {s: column[(s, x.route[-1])] for s, x in sessions.items()}
+        fault_schedule = faults if len(faults) else None
+        return [
+            NetworkSimResult(
+                external_arrivals={
+                    name: arr[b] for name, arr in external.items()
+                },
+                egress={
+                    s: served_trace[j][b, k].copy()
+                    for s, (j, k) in last_hop.items()
+                },
+                node_backlog={
+                    key: backlog_trace[j][b, k]
+                    for key, (j, k) in column.items()
+                },
+                node_served={
+                    key: served_trace[j][b, k]
+                    for key, (j, k) in column.items()
+                },
+                node_capacities=capacities if fault_schedule else None,
+                fault_schedule=fault_schedule,
+            )
+            for b in range(num_trials)
+        ]

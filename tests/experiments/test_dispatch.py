@@ -4,10 +4,11 @@ The invariant every backend must honor is bit-identity with
 :class:`SerialDispatch` — same ``manifest.completed`` payloads, same
 attempt counts — plus graceful degradation: a poisoned process chunk
 falls back to the serial per-trial loop instead of aborting the
-campaign.
+campaign, and a trial that kills its worker is recorded failed.
 """
 
 import functools
+import multiprocessing
 import os
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.experiments.dispatch import (
     SerialDispatch,
     make_dispatch_backend,
 )
-from repro.experiments.supervisor import SupervisedRunner
+from repro.experiments.supervisor import SupervisedRunner, trial_seed
 from repro.faults import BurstFault, FaultSchedule, RateFault
 from repro.markov.onoff import OnOffSource
 from repro.scenario import Scenario
@@ -47,12 +48,14 @@ def make_scenario(cls=Scenario, **overrides) -> Scenario:
 
 
 class PoisonScenario(Scenario):
-    """Module-level (picklable) scenario whose batch engine always
-    raises, forcing every process chunk into the serial fallback; the
-    scalar path (``trial_result``) stays intact."""
+    """Module-level (picklable) scenario whose chunks always raise in
+    a pool worker, forcing every process chunk into the serial
+    fallback; in the parent process (``trial_result``) it runs."""
 
-    def batch_server(self):
-        raise RuntimeError("poisoned batch engine")
+    def run_chunk(self, trials, seeds):
+        if multiprocessing.parent_process() is not None:
+            raise RuntimeError("poisoned chunk")
+        return super().run_chunk(trials, seeds)
 
 
 class PoisonTrialScenario(PoisonScenario):
@@ -89,9 +92,12 @@ def _fail_fast_manifest(backend, **runner_kwargs):
     return manifest
 
 
-def _exit_in_workers(parent_pid, trial, seed):
-    """Kills any pool worker that runs it; succeeds in the parent."""
-    if os.getpid() != parent_pid:
+def _exit_on_trial_one(parent_pid, trial, seed):
+    """Trial 1 kills any pool worker that runs it (and fails loudly if
+    it ever runs in the parent); every other trial succeeds."""
+    if trial == 1:
+        if os.getpid() == parent_pid:
+            raise AssertionError("trial 1 ran in the parent")
         os._exit(3)
     return {"trial": trial, "seed": seed}
 
@@ -279,10 +285,9 @@ class TestSharedMemoryIdentity:
 
     def test_sampled_block_matches_trial_sampling(self):
         scenario = make_scenario()
-        seeds = [101, 202]
-        block = dispatch_module._sample_trial_block(scenario, seeds)
-        assert block.shape == (2, 2, scenario.horizon)
-        for row, seed in zip(block, seeds):
+        trials, seeds = [3, 5], [101, 202]
+        payloads = scenario.run_chunk(trials, seeds)
+        for trial, seed, payload in zip(trials, seeds, payloads):
             rng = np.random.default_rng(seed)
             expected = np.vstack(
                 [
@@ -290,7 +295,10 @@ class TestSharedMemoryIdentity:
                     for source in scenario.sources
                 ]
             )
-            assert np.array_equal(row, expected)
+            summary = scenario.server().run(expected).summary()
+            summary["trial"] = trial
+            assert payload == summary
+            assert scenario.trial_result(trial, seed) == summary
 
 
 class TestCustomBackend:
@@ -329,12 +337,27 @@ class TestTrialFnChunks:
         assert manifest.skipped == [2]
         assert manifest.attempts == {0: 1, 1: 1}
 
-    def test_broken_pool_falls_back_to_serial(self):
-        trial_fn = functools.partial(_exit_in_workers, os.getpid())
-        serial = SupervisedRunner(trial_fn=trial_fn, num_trials=6).run()
-        parallel = SupervisedRunner(
-            trial_fn=trial_fn, num_trials=6, max_workers=2
-        ).run()
-        assert parallel.completed == serial.completed
-        assert parallel.attempts == serial.attempts
-        assert not parallel.failed and not parallel.skipped
+    def test_dead_worker_trial_is_recorded_failed(self, tmp_path):
+        # Trial 1 kills every worker that runs it, in its chunk and
+        # alone; it must never run in the parent.
+        trial_fn = functools.partial(_exit_on_trial_one, os.getpid())
+        checkpoint = tmp_path / "manifest.json"
+        runs = [
+            SupervisedRunner(
+                trial_fn=trial_fn,
+                num_trials=8,
+                max_workers=2,
+                checkpoint_path=checkpoint,
+            ).run()
+            for _ in range(2)  # the second run resumes the first
+        ]
+        for manifest in runs:
+            assert sorted(manifest.completed) == [0, 2, 3, 4, 5, 6, 7]
+            assert list(manifest.failed) == [1]
+            assert manifest.failed[1].startswith("worker_died")
+            assert not manifest.skipped
+            assert all(
+                manifest.completed[k] == {"trial": k, "seed": trial_seed(0, k)}
+                for k in manifest.completed
+            )
+        assert runs[1].completed == runs[0].completed

@@ -67,7 +67,7 @@ class TestFluidServerInjection:
     def test_capacity_must_be_nonnegative(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0])
         with pytest.raises(ValidationError):
-            server.step([0.1], capacity=-1.0)
+            server.run(np.ones((1, 3)), capacities=np.array([1.0, -1.0, 1.0]))
 
     def test_capacities_shape_checked(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0])

@@ -9,6 +9,7 @@ paths share one water-filling kernel.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -297,3 +298,36 @@ class TestOnlineResult:
         assert result.peak_active_sessions == 3
         assert result.num_sessions == 3
         assert isinstance(result, OnlineResult)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_weight_and_capacity_do_not_overflow_the_water_fill():
+    """``phi``, ``capacity`` and ``amount`` of ``1e300`` are finite and
+    pass every check; the water-fill's ``remaining * phi`` product
+    overflows, and the kernel recomputes those shares as
+    ``remaining * (phi / total)``."""
+    import io
+
+    from repro.online import JsonlSink, OnlineService
+
+    lines = [
+        {"kind": "join", "time": 0.0, "name": "big", "phi": 1e300},
+        {"kind": "join", "time": 0.0, "name": "small", "phi": 1.0},
+        {"kind": "capacity", "time": 0.0, "capacity": 1e300},
+        {"kind": "arrival", "time": 0.0, "session": "big", "amount": 1e300},
+        {"kind": "arrival", "time": 0.0, "session": "small", "amount": 1e300},
+        {"kind": "arrival", "time": 3.0, "session": "small", "amount": 1.0},
+    ]
+    out = io.StringIO()
+    service = OnlineService(StreamingGPSServer(rate=1.0), sink=JsonlSink(out))
+    service.ingest(json.dumps(line) for line in lines)
+    service.shutdown()
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert not [r for r in records if r["kind"] == "error"]
+    summary = records[-1]["summary"]
+    for key in ("total_arrived", "total_served", "final_total_backlog"):
+        assert math.isfinite(summary[key])
+    assert summary["total_served"] + summary["final_total_backlog"] == (
+        pytest.approx(summary["total_arrived"])
+    )
+    assert summary["total_served"] == pytest.approx(2e300)

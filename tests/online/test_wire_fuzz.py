@@ -12,7 +12,9 @@ from the wire rules in docs/ONLINE.md rather than from the code's
 table: numbers are finite, in range and never a JSON bool; names are
 non-empty strings; optional fields may be absent or null.  A mutation
 the oracle accepts is left out of the stream (it may be a legitimate
-event).  For the rest:
+event).  The online streams also splice in well-formed lines that
+the engine rejects (unknown sessions, a duplicate join) at any time
+stamp.  For the rest:
 
 * no exception escapes the service;
 * each line yields exactly one ``error`` record, or one per owner
@@ -237,14 +239,35 @@ def mutated(draw, templates):
     return draw(JSON_VALUES.filter(lambda v: type(v) is not dict))
 
 
-def _stream(draw, good, templates, vocabulary):
-    """The good lines with malformed lines spliced in; returns the
-    full stream and the positions of the malformed lines."""
+@st.composite
+def engine_rejected(draw):
+    """A well-formed line the engine rejects: an unknown session, or a
+    duplicate join of ``a`` (active through the whole good stream),
+    stamped at any slot — a later stamp must not move the clock."""
+    time = draw(st.floats(0.0, 50.0))
+    return draw(
+        st.sampled_from(
+            [
+                {"kind": "arrival", "time": time, "session": "ghost", "amount": 0.5},
+                {"kind": "leave", "time": time, "name": "ghost"},
+                {"kind": "renegotiate", "time": time, "name": "ghost", "phi": 2.0},
+                {"kind": "join", "time": time, "name": "a", "phi": 1.0},
+            ]
+        )
+    )
+
+
+def _stream(draw, good, templates, vocabulary, extra=None):
+    """The good lines with malformed lines (and lines drawn from
+    ``extra``) spliced in; returns the full stream and the positions
+    of the rejected lines."""
     bad = [
         record
         for record in draw(st.lists(mutated(templates), min_size=1, max_size=6))
         if not acceptable(record, vocabulary)
     ]
+    if extra is not None:
+        bad += draw(st.lists(extra, max_size=3))
     lines = [json.dumps(record) for record in good]
     positions = sorted(
         draw(st.lists(st.integers(1, len(good)), min_size=len(bad), max_size=len(bad)))
@@ -264,7 +287,9 @@ def _stream(draw, good, templates, vocabulary):
 
 @st.composite
 def online_streams(draw):
-    return _stream(draw, ONLINE_GOOD, ONLINE_TEMPLATES, ONLINE_RULES)
+    return _stream(
+        draw, ONLINE_GOOD, ONLINE_TEMPLATES, ONLINE_RULES, engine_rejected()
+    )
 
 
 @st.composite

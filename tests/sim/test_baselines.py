@@ -27,8 +27,9 @@ def test_every_slot_server_rejects_negative_and_nan_arrivals(name, bad):
     server = SLOT_SERVERS[name]()
     with pytest.raises(ValidationError, match="non-negative"):
         server.run(np.array([[0.2, bad], [0.1, 0.1]]))
-    with pytest.raises(ValidationError, match="non-negative"):
-        server.step(np.array([bad, 0.1]))
+    if hasattr(server, "step"):  # FluidGPSServer is run-only
+        with pytest.raises(ValidationError, match="non-negative"):
+            server.step(np.array([bad, 0.1]))
 
 
 @pytest.mark.parametrize("name", sorted(SLOT_SERVERS))

@@ -1,7 +1,8 @@
 """Tests for the batched fluid GPS engine.
 
 The load-bearing property is *bit-for-bit* equivalence: row ``b`` of a
-batched run must equal a scalar ``FluidGPSServer.step`` loop over the
+batched run must equal a scalar one-slot-at-a-time loop
+(``tests/sim/oracle.py``'s ``ScalarFluidServer``) over the
 same sample path, with ``==`` on floats, not ``allclose``.  Both paths
 share one water-filling kernel, so any divergence is a real
 regression.  (``FluidGPSServer.run`` is itself the ``B = 1`` batch
@@ -15,11 +16,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.sim.batch import BatchFluidGPSServer, BatchGPSSimResult
-from repro.sim.fluid import (
-    FluidGPSServer,
-    _batch_water_fill,
-    gps_slot_allocation,
-)
+from repro.sim.fluid import _batch_water_fill, gps_slot_allocation
+from tests.sim.oracle import ScalarFluidServer
 
 _EPS = 1e-9
 
@@ -33,7 +31,7 @@ def _random_batch(
 def _step_loop(phis, arrivals, capacities=None, *, rate=1.0):
     """Served and backlog traces of a scalar server stepped slot by
     slot over one ``(N, T)`` arrival matrix."""
-    server = FluidGPSServer(rate=rate, phis=phis)
+    server = ScalarFluidServer(rate=rate, phis=phis)
     served = np.zeros_like(arrivals)
     backlog = np.zeros_like(arrivals)
     for t in range(arrivals.shape[1]):

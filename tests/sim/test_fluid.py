@@ -95,25 +95,26 @@ class TestGpsSlotAllocation:
 class TestFluidGPSServer:
     def test_step_updates_backlog(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
-        served = server.step([2.0, 0.0])
-        np.testing.assert_allclose(served, [1.0, 0.0])
-        np.testing.assert_allclose(server.backlog, [1.0, 0.0])
+        result = server.run(np.array([[2.0], [0.0]]))
+        np.testing.assert_allclose(result.served[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(result.backlog[:, 0], [1.0, 0.0])
 
-    def test_reset(self):
+    def test_runs_start_empty(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0])
-        server.step([5.0])
-        server.reset()
-        np.testing.assert_allclose(server.backlog, [0.0])
+        first = server.run(np.array([[5.0, 0.0]]))
+        assert first.backlog[0, -1] == 3.0
+        again = server.run(np.array([[0.0, 0.0]]))
+        np.testing.assert_array_equal(again.backlog, [[0.0, 0.0]])
 
     def test_rejects_negative_arrivals(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0])
         with pytest.raises(ValueError):
-            server.step([-1.0])
+            server.run(np.array([[-1.0]]))
 
     def test_rejects_wrong_shape(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
         with pytest.raises(ValueError):
-            server.step([1.0])
+            server.run(np.array([[1.0]]))
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_run_names_the_scalar_shape(self, shape):
@@ -123,11 +124,6 @@ class TestFluidGPSServer:
         assert str(exc.value) == (
             f"arrivals must have shape (2, T), got {shape}"
         )
-
-    def test_run_leaves_final_backlog(self):
-        server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])
-        result = server.run(np.array([[3.0, 0.0], [0.0, 0.0]]))
-        np.testing.assert_array_equal(server.backlog, result.backlog[:, -1])
 
     def test_run_traces(self):
         server = FluidGPSServer(rate=1.0, phis=[1.0, 1.0])

@@ -149,3 +149,115 @@ class TestValidation:
         for name in ("a", "b"):
             assert result.egress[name].sum() > 0.0
             assert np.all(result.network_backlog(name) >= -1e-9)
+
+
+def _example(parameter_set):
+    from repro.experiments.paper_example import example_network
+
+    return example_network(parameter_set)
+
+
+def _a8_tandem(hops):
+    from repro.network.builders import tandem_network
+
+    return tandem_network(
+        num_hops=hops,
+        through=EBB(0.2, 1.0, 1.0),
+        cross=EBB(0.3, 1.0, 1.0),
+        node_rate=0.55,
+    )
+
+
+def _ring():
+    from repro.network.builders import ring_network
+
+    return ring_network(
+        num_nodes=4, arrival=EBB(0.2, 1.0, 1.0), hops_per_session=3
+    )
+
+
+def _faults(kind):
+    from repro.faults import BurstFault, FaultSchedule, LinkFault, RateFault
+
+    faults = {
+        "link": [
+            LinkFault("node1", 40, 90, down=True),
+            LinkFault("node2", 60, 75, extra_delay=7.5, session="session3"),
+        ],
+        "rate": [RateFault("node3", 30, 160, 0.4), RateFault("node1", 0, 20, 0.0)],
+        "burst": [BurstFault("session2", 50, 120, multiplier=2.5, extra=0.1)],
+    }[kind]
+    return FaultSchedule(faults)
+
+
+NETWORK_CASES = {
+    "example-set1": lambda: (_example(1), None, None),
+    "example-set2": lambda: (_example(2), None, None),
+    "a8-tandem-1": lambda: (_a8_tandem(1), None, None),
+    "a8-tandem-2": lambda: (_a8_tandem(2), None, None),
+    "a8-tandem-4": lambda: (_a8_tandem(4), None, None),
+    "ring-delay-1": lambda: (_ring(), 1, None),
+    "ring-delay-3": lambda: (_ring(), 3, None),
+    "example-delay-2": lambda: (_example(1), 2, None),
+    "link-faults": lambda: (_example(1), 0, _faults("link")),
+    "link-faults-delay-2": lambda: (
+        _example(1), 2, _faults("link")
+    ),
+    "rate-faults": lambda: (_example(1), 0, _faults("rate")),
+    "burst-faults": lambda: (_example(1), 0, _faults("burst")),
+}
+
+
+class TestRunBatchMatchesScalarLoop:
+    """Every trial of ``run_batch`` is ``np.array_equal`` to the scalar
+    per-slot, per-node, per-session loop in ``tests/sim/oracle.py``."""
+
+    @pytest.mark.parametrize("case", sorted(NETWORK_CASES))
+    def test_trials_equal_the_scalar_loop(self, case):
+        from tests.sim.oracle import network_loop
+
+        network, link_delay, faults = NETWORK_CASES[case]()
+        sim = FluidNetworkSimulator(
+            network, link_delay=link_delay, faults=faults
+        )
+        rng = np.random.default_rng(sum(map(ord, case)))
+        names = [s.name for s in network.sessions]
+        arrivals = {
+            name: rng.uniform(0.0, 0.5, size=(3, 300))
+            * (rng.random((3, 300)) < 0.6)
+            for name in names
+        }
+        batch = sim.run_batch(arrivals)
+        assert len(batch) == 3
+        for b, result in enumerate(batch):
+            reference = network_loop(
+                sim, {name: arrivals[name][b] for name in names}
+            )
+            for field in (
+                "external_arrivals",
+                "egress",
+                "node_backlog",
+                "node_served",
+                "node_capacities",
+            ):
+                got = getattr(result, field)
+                want = getattr(reference, field)
+                if want is None:
+                    assert got is None
+                    continue
+                assert list(got) == list(want), field
+                for key in want:
+                    assert np.array_equal(got[key], want[key]), (field, key)
+            assert result.fault_schedule is reference.fault_schedule
+            if b == 0:
+                single = sim.run({n: arrivals[n][0] for n in names})
+                for key in reference.node_served:
+                    assert np.array_equal(
+                        single.node_served[key], reference.node_served[key]
+                    )
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            FluidNetworkSimulator(tandem_network()).run_batch(
+                {"a": np.zeros((2, 10)), "b": np.zeros((3, 10))}
+            )

@@ -36,6 +36,7 @@ from repro.markov.onoff import OnOffSource
 from repro.network import NetworkNode
 from repro.online.engine import StreamingGPSServer
 from repro.online.events import CapacityEvent
+from repro.sim.batch import BatchFluidGPSServer
 from repro.sim.fluid import FluidGPSServer
 from repro.traffic.leaky_bucket import LeakyBucketShaper
 from repro.traffic.sources import ConstantBitRateTraffic, OnOffTraffic
@@ -144,8 +145,8 @@ INVALID_CALLS = [
     ("fluid server bad rate", lambda: FluidGPSServer(rate=0.0, phis=[1.0])),
     (
         "fluid step bad capacity",
-        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).step(
-            [0.1], capacity=-1.0
+        lambda: BatchFluidGPSServer(rate=1.0, phis=[1.0]).step(
+            [[0.1]], capacity=-1.0
         ),
     ),
     (
