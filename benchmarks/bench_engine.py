@@ -16,7 +16,12 @@ on-off / Bernoulli / CBR session mix sampled from one ``Scenario``):
   backend runs chunked ``(B, N, T)`` blocks through the batch engine)
   and a ``trial_fn`` campaign shaped like ``repro simulate`` (a
   ``functools.partial`` of a module-level trial; one trial per pool
-  task).  Every manifest is asserted bit-identical to the serial one.
+  task).  Every manifest is asserted bit-identical to the serial one;
+* **network** — the Section 6.3 campaign's trial throughput, serial
+  (``B = 1``) against ``process`` chunks on the batched network
+  stepper, with the water-fill kernel's share of each.
+
+The campaign rows are the median of ``CAMPAIGN_REPEATS`` runs.
 
 Writes ``BENCH_engine.json`` (see ``--out``) with raw timings and the
 derived speedups; the CI bench job runs the ``--quick`` variant as a
@@ -47,6 +52,12 @@ from repro.traffic.sources import (
 )
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+#: Campaigns timed per supervised and network row (median and spread).
+CAMPAIGN_REPEATS = 3
+
+#: Trials of the Section 6.3 network campaign comparison.
+NETWORK_TRIALS = 16
 
 
 def build_scenario(num_slots: int) -> Scenario:
@@ -119,11 +130,12 @@ def scenario_trial(scenario: Scenario, trial: int, seed: int) -> dict:
     return scenario.trial_result(trial, seed)
 
 
-def _timed_runs(repeats: int, fn) -> tuple[float, float, object]:
+def _timed_runs(fn) -> tuple[float, float, object]:
     """Median and spread ((max - min) / median) of the wall-clock
-    seconds of ``repeats`` calls of ``fn``, plus the last return."""
+    seconds of ``CAMPAIGN_REPEATS`` calls of ``fn``, plus the last
+    return."""
     times = []
-    for _ in range(repeats):
+    for _ in range(CAMPAIGN_REPEATS):
         start = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - start)
@@ -132,12 +144,12 @@ def _timed_runs(repeats: int, fn) -> tuple[float, float, object]:
 
 
 def bench_supervised(
-    scenario: Scenario, num_trials: int, workers: int, repeats: int = 3
+    scenario: Scenario, num_trials: int, workers: int
 ) -> dict:
     """Trial throughput of SupervisedRunner under each dispatch backend,
     for a scenario campaign and a ``trial_fn`` campaign.  Each row is
-    the median of ``repeats`` (at least 3) campaigns; ``*_spread`` is
-    that row's (max - min) / median."""
+    the median of ``CAMPAIGN_REPEATS`` campaigns; ``*_spread`` is that
+    row's (max - min) / median."""
     from repro.experiments.supervisor import SupervisedRunner
 
     trial_fn = functools.partial(scenario_trial, scenario)
@@ -153,7 +165,7 @@ def bench_supervised(
             assert manifest.num_completed == num_trials
             return manifest
 
-        return _timed_runs(max(3, repeats), run)
+        return _timed_runs(run)
 
     serial_s, serial_spread, serial_manifest = timed(
         "serial", None, scenario=scenario
@@ -179,7 +191,7 @@ def bench_supervised(
         "num_trials": num_trials,
         "num_slots": scenario.horizon,
         "workers": workers,
-        "repeats": max(3, repeats),
+        "repeats": CAMPAIGN_REPEATS,
         "serial_seconds": serial_s,
         "process_seconds": process_s,
         "serial_spread": serial_spread,
@@ -227,9 +239,7 @@ def _kernel_share(campaign, num_trials: int) -> dict:
     }
 
 
-def bench_network(
-    num_trials: int, num_slots: int, workers: int, repeats: int = 3
-) -> dict:
+def bench_network(num_slots: int, workers: int) -> dict:
     """Section 6.3 campaign throughput: serial ``B = 1`` trials against
     ``process`` chunks on the batched network stepper, plus the
     water-fill kernel's share of a ``B = 1`` and a chunk-sized run."""
@@ -240,10 +250,9 @@ def bench_network(
 
     def timed(dispatch: str, max_workers: int | None):
         return _timed_runs(
-            max(3, repeats),
             lambda: SupervisedRunner(
                 scenario=campaign,
-                num_trials=num_trials,
+                num_trials=NETWORK_TRIALS,
                 dispatch=dispatch,
                 max_workers=max_workers,
             ).run(),
@@ -252,19 +261,19 @@ def bench_network(
     serial_s, serial_spread, serial_manifest = timed("serial", None)
     process_s, process_spread, process_manifest = timed("process", workers)
     assert process_manifest.completed == serial_manifest.completed
-    assert serial_manifest.num_completed == num_trials
-    chunk = -(-num_trials // workers)
+    assert serial_manifest.num_completed == NETWORK_TRIALS
+    chunk = -(-NETWORK_TRIALS // workers)
     return {
-        "num_trials": num_trials,
+        "num_trials": NETWORK_TRIALS,
         "num_slots": num_slots,
         "workers": workers,
-        "repeats": max(3, repeats),
+        "repeats": CAMPAIGN_REPEATS,
         "serial_seconds": serial_s,
         "process_seconds": process_s,
         "serial_spread": serial_spread,
         "process_spread": process_spread,
-        "serial_trials_per_sec": num_trials / serial_s,
-        "process_trials_per_sec": num_trials / process_s,
+        "serial_trials_per_sec": NETWORK_TRIALS / serial_s,
+        "process_trials_per_sec": NETWORK_TRIALS / process_s,
         "process_speedup": serial_s / process_s,
         "kernel_split": [
             _kernel_share(campaign, 1),
@@ -290,8 +299,7 @@ def main() -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timed repeats (best-of for the fluid sweep; the median of "
-        "at least 3 for the campaigns)",
+        help="timed repeats (best-of) for the fluid sweep",
     )
     parser.add_argument(
         "--supervised-trials",
@@ -306,18 +314,13 @@ def main() -> int:
         help="process-pool size for the supervised comparison",
     )
     parser.add_argument(
-        "--network-trials",
-        type=int,
-        default=16,
-        help="trials for the Section 6.3 network campaign comparison",
-    )
-    parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep for CI (about a minute on 2 CPUs, same comparisons)",
+        help="small sweep for CI (about 2.5 minutes on 2 CPUs, same "
+        "comparisons)",
     )
     args = parser.parse_args()
     if args.quick:
@@ -357,9 +360,7 @@ def main() -> int:
         f"trials/s ({supervised['trial_fn_process_speedup']:.1f}x)"
     )
 
-    network = bench_network(
-        args.network_trials, args.slots * 2, args.workers, args.repeats
-    )
+    network = bench_network(args.slots * 2, args.workers)
     split = ", ".join(
         f"B={row['batch']} kernel {row['kernel_share']:.0%}"
         for row in network["kernel_split"]

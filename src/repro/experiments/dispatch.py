@@ -11,9 +11,10 @@ backoff, checkpoint/resume, the fail-fast contract — and delegates
   chunks of trials at their attempt-0 seeds.  A campaign (a
   :class:`repro.scenario.Scenario`, the Section 6.3
   :class:`repro.experiments.runner.ExampleNetworkCampaign`, or any
-  picklable object with ``trial_result(trial, seed)`` and
-  ``run_chunk(trials, seeds)``) splits its trials evenly across the
-  pool and each worker runs ``campaign.run_chunk`` on its chunk — the
+  picklable object with ``trial_result(trial, seed)``,
+  ``run_chunk(trials, seeds)`` and ``chunk_trials``) splits its trials
+  evenly across the pool, at most ``campaign.chunk_trials`` a chunk,
+  and each worker runs ``campaign.run_chunk`` on its chunk — the
   campaign samples and batches, per-trial results bit-for-bit its
   ``trial_result``.  An arbitrary ``trial_fn`` campaign sends one
   trial per chunk.  Checkpoints are written once per completed chunk.
@@ -161,10 +162,12 @@ class ProcessDispatch(DispatchBackend):
     holds follows from the runner:
 
     * a campaign-backed runner (``scenario=``, any object with
-      ``trial_result`` and ``run_chunk``) splits the pending trials
-      evenly across the pool (capped at 128 trials a chunk) and the
-      worker calls ``campaign.run_chunk(trials, seeds)``, which samples
-      and runs the chunk itself;
+      ``trial_result``, ``run_chunk`` and ``chunk_trials``) splits the
+      pending trials evenly across the pool (capped at the campaign's
+      ``chunk_trials``: 128 for a scenario, one traced sub-batch for
+      the Section 6.3 network) and the worker calls
+      ``campaign.run_chunk(trials, seeds)``, which samples and runs
+      the chunk itself;
     * an arbitrary ``trial_fn`` runner sends one trial per chunk: a
       pool round trip costs far less than a trial, and the campaign
       keeps one checkpoint per trial.
@@ -180,19 +183,18 @@ class ProcessDispatch(DispatchBackend):
     A dead worker breaks the pool.  Each trial that was in flight then
     runs alone in a fresh single-worker pool; one whose solo run kills
     its worker too is recorded failed with a ``worker_died`` reason
-    (under ``fail_fast`` the campaign aborts there) and never runs in
-    the parent.  The queued chunks go on in a fresh pool.
+    (under ``fail_fast`` the campaign aborts there, after the serial
+    re-run of the chunks that had raised) and never runs in the
+    parent.  The queued chunks go on in a fresh pool.
     """
 
     name = "process"
 
     @staticmethod
     def _chunks(
-        indices: list[int], max_workers: int, *, batched: bool
+        indices: list[int], max_workers: int, *, cap: int
     ) -> list[list[int]]:
-        size = 1
-        if batched:
-            size = min(128, math.ceil(len(indices) / max_workers))
+        size = min(cap, math.ceil(len(indices) / max_workers))
         return [
             indices[i : i + size] for i in range(0, len(indices), size)
         ]
@@ -215,9 +217,8 @@ class ProcessDispatch(DispatchBackend):
         )
         fail_fast = runner._fail_fast
         workers = runner._max_workers
-        queue = deque(
-            self._chunks(indices, workers, batched=campaign is not None)
-        )
+        cap = 1 if campaign is None else campaign.chunk_trials
+        queue = deque(self._chunks(indices, workers, cap=cap))
         fallback: list[int] = []
 
         def submit(pool: ProcessPoolExecutor, chunk: list[int]) -> Any:
@@ -302,9 +303,17 @@ class ProcessDispatch(DispatchBackend):
         while queue:
             lost = pool_round()
             if lost and solo_round(lost):
-                pending = fallback + [t for chunk in queue for t in chunk]
-                manifest.skipped = sorted(manifest.skipped + pending)
-                runner._write_checkpoint(manifest)
+                # The queued chunks never start; the trials whose chunk
+                # raised still get their serial re-run, which may abort
+                # first on a failure of its own.
+                manifest.skipped.extend(t for chunk in queue for t in chunk)
+                try:
+                    SerialDispatch().execute(
+                        runner, manifest, sorted(fallback)
+                    )
+                finally:
+                    manifest.skipped.sort()
+                    runner._write_checkpoint(manifest)
                 raise _fail_fast_abort(manifest)
         if fallback:
             return SerialDispatch().execute(

@@ -237,6 +237,12 @@ class ExampleNetworkCampaign:
 
     num_slots: int = 60_000
 
+    @property
+    def chunk_trials(self) -> int:
+        """Most trials one chunk should hold: one sub-batch, so the
+        process backend checkpoints after every sub-batch."""
+        return max(1, _NETWORK_CHUNK_BYTES // (24 * 8 * self.num_slots))
+
     def trial_result(self, trial: int, seed: int) -> dict:
         """One trial: the one-trial case of :meth:`run_chunk`."""
         return self.run_chunk([trial], [seed])[0]
@@ -247,7 +253,7 @@ class ExampleNetworkCampaign:
         Each trial's result is bit-for-bit its one-trial run."""
         del trials  # results carry no label
         simulator = FluidNetworkSimulator(example_network(1))
-        size = max(1, _NETWORK_CHUNK_BYTES // (24 * 8 * self.num_slots))
+        size = self.chunk_trials
         results = []
         for start in range(0, len(seeds), size):
             arrivals = sample_example_arrivals(

@@ -153,10 +153,12 @@ class SupervisedRunner:
         A campaign: a :class:`repro.scenario.Scenario`, the Section 6.3
         :class:`repro.experiments.runner.ExampleNetworkCampaign`, or
         any picklable object with ``trial_result(trial, seed)`` (one
-        trial, the ``trial_fn``) and ``run_chunk(trials, seeds)`` (a
+        trial, the ``trial_fn``), ``run_chunk(trials, seeds)`` (a
         list of results, each equal to its ``trial_result``; the
-        process backend runs chunks through it).  Mutually exclusive
-        with ``trial_fn``.
+        process backend runs chunks through it) and ``chunk_trials``
+        (the most trials one chunk should hold; a chunk is also the
+        process backend's checkpoint unit).  Mutually exclusive with
+        ``trial_fn``.
     num_trials, base_seed:
         The campaign size and the seed the per-trial seeds derive from.
     max_retries:

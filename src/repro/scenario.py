@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -94,6 +94,10 @@ class Scenario:
     ebbs: tuple["EBB", ...] | None = None
     faults: "FaultSchedule | None" = None
     node_name: str = "server"
+
+    #: Most trials one :meth:`run_chunk` call should hold (the process
+    #: dispatch backend's chunk cap for this campaign).
+    chunk_trials: ClassVar[int] = 128
 
     def __post_init__(self) -> None:
         check_positive("rate", self.rate)

@@ -97,18 +97,29 @@ def _batch_water_fill(
         # shares, so a finished session's weight never meets a
         # subnormal denominator (no overflow on phi ratios ~1e308).
         active_phis = np.where(active, phis, 0.0)
+        if guarded is None:
+            # remaining only shrinks and a row's weight total is at
+            # most N * max(phi), so no product, sum or share below can
+            # overflow unless the first round's remaining * N * max(phi)
+            # does (Python floats give inf, not a warning): one scalar
+            # test per call.
+            guarded = not math.isfinite(
+                float(remaining.max()) * float(phis.max()) * phis.size
+            )
+        if guarded:
+            # A row whose weight total could overflow is rescaled by a
+            # power of two, exact for every weight that stays normal;
+            # shares are scale-free.  Other rows keep their bits.
+            top = active_phis.max(axis=1)
+            wide = top > np.finfo(float).max / phis.size
+            if wide.any():
+                active_phis[wide] = np.ldexp(
+                    active_phis[wide], -np.frexp(top[wide])[1][:, None]
+                )
         total_phi = _row_sum(active_phis)
         # Inactive-only rows would divide by zero; the guard merely
         # keeps their (all-zero) shares finite.
         denom = np.where(total_phi > 0.0, total_phi, 1.0)
-        if guarded is None:
-            # remaining and denom only shrink, and phi <= denom, so a
-            # share's product remaining * phi can overflow only if the
-            # first round's remaining * denom does (Python floats give
-            # inf, not a warning): one scalar test per call.
-            guarded = not math.isfinite(
-                float(remaining.max()) * float(denom.max())
-            )
         if guarded:
             with np.errstate(over="ignore"):
                 shares = remaining[:, None] * active_phis / denom[:, None]

@@ -139,6 +139,29 @@ REMOVED_FORMS = [
         TypeError,
         id="SupervisedRunner-chunk-size",
     ),
+    pytest.param(
+        lambda: repro.experiments.simulation_trial, AttributeError,
+        id="simulation-trial",
+    ),
+    pytest.param(
+        lambda: importlib.import_module(
+            "repro.experiments.runner"
+        ).simulation_trial,
+        AttributeError,
+        id="simulation-trial-module",
+    ),
+    pytest.param(
+        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).step, AttributeError,
+        id="FluidGPSServer-step",
+    ),
+    pytest.param(
+        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).backlog, AttributeError,
+        id="FluidGPSServer-backlog",
+    ),
+    pytest.param(
+        lambda: FluidGPSServer(rate=1.0, phis=[1.0]).reset, AttributeError,
+        id="FluidGPSServer-reset",
+    ),
 ]
 
 

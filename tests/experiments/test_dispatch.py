@@ -23,6 +23,7 @@ from repro.experiments.dispatch import (
     SerialDispatch,
     make_dispatch_backend,
 )
+from repro.experiments.runner import ExampleNetworkCampaign
 from repro.experiments.supervisor import SupervisedRunner, trial_seed
 from repro.faults import BurstFault, FaultSchedule, RateFault
 from repro.markov.onoff import OnOffSource
@@ -92,6 +93,14 @@ def _fail_fast_manifest(backend, **runner_kwargs):
     return manifest
 
 
+def _raise_zero_in_worker_exit_on_one(parent_pid, trial, seed):
+    """Trial 0 raises in a pool worker and succeeds in the parent;
+    trial 1 kills any pool worker that runs it."""
+    if trial == 0 and os.getpid() != parent_pid:
+        raise RuntimeError("trial 0 raises in a worker")
+    return _exit_on_trial_one(parent_pid, trial, seed)
+
+
 def _exit_on_trial_one(parent_pid, trial, seed):
     """Trial 1 kills any pool worker that runs it (and fails loudly if
     it ever runs in the parent); every other trial succeeds."""
@@ -140,17 +149,24 @@ class TestBackendResolution:
                 )
 
     def test_default_chunking_splits_across_workers(self):
-        chunks = ProcessDispatch._chunks(list(range(10)), 4, batched=True)
+        cap = Scenario.chunk_trials
+        chunks = ProcessDispatch._chunks(list(range(10)), 4, cap=cap)
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
         assert sum(chunks, []) == list(range(10))
-        capped = ProcessDispatch._chunks(
-            list(range(300)), 2, batched=True
-        )
+        capped = ProcessDispatch._chunks(list(range(300)), 2, cap=cap)
         assert [len(c) for c in capped] == [128, 128, 44]
-        single = ProcessDispatch._chunks(
-            list(range(10)), 4, batched=False
-        )
+        single = ProcessDispatch._chunks(list(range(10)), 4, cap=1)
         assert single == [[k] for k in range(10)]
+
+    def test_network_chunks_are_one_sub_batch(self):
+        # At 60,000 slots a network trial traces 11.5 MB, so a chunk
+        # (and the interval between checkpoints) is 11 trials.
+        campaign = ExampleNetworkCampaign(60_000)
+        assert campaign.chunk_trials == 11
+        chunks = ProcessDispatch._chunks(
+            list(range(64)), 2, cap=campaign.chunk_trials
+        )
+        assert [len(c) for c in chunks] == [11] * 5 + [9]
 
 
 class TestSharedMemoryIdentity:
@@ -361,3 +377,19 @@ class TestTrialFnChunks:
                 for k in manifest.completed
             )
         assert runs[1].completed == runs[0].completed
+
+    def test_fail_fast_dead_worker_still_reruns_raised_chunks(self):
+        # Trial 0's chunk raises in the pool and trial 1 kills its
+        # worker twice: the fail-fast abort comes after trial 0's
+        # serial re-run, which completes, instead of skipping it.
+        manifest = _fail_fast_manifest(
+            ProcessDispatch(),
+            trial_fn=functools.partial(
+                _raise_zero_in_worker_exit_on_one, os.getpid()
+            ),
+            num_trials=2,
+        )
+        assert manifest.completed == {0: {"trial": 0, "seed": trial_seed(0, 0)}}
+        assert list(manifest.failed) == [1]
+        assert manifest.failed[1].startswith("worker_died")
+        assert manifest.skipped == []

@@ -301,18 +301,26 @@ class TestOnlineResult:
 
 
 @pytest.mark.filterwarnings("error")
-def test_huge_weight_and_capacity_do_not_overflow_the_water_fill():
-    """``phi``, ``capacity`` and ``amount`` of ``1e300`` are finite and
-    pass every check; the water-fill's ``remaining * phi`` product
-    overflows, and the kernel recomputes those shares as
-    ``remaining * (phi / total)``."""
+@pytest.mark.parametrize(
+    "big_phi, small_phi",
+    [(1e300, 1.0), (1e308, 1e308)],
+    ids=["product-overflows", "weight-total-overflows"],
+)
+def test_huge_weight_and_capacity_do_not_overflow_the_water_fill(
+    big_phi, small_phi
+):
+    """``phi``, ``capacity`` and ``amount`` of ``1e300`` (or two weights
+    of ``1e308``) are finite and pass every check.  The water-fill's
+    ``remaining * phi`` product overflows, and the kernel recomputes those
+    shares as ``remaining * (phi / total)``; a weight total that would
+    overflow is rescaled by a power of two first."""
     import io
 
     from repro.online import JsonlSink, OnlineService
 
     lines = [
-        {"kind": "join", "time": 0.0, "name": "big", "phi": 1e300},
-        {"kind": "join", "time": 0.0, "name": "small", "phi": 1.0},
+        {"kind": "join", "time": 0.0, "name": "big", "phi": big_phi},
+        {"kind": "join", "time": 0.0, "name": "small", "phi": small_phi},
         {"kind": "capacity", "time": 0.0, "capacity": 1e300},
         {"kind": "arrival", "time": 0.0, "session": "big", "amount": 1e300},
         {"kind": "arrival", "time": 0.0, "session": "small", "amount": 1e300},
